@@ -111,18 +111,20 @@ def assemble_stiffness(mesh: StructuredMesh, a=None,
     return _scatter(mesh, local, include_boundary)
 
 
+def _sum_to_interior(mesh: StructuredMesh, contrib: np.ndarray) -> np.ndarray:
+    """Sum (ntri, 3) per-vertex contributions into interior dofs, in row-major order."""
+    pos, dof = mesh.interior_scatter
+    return np.bincount(dof, weights=contrib.ravel()[pos], minlength=mesh.n_interior)
+
+
 def load_vector(mesh: StructuredMesh, g) -> np.ndarray:
     """Interior load b_i = (g, phi_i) by the 3-point edge-midpoint rule."""
-    P = mesh.nodes[mesh.triangles]
-    mids = 0.5 * (P + np.roll(P, -1, axis=1))   # (ntri, 3, 2): m01, m12, m20
+    mids = mesh.edge_midpoints
     gv = _eval_on(g, mids[..., 0], mids[..., 1])
     if not np.all(np.isfinite(gv)):
         raise EvaluationError("load function produced non-finite values")
     contrib = mesh.triangle_area / 3.0 * np.einsum("tq,qi->ti", gv, _PHI_MID)
-    b = np.zeros(mesh.n_interior)
-    dof = mesh.interior_index[mesh.triangles]
-    np.add.at(b, dof[dof >= 0], contrib[dof >= 0])
-    return b
+    return _sum_to_interior(mesh, contrib)
 
 
 def l2_project(mesh: StructuredMesh, g, rtol: float = 1e-12) -> FieldP1:
@@ -136,8 +138,7 @@ def l2_project(mesh: StructuredMesh, g, rtol: float = 1e-12) -> FieldP1:
 def ritz_project(mesh: StructuredMesh, a, g, grad_g, rtol: float = 1e-12) -> FieldP1:
     """Ritz projection of g (with gradient grad_g and g = 0 on the boundary)."""
     stiff = assemble_stiffness(mesh, a)
-    P = mesh.nodes[mesh.triangles]
-    mids = 0.5 * (P + np.roll(P, -1, axis=1))
+    mids = mesh.edge_midpoints
     mx, my = mids[..., 0], mids[..., 1]
     gx, gy = grad_g(mx, my)
     gx = np.broadcast_to(np.asarray(gx, dtype=float), mx.shape)
@@ -153,8 +154,5 @@ def ritz_project(mesh: StructuredMesh, a, g, grad_g, rtol: float = 1e-12) -> Fie
     sy = (a_q * gy).sum(axis=1)
     contrib = mesh.triangle_area / 3.0 * (
         sx[:, None] * grads[:, :, 0] + sy[:, None] * grads[:, :, 1])
-    b = np.zeros(mesh.n_interior)
-    dof = mesh.interior_index[mesh.triangles]
-    np.add.at(b, dof[dof >= 0], contrib[dof >= 0])
     solver = LinearSolver(stiff, rtol=rtol)
-    return FieldP1(mesh=mesh, values=solver.solve(b))
+    return FieldP1(mesh=mesh, values=solver.solve(_sum_to_interior(mesh, contrib)))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 EXAMPLES = ("example1", "example2", "example3", "zero")
@@ -10,6 +11,14 @@ EXAMPLES = ("example1", "example2", "example3", "zero")
 
 class ConfigError(ValueError):
     """Invalid configuration; message names the offending field."""
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
 @dataclass
@@ -28,27 +37,39 @@ class ExperimentConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for name in ("alpha", "gamma", "T", "tol"):
+            if not _is_real(getattr(self, name)):
+                raise ConfigError(f"{name} must be a finite number, got {getattr(self, name)!r}")
+        for name in ("N", "modes", "fine_M", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name, ok, what in (("M", _is_int, "integers"), ("mu", _is_real, "finite numbers")):
+            vals = getattr(self, name)
+            if not isinstance(vals, (list, tuple)) or not all(ok(v) for v in vals):
+                raise ConfigError(f"{name} must be a list of {what}, got {vals!r}")
         if not (0.0 < self.alpha < 1.0):
             raise ConfigError(f"alpha must lie strictly in (0, 1), got {self.alpha}")
+        if not isinstance(self.out, str):
+            raise ConfigError(f"out must be a path string, got {self.out!r}")
         if self.example not in EXAMPLES:
             raise ConfigError(f"example must be one of {EXAMPLES}, got {self.example!r}")
         if not self.M:
             raise ConfigError("M must list at least one mesh size")
         for m in self.M:
-            if not isinstance(m, int) or m < 2:
+            if m < 2:
                 raise ConfigError(f"M entries must be integers >= 2, got {m!r}")
-        if not isinstance(self.N, int) or self.N < 1:
+        if self.N < 1:
             raise ConfigError(f"N must be an integer >= 1, got {self.N!r}")
         if self.gamma < 1.0:
             raise ConfigError(f"gamma must be >= 1, got {self.gamma}")
         if not (self.T > 0.0):
             raise ConfigError(f"T must be > 0, got {self.T}")
-        if not isinstance(self.modes, int) or self.modes < 1:
+        if self.modes < 1:
             raise ConfigError(f"modes must be an integer >= 1, got {self.modes!r}")
         for mu in self.mu:
             if mu < 0.0:
                 raise ConfigError(f"mu values must be >= 0, got {mu}")
-        if not isinstance(self.fine_M, int) or self.fine_M < 2:
+        if self.fine_M < 2:
             raise ConfigError(f"fine_M must be an integer >= 2, got {self.fine_M!r}")
         for m in self.M:
             q, r = divmod(self.fine_M, m)
@@ -58,8 +79,6 @@ class ExperimentConfig:
                     f"fine_M={self.fine_M} fails for M={m}")
         if not (0.0 < self.tol <= 1e-6):
             raise ConfigError(f"tol must lie in (0, 1e-6], got {self.tol}")
-        if not isinstance(self.seed, int):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)

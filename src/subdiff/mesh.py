@@ -10,6 +10,7 @@ deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -46,6 +47,25 @@ class StructuredMesh:
     def interior_coords(self) -> np.ndarray:
         """Coordinates of interior nodes ordered by dof index."""
         return self.nodes[~self.boundary_mask]
+
+    @cached_property
+    def edge_midpoints(self) -> np.ndarray:
+        """(ntri, 3, 2) midpoints of the edges v0v1, v1v2, v2v0 of each triangle."""
+        P = self.nodes[self.triangles]
+        mids = 0.5 * (P + np.roll(P, -1, axis=1))
+        mids.setflags(write=False)
+        return mids
+
+    @cached_property
+    def interior_scatter(self) -> tuple[np.ndarray, np.ndarray]:
+        """(positions, dofs) of the interior vertices in the flattened (ntri, 3)
+        triangle-vertex array, in row-major order."""
+        dof = self.interior_index[self.triangles].ravel()
+        pos = np.flatnonzero(dof >= 0)
+        dof = dof[pos]
+        for arr in (pos, dof):
+            arr.setflags(write=False)
+        return pos, dof
 
 
 def build_mesh(M: int) -> StructuredMesh:

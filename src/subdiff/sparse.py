@@ -113,52 +113,84 @@ def write_matrix_market(A: SparseMatrix, path) -> None:
 
 @dataclass(frozen=True)
 class LinearSolver:
-    """SPD solver bound to one matrix.
+    """SPD solver bound to one matrix, or to the pencil matrix + s * shift.
 
     method "cg": Jacobi-preconditioned conjugate gradients (default).
     method "dense_cholesky": dense factorization, for small systems.
+
+    With ``shift`` (same sparsity pattern as ``matrix``) each solve picks
+    its own s. Symmetry is checked and diagonals are taken once, here, so a
+    time stepper needs one solver per run. A solve with shift s uses the
+    operator data matrix.data + s * shift.data and the preconditioner
+    1 / (diag(matrix) + s * diag(shift)): entry for entry what a solver
+    built on add_scaled(matrix, shift, 1, s) would use.
     """
 
     matrix: SparseMatrix
     method: str = "cg"
     rtol: float = 1e-12
     max_iter: int = 0  # 0: pick 10 n + 1000
+    shift: SparseMatrix | None = None
     _chol: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _diag: np.ndarray = field(init=False, repr=False, compare=False)
+    _shift_diag: np.ndarray | None = field(init=False, default=None, repr=False,
+                                           compare=False)
 
     def __post_init__(self):
-        asym = self.matrix.max_asymmetry()
-        if asym > 1e-12:
-            raise ValueError(f"matrix is not symmetric (relative asymmetry {asym:.2e})")
+        for A in (self.matrix, self.shift):
+            if A is not None and (asym := A.max_asymmetry()) > 1e-12:
+                raise ValueError(f"matrix is not symmetric (relative asymmetry {asym:.2e})")
         if self.method not in ("cg", "dense_cholesky"):
             raise ValueError(f"unknown method {self.method!r}")
+        if self.shift is not None:
+            if self.method != "cg":
+                raise ValueError(f"method {self.method!r} does not take a shift")
+            if not (np.array_equal(self.matrix.indptr, self.shift.indptr)
+                    and np.array_equal(self.matrix.indices, self.shift.indices)):
+                raise ValueError("shift must share the sparsity pattern of the matrix")
+            object.__setattr__(self, "_shift_diag", self.shift.diagonal())
+        object.__setattr__(self, "_diag", self.matrix.diagonal())
         if self.method == "dense_cholesky":
             object.__setattr__(self, "_chol", np.linalg.cholesky(self.matrix.to_dense()))
 
-    def solve(self, rhs: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:
+    def solve(self, rhs: np.ndarray, x0: np.ndarray | None = None,
+              s: float = 0.0) -> np.ndarray:
+        """Solve (matrix + s * shift) x = rhs; s must be 0 without a shift."""
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape != (self.matrix.n,):
             raise ValueError("rhs length does not match matrix dimension")
         if not np.all(np.isfinite(rhs)):
             raise ValueError("rhs contains non-finite entries")
+        if self.shift is None and s != 0.0:
+            raise ValueError("a nonzero s needs a solver built with a shift")
         if self.method == "dense_cholesky":
             return _cholesky_solve(self._chol, rhs)
+        A, diag = self.matrix, self._diag
+        if self.shift is not None:
+            A = SparseMatrix(n=A.n, indptr=A.indptr, indices=A.indices,
+                             data=A.data + s * self.shift.data)
+            diag = diag + s * self._shift_diag
         maxit = self.max_iter if self.max_iter > 0 else 10 * self.matrix.n + 1000
-        x, residuals = cg_solve(self.matrix, rhs, x0=x0, rtol=self.rtol, max_iter=maxit)
+        x, residuals = cg_solve(A, rhs, x0=x0, rtol=self.rtol, max_iter=maxit,
+                                dinv=1.0 / diag)
         return x
 
 
 def cg_solve(A: SparseMatrix, b: np.ndarray, x0=None, rtol: float = 1e-12,
-             max_iter: int = 10000) -> tuple[np.ndarray, list[float]]:
+             max_iter: int = 10000,
+             dinv: np.ndarray | None = None) -> tuple[np.ndarray, list[float]]:
     """Jacobi-preconditioned CG. Returns (x, per-iteration residual norms).
 
     Stops when the true residual satisfies ||Ax-b|| <= rtol ||b||; raises
-    SolverFailureError past max_iter.
+    SolverFailureError past max_iter. dinv is the inverse diagonal of A,
+    taken from A when not given.
     """
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros_like(b), [0.0]
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
-    dinv = 1.0 / A.diagonal()
+    if dinv is None:
+        dinv = 1.0 / A.diagonal()
     r = b - matvec(A, x)
     residuals = [float(np.linalg.norm(r))]
     tol_abs = rtol * bnorm

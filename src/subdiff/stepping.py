@@ -23,7 +23,7 @@ from .assembly import FieldP1, assemble_mass, assemble_stiffness, l2_project, lo
 from .exceptions import NumericalBlowupError
 from .mesh import StructuredMesh
 from .mittag_leffler import gamma
-from .sparse import LinearSolver, SparseMatrix, add_scaled, matvec
+from .sparse import LinearSolver, SparseMatrix, matvec
 
 
 @dataclass(frozen=True)
@@ -62,48 +62,59 @@ class FracWeights:
 
     I^alpha vbar(t_n) = sum_{j=1..n} b_nj vbar_j  with
     b_nj = ((t_n - t_(j-1))^alpha - (t_n - t_j)^alpha) / Gamma(alpha + 1).
+
+    Rows are computed on demand in O(n), so the weights take O(N) memory.
+    The raw difference loses digits when the step is tiny against t_n, so
+    it is evaluated as A^a (-expm1(a log1p(-tau_j / A))) with
+    A = t_n - t_(j-1).
     """
 
     mesh: GradedTimeMesh
     alpha: float
-    rows: tuple  # rows[n-1] has length n
+    inv_gamma: float = field(init=False)  # 1 / Gamma(alpha + 1)
+
+    def __post_init__(self):
+        object.__setattr__(self, "inv_gamma", 1.0 / gamma(self.alpha + 1.0))
 
     def row(self, n: int) -> np.ndarray:
-        return self.rows[n - 1]
-
-    def increment_row(self, n: int) -> np.ndarray:
-        """c_nj = b_nj - b_(n-1)j for j < n, c_nn = b_nn."""
-        bn = self.rows[n - 1]
-        c = bn.copy()
-        if n >= 2:
-            c[: n - 1] -= self.rows[n - 2]
-        return c
-
-
-def frac_weights(mesh: GradedTimeMesh, alpha: float) -> FracWeights:
-    """Quadrature weights of I^alpha on the mesh, cancellation-aware.
-
-    The raw difference (t_n - t_(j-1))^a - (t_n - t_j)^a loses digits when
-    the step is tiny against t_n, so it is evaluated as
-    A^a (-expm1(a log1p(-tau_j / A))) with A = t_n - t_(j-1).
-    """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    t = mesh.t
-    tau = mesh.tau
-    inv_g = 1.0 / gamma(alpha + 1.0)
-    rows = []
-    for n in range(1, mesh.N + 1):
+        """b_nj for j = 1..n."""
+        t = self.mesh.t
+        tau = self.mesh.tau
+        alpha = self.alpha
         A = t[n] - t[:n]
         b = np.empty(n)
         if n > 1:
             ratio = tau[: n - 1] / A[: n - 1]
             b[: n - 1] = -np.expm1(alpha * np.log1p(-ratio)) * A[: n - 1] ** alpha
         b[n - 1] = tau[n - 1] ** alpha
-        b *= inv_g
-        b.setflags(write=False)
-        rows.append(b)
-    return FracWeights(mesh=mesh, alpha=alpha, rows=tuple(rows))
+        b *= self.inv_gamma
+        return b
+
+    def increment_rows(self, n0: int, n1: int) -> np.ndarray:
+        """Rows c_n for n0 <= n < n1, zero-padded to an (n1 - n0, n1 - 1) array.
+
+        c_nj = b_nj - b_(n-1)j for j < n, c_nn = b_nn.
+        """
+        C = np.zeros((n1 - n0, n1 - 1))
+        prev = self.row(n0 - 1) if n0 >= 2 else None
+        for i, n in enumerate(range(n0, n1)):
+            bn = self.row(n)
+            C[i, :n] = bn
+            if prev is not None:
+                C[i, : n - 1] -= prev
+            prev = bn
+        return C
+
+    def increment_row(self, n: int) -> np.ndarray:
+        """c_nj = b_nj - b_(n-1)j for j < n, c_nn = b_nn."""
+        return self.increment_rows(n, n + 1)[0]
+
+
+def frac_weights(mesh: GradedTimeMesh, alpha: float) -> FracWeights:
+    """Quadrature weights of I^alpha on the mesh (rows come on demand)."""
+    if not (0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    return FracWeights(mesh=mesh, alpha=alpha)
 
 
 def frac_integral_nodes(weights: FracWeights, samples: np.ndarray) -> np.ndarray:
@@ -111,8 +122,12 @@ def frac_integral_nodes(weights: FracWeights, samples: np.ndarray) -> np.ndarray
     samples = np.asarray(samples, dtype=float)
     if samples.shape != (weights.mesh.N,):
         raise ValueError("need one history sample per subinterval")
-    return np.array([weights.rows[n - 1] @ samples[:n]
+    return np.array([weights.row(n) @ samples[:n]
                      for n in range(1, weights.mesh.N + 1)])
+
+
+# steps per history block; one GEMM per block sums the history before it
+HISTORY_BLOCK = 32
 
 
 @dataclass
@@ -124,6 +139,9 @@ class SchemeState:
     us: list            # u^0 .. u^n coefficient vectors
     Z: np.ndarray       # Z[j-1] = S ubar_j for accepted steps
     n: int = 0
+    # current history block of steps k+1..k+B: rows c_nj, and sum_{j<=k} c_nj Z_j
+    block_c: np.ndarray | None = field(default=None, repr=False)
+    block_hist: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def start(cls, mesh: StructuredMesh, time_mesh: GradedTimeMesh,
@@ -148,24 +166,37 @@ class SchemeState:
 
 def step(state: SchemeState, n: int, mass: SparseMatrix, stiffness: SparseMatrix,
          weights: FracWeights, load: np.ndarray | None = None,
-         rtol: float = 1e-12) -> FieldP1:
-    """Advance the scheme from u^(n-1) to u^n and append it to the state."""
+         rtol: float = 1e-12, solver: LinearSolver | None = None) -> FieldP1:
+    """Advance the scheme from u^(n-1) to u^n and append it to the state.
+
+    solver is the run's LinearSolver for the pencil mass + s stiffness; one
+    is built here (with rtol) when it is not given. The history sum over
+    j < n is split at the start k of the step's block of HISTORY_BLOCK
+    steps: the part over j <= k comes from one GEMM per block, the tail
+    k < j < n from the step itself.
+    """
     if n != state.n + 1:
         raise ValueError(f"expected step {state.n + 1}, got {n}")
+    if solver is None:
+        solver = LinearSolver(mass, rtol=rtol, shift=stiffness)
+    i = (n - 1) % HISTORY_BLOCK
+    k = n - 1 - i
+    if i == 0:
+        stop = min(k + HISTORY_BLOCK, state.time_mesh.N)
+        state.block_c = weights.increment_rows(k + 1, stop + 1)
+        state.block_hist = state.block_c[:, :k] @ state.Z[:k]
     tau_n = state.time_mesh.tau[n - 1]
-    c = weights.increment_row(n)
+    c = state.block_c[i]
     theta = 1.0 if n == 1 else 0.5
     u_prev = state.us[n - 1]
 
     rhs = matvec(mass, u_prev)
     if n >= 2:
-        rhs -= c[: n - 1] @ state.Z[: n - 1]
+        rhs -= state.block_hist[i] + c[k:n - 1] @ state.Z[k:n - 1]
         rhs -= (1.0 - theta) * c[n - 1] * matvec(stiffness, u_prev)
     if load is not None:
         rhs += tau_n * load
-    lhs = add_scaled(mass, stiffness, 1.0, theta * c[n - 1])
-    solver = LinearSolver(lhs, rtol=rtol)
-    u_n = solver.solve(rhs, x0=u_prev)
+    u_n = solver.solve(rhs, x0=u_prev, s=theta * c[n - 1])
     if not np.all(np.isfinite(u_n)):
         raise NumericalBlowupError(f"non-finite solution at step {n}", step=n)
 
@@ -181,6 +212,8 @@ def run(mesh: StructuredMesh, time_mesh: GradedTimeMesh, alpha: float, a,
         stiffness: SparseMatrix | None = None) -> SchemeState:
     """Run the scheme over the whole time mesh.
 
+    Once per run: assembly, the weights and one solver for the pencil
+    mass + s stiffness. Each step then does only per-step work.
     f, when given, is a space-time function f(x, y, t) sampled at interval
     midpoints in time and assembled with the standard load quadrature.
     observer(n, t_n, FieldP1) is called once per step in increasing n.
@@ -192,6 +225,7 @@ def run(mesh: StructuredMesh, time_mesh: GradedTimeMesh, alpha: float, a,
     if stiffness is None:
         stiffness = assemble_stiffness(mesh, a)
     weights = frac_weights(time_mesh, alpha)
+    solver = LinearSolver(mass, rtol=rtol, shift=stiffness)
     state = SchemeState.start(mesh, time_mesh, u0_field)
     t = time_mesh.t
     for n in range(1, time_mesh.N + 1):
@@ -199,7 +233,7 @@ def run(mesh: StructuredMesh, time_mesh: GradedTimeMesh, alpha: float, a,
         if f is not None:
             t_mid = 0.5 * (t[n - 1] + t[n])
             load = load_vector(mesh, lambda x, y: f(x, y, t_mid))
-        u_n = step(state, n, mass, stiffness, weights, load=load, rtol=rtol)
+        u_n = step(state, n, mass, stiffness, weights, load=load, solver=solver)
         if observer is not None:
             observer(n, t[n], u_n)
     return state

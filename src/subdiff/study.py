@@ -28,7 +28,8 @@ class ErrorTracker:
     """Observer recording |||u_h^n - u(t_n)||| at every step.
 
     Modal decay factors for all steps are evaluated upfront in one
-    vectorized pass; each step then costs two small matrix products.
+    vectorized pass, once per distinct eigenvalue (modes (m, n) and (n, m)
+    share one); each step then costs two small matrix products.
     """
 
     def __init__(self, sol: SeriesSolution, lattice: FineLattice,
@@ -43,8 +44,9 @@ class ErrorTracker:
         self.c2_act = 2.0 * sol.C[mask]
         t = time_mesh.t
         if lam_act.size:
-            args = (lam_act[None, :] * (t[1:] ** sol.alpha)[:, None]).ravel()
-            self.decay = sol.evaluator(args).reshape(time_mesh.N, lam_act.size)
+            lam_u, mode_of = np.unique(lam_act, return_inverse=True)
+            args = (lam_u[None, :] * (t[1:] ** sol.alpha)[:, None]).ravel()
+            self.decay = sol.evaluator(args).reshape(time_mesh.N, lam_u.size)[:, mode_of]
         else:
             self.decay = np.zeros((time_mesh.N, 0))
         self.t = t

@@ -91,6 +91,23 @@ def test_stiffness_rejects_bad_coefficient():
         assemble_stiffness(mesh, lambda x, y: np.full_like(x, np.nan))
 
 
+def test_load_vector_bitwise_matches_add_at_reference():
+    """Cached quadrature points and bincount reproduce the direct scatter."""
+    _PHI_MID = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+    g = lambda x, y: np.exp(x) * np.sin(3.0 * y) + x * y
+    for M in (2, 5, 16):
+        mesh = build_mesh(M)
+        P = mesh.nodes[mesh.triangles]
+        mids = 0.5 * (P + np.roll(P, -1, axis=1))
+        gv = g(mids[..., 0], mids[..., 1])
+        contrib = mesh.triangle_area / 3.0 * np.einsum("tq,qi->ti", gv, _PHI_MID)
+        ref = np.zeros(mesh.n_interior)
+        dof = mesh.interior_index[mesh.triangles]
+        np.add.at(ref, dof[dof >= 0], contrib[dof >= 0])
+        assert np.array_equal(load_vector(mesh, g), ref)
+        assert np.array_equal(load_vector(mesh, g), ref)  # cached geometry
+
+
 def test_load_vector_degree2_exact():
     """Edge-midpoint rule integrates g * phi_i exactly for linear g."""
     mesh = build_mesh(4)

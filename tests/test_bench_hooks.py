@@ -1,0 +1,48 @@
+"""Guard for the benchmark's trace hooks.
+
+perfbench/spans.py wraps package callables by module attribute name; a
+rename would break `perfbench/run.py --trace 1` without failing any other
+test. This module loads spans.py (read only) and traces one tiny forced run.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+import subdiff.stepping as stepping
+from subdiff.assembly import FieldP1
+from subdiff.mesh import build_mesh
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_trace_hooks_resolve_and_count_one_run():
+    spans = _load_spans()
+    for owner, attr, _ in spans.WRAPPED:
+        assert hasattr(owner, attr), f"{owner.__name__}.{attr} is gone"
+    mesh = build_mesh(4)
+    tm = stepping.build_time_mesh(40, 1.6, 0.5)
+    u0 = FieldP1(mesh=mesh, values=np.zeros(mesh.n_interior))
+    tracer = spans.Tracer("test")
+    tracer.install()
+    try:
+        state = stepping.run(mesh, tm, 0.75, lambda x, y: 1.0 + x, u0,
+                             f=lambda x, y, t: np.ones_like(x) + t)
+    finally:
+        tracer.uninstall()
+    assert state.n == 40
+    layers = tracer.layer_metrics()
+    assert layers["sparse.solver_builds"] == 1
+    assert layers["sparse.cg_calls"] == 40
+    assert layers["assembly.load_vector_calls"] == 40
+    assert layers["sparse.cg_iters"] > 0
+    for owner, attr, _ in spans.WRAPPED:  # uninstall restored the originals
+        assert not hasattr(getattr(owner, attr), "__wrapped__")

@@ -30,6 +30,23 @@ def test_config_validation(overrides):
         cfg.validate()
 
 
+@pytest.mark.parametrize("bad, field", [
+    ('"alpha": "0.75"', "alpha"),   # a string, not a number
+    ('"M": 8', "M"),                # a bare integer, not a list
+    ('"mu": [NaN]', "mu"),          # non-finite weight exponent
+    ('"T": 1e400', "T"),            # overflows to inf
+    ('"N": true', "N"),             # bool is not an integer here
+], ids=["alpha_string", "M_scalar", "mu_nan", "T_inf", "N_bool"])
+def test_config_file_bad_value_exit_code(bad, field, capsys, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"M": [4], "N": 5, "modes": 4, "fine_M": 16, '
+                        f'"out": "{tmp_path / "out"}", {bad}}}')
+    assert main(["solve", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration: " + field)
+    assert not (tmp_path / "out").exists()
+
+
 def test_invalid_alpha_exit_code(capsys, tmp_path):
     code = main(["solve", "--alpha", "1.5", "--M", "4", "--N", "5",
                  "--fine-M", "16", "--out", str(tmp_path)])

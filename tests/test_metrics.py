@@ -169,3 +169,18 @@ def test_error_tracker_decay_matches_public_evaluator():
     for n in (1, 17, 40):
         direct = eval_grid(sol, tm.t[n], lat.xs, lat.xs)
         assert np.abs(tracker.exact_on_lattice(n) - direct).max() <= 1e-15
+
+
+def test_error_tracker_decay_bitwise_per_mode():
+    # one evaluation per distinct eigenvalue must reproduce the per-mode
+    # batch exactly: the evaluator's per-point results ignore the batch
+    from subdiff.stepping import build_time_mesh
+    from subdiff.study import ErrorTracker
+    sol = make_series(example1(), 0.75, K=30)
+    tm = build_time_mesh(50, 1.6, 0.5)
+    tracker = ErrorTracker(sol, fine_lattice(16), tm, build_mesh(4))
+    lam_act = sol.lam[sol.active_mask]
+    assert np.unique(lam_act).size < lam_act.size
+    args = (lam_act[None, :] * (tm.t[1:] ** sol.alpha)[:, None]).ravel()
+    per_mode = sol.evaluator(args).reshape(tm.N, lam_act.size)
+    assert np.array_equal(tracker.decay, per_mode)

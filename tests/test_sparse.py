@@ -113,6 +113,29 @@ def test_cg_residual_monotone_on_fe_system():
         assert np.all(r[1:] <= r[:-1] * (1.0 + 1e-12))
 
 
+def test_shifted_solver_matches_add_scaled_bitwise():
+    mesh = build_mesh(8)
+    M, S = assemble_mass(mesh), assemble_stiffness(mesh, lambda x, y: 1.0 + x * y)
+    pencil = LinearSolver(M, shift=S)
+    rng = np.random.default_rng(7)
+    for s in (0.0, 1e-4, 0.37):
+        b = rng.standard_normal(M.n)
+        x0 = rng.standard_normal(M.n)
+        fresh = LinearSolver(add_scaled(M, S, 1.0, s))
+        assert np.array_equal(pencil.solve(b, x0=x0, s=s), fresh.solve(b, x0=x0))
+
+
+def test_shifted_solver_validation():
+    A = csr_from_coo(2, [0, 1], [0, 1], [1.0, 1.0])
+    B = csr_from_coo(2, [0, 0, 1, 1], [0, 1, 0, 1], [2.0, 1.0, 1.0, 2.0])
+    with pytest.raises(ValueError):
+        LinearSolver(A, shift=B)                  # pattern differs
+    with pytest.raises(ValueError):
+        LinearSolver(A, shift=A, method="dense_cholesky")
+    with pytest.raises(ValueError):
+        LinearSolver(A).solve(np.ones(2), s=1.0)  # no shift to scale
+
+
 def test_dense_cholesky_matches_cg():
     mesh = build_mesh(6)
     A = assemble_stiffness(mesh)

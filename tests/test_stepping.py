@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from subdiff.assembly import FieldP1, assemble_mass, assemble_stiffness, l2_project
+import subdiff.stepping as stepping
+from subdiff.assembly import (FieldP1, assemble_mass, assemble_stiffness, l2_project,
+                              load_vector)
 from subdiff.exact import example1, example3
 from subdiff.mesh import build_mesh
 from subdiff.mittag_leffler import MlfEvaluator, gamma
-from subdiff.sparse import matvec
+from subdiff.sparse import LinearSolver, add_scaled, matvec
 from subdiff.stepping import (SchemeState, build_time_mesh, frac_weights,
                               initial_field, run, step)
 from subdiff.verify import heat_crank_nicolson_reference
@@ -130,3 +134,75 @@ def test_run_with_load_reaches_steady_profile():
     state = run(mesh, tm, 0.75, None, u0, f=f)
     assert np.max(state.us[-1]) > 0.0
     assert np.all(np.isfinite(state.us[-1]))
+
+
+def _forced_variable_a_problem(M, N):
+    mesh = build_mesh(M)
+    tm = build_time_mesh(N, 1.6, 0.5)
+    a = lambda x, y: 1.0 + 0.5 * np.sin(np.pi * x) * np.sin(np.pi * y)
+    f = lambda x, y, t: np.cos(3.0 * t) * x * (1.0 - y) + t ** 0.25
+    u0 = l2_project(mesh, example1().evaluate)
+    return mesh, tm, a, f, u0
+
+
+def _direct_sum_run(mesh, tm, alpha, a, u0, f):
+    """Oracle: the unblocked scheme, with a fresh solver for add_scaled(M, S, 1, s)
+    every step and the whole history sum c_n[:n-1] @ Z[:n-1]."""
+    mass = assemble_mass(mesh)
+    stiff = assemble_stiffness(mesh, a)
+    w = frac_weights(tm, alpha)
+    us = [u0.values]
+    Z = np.zeros((tm.N, mesh.n_interior))
+    for n in range(1, tm.N + 1):
+        c = w.increment_row(n)
+        theta = 1.0 if n == 1 else 0.5
+        rhs = matvec(mass, us[-1])
+        if n >= 2:
+            rhs -= c[: n - 1] @ Z[: n - 1]
+            rhs -= (1.0 - theta) * c[n - 1] * matvec(stiff, us[-1])
+        t_mid = 0.5 * (tm.t[n - 1] + tm.t[n])
+        rhs += tm.tau[n - 1] * load_vector(mesh, lambda x, y: f(x, y, t_mid))
+        lhs = add_scaled(mass, stiff, 1.0, theta * c[n - 1])
+        us.append(LinearSolver(lhs).solve(rhs, x0=us[-1]))
+        Z[n - 1] = matvec(stiff, us[1] if n == 1 else 0.5 * (us[n] + us[n - 1]))
+    return us
+
+
+def test_run_matches_direct_sum_oracle():
+    # N = 100 crosses three history blocks
+    assert stepping.HISTORY_BLOCK < 100 // 3
+    mesh, tm, a, f, u0 = _forced_variable_a_problem(8, 100)
+    ref = _direct_sum_run(mesh, tm, 0.75, a, u0, f)
+    state = run(mesh, tm, 0.75, a, u0, f=f)
+    for n in range(1, tm.N + 1):
+        scale = np.abs(ref[n]).max()
+        assert np.abs(state.us[n] - ref[n]).max() <= 1e-12 * scale, f"step {n}"
+
+
+def test_run_builds_one_solver(monkeypatch):
+    built = []
+    real = stepping.LinearSolver
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(stepping, "LinearSolver", counting)
+    mesh, tm, a, f, u0 = _forced_variable_a_problem(4, 40)
+    run(mesh, tm, 0.75, a, u0, f=f)
+    assert len(built) == 1
+
+
+def test_frac_weights_memory_is_linear_in_N():
+    N = 200_000
+    tm = build_time_mesh(N, 1.6, 0.5)
+    tracemalloc.start()
+    try:
+        w = frac_weights(tm, 0.75)
+        assert w.row(N).shape == (N,)
+        assert w.increment_row(N).shape == (N,)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a few length-N work vectors; the O(N^2) table would need 160 GB
+    assert peak < 16 * N * 8
