@@ -14,7 +14,7 @@ from .exact import (InitialDatum, SeriesSolution, custom, eval_grid, eval_points
 from .exceptions import (CoefficientRangeError, EvaluationError,
                          NumericalBlowupError, OutOfDomainError,
                          SolverFailureError)
-from .mesh import StructuredMesh, build_mesh, locate_point, write_debug_csv
+from .mesh import StructuredMesh, build_mesh, locate_point, locate_points, write_debug_csv
 from .metrics import (ErrorReport, FineLattice, LatticeInterpolator,
                       convergence_rates, fine_lattice, step_error, weighted_errors)
 from .mittag_leffler import MlfEvaluator, gamma, mlf, reciprocal_gamma
@@ -37,7 +37,7 @@ __all__ = [
     "cg_solve", "convergence_rates", "csr_from_coo", "custom", "eval_grid",
     "eval_points", "example1", "example2", "example3", "fine_lattice",
     "frac_integral_nodes", "frac_weights", "gamma", "initial_field",
-    "l2_project", "load_vector", "locate_point", "make_series", "matvec",
+    "l2_project", "load_vector", "locate_point", "locate_points", "make_series", "matvec",
     "mlf", "reciprocal_gamma", "ritz_project", "run", "run_single",
     "run_table", "step", "step_error", "weighted_errors",
     "write_debug_csv", "write_matrix_market",

@@ -15,12 +15,6 @@ from .exceptions import CoefficientRangeError, EvaluationError
 from .mesh import StructuredMesh
 from .sparse import LinearSolver, SparseMatrix, csr_from_coo
 
-# P1 basis values at the three edge midpoints (m01, m12, m20): degree-2 rule
-_PHI_MID = np.array([[0.5, 0.5, 0.0],
-                     [0.0, 0.5, 0.5],
-                     [0.5, 0.0, 0.5]])
-
-
 @dataclass(frozen=True)
 class FieldP1:
     """Piecewise-linear function with zero boundary trace, stored by dof."""
@@ -118,12 +112,18 @@ def _sum_to_interior(mesh: StructuredMesh, contrib: np.ndarray) -> np.ndarray:
 
 
 def load_vector(mesh: StructuredMesh, g) -> np.ndarray:
-    """Interior load b_i = (g, phi_i) by the 3-point edge-midpoint rule."""
-    mids = mesh.edge_midpoints
-    gv = _eval_on(g, mids[..., 0], mids[..., 1])
+    """Interior load b_i = (g, phi_i) by the 3-point edge-midpoint rule.
+
+    g is evaluated once per distinct edge. Vertex k's basis function is 1/2
+    at the midpoints of its two incident edges m_(k-1)k and m_k(k+1) and 0 at
+    the third, so each vertex gets area/3 * 0.5 * (g_a + g_b).
+    """
+    points, index = mesh.edges
+    gv = _eval_on(g, points[:, 0], points[:, 1])
     if not np.all(np.isfinite(gv)):
         raise EvaluationError("load function produced non-finite values")
-    contrib = mesh.triangle_area / 3.0 * np.einsum("tq,qi->ti", gv, _PHI_MID)
+    gv = gv[index]  # (ntri, 3) at m01, m12, m20
+    contrib = mesh.triangle_area / 3.0 * (0.5 * (gv + np.roll(gv, 1, axis=1)))
     return _sum_to_interior(mesh, contrib)
 
 
@@ -138,15 +138,15 @@ def l2_project(mesh: StructuredMesh, g, rtol: float = 1e-12) -> FieldP1:
 def ritz_project(mesh: StructuredMesh, a, g, grad_g, rtol: float = 1e-12) -> FieldP1:
     """Ritz projection of g (with gradient grad_g and g = 0 on the boundary)."""
     stiff = assemble_stiffness(mesh, a)
-    mids = mesh.edge_midpoints
-    mx, my = mids[..., 0], mids[..., 1]
-    gx, gy = grad_g(mx, my)
-    gx = np.broadcast_to(np.asarray(gx, dtype=float), mx.shape)
-    gy = np.broadcast_to(np.asarray(gy, dtype=float), mx.shape)
+    points, index = mesh.edges
+    px, py = points[:, 0], points[:, 1]
+    gx, gy = grad_g(px, py)
+    gx = np.broadcast_to(np.asarray(gx, dtype=float), px.shape)[index]
+    gy = np.broadcast_to(np.asarray(gy, dtype=float), px.shape)[index]
     if a is None:
-        a_q = np.ones_like(mx)
+        a_q = np.ones_like(gx)
     else:
-        a_q = _eval_on(a, mx, my)
+        a_q = _eval_on(a, px, py)[index]
     if not (np.all(np.isfinite(gx)) and np.all(np.isfinite(gy))):
         raise EvaluationError("gradient function produced non-finite values")
     grads = _element_gradients(mesh)

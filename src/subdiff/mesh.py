@@ -49,12 +49,30 @@ class StructuredMesh:
         return self.nodes[~self.boundary_mask]
 
     @cached_property
-    def edge_midpoints(self) -> np.ndarray:
-        """(ntri, 3, 2) midpoints of the edges v0v1, v1v2, v2v0 of each triangle."""
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """(points, index): the 3 M^2 + 2 M distinct edge midpoints, as an
+        (n_edges, 2) array ordered by (y, x), and the (ntri, 3) index of the
+        midpoints of each triangle's edges v0v1, v1v2, v2v0 in it.
+
+        Each point's coordinates are 0.5 * (p_a + p_b) of its edge's end
+        nodes, as every triangle sharing the edge computes them. Midpoints
+        lie on the lattice of spacing 1 / (2 M); its integer coordinates
+        identify each edge.
+        """
         P = self.nodes[self.triangles]
-        mids = 0.5 * (P + np.roll(P, -1, axis=1))
-        mids.setflags(write=False)
-        return mids
+        mids = (0.5 * (P + np.roll(P, -1, axis=1))).reshape(-1, 2)
+        side = 2 * self.M + 1
+        ij = np.rint(2 * self.M * mids).astype(np.int64)
+        key = ij[:, 1] * side + ij[:, 0]
+        present = np.zeros(side * side, dtype=bool)
+        present[key] = True
+        slot = np.cumsum(present) - 1
+        index = slot[key].reshape(self.triangles.shape)
+        points = np.empty((int(slot[-1]) + 1, 2))
+        points[index.ravel()] = mids
+        for arr in (points, index):
+            arr.setflags(write=False)
+        return points, index
 
     @cached_property
     def interior_scatter(self) -> tuple[np.ndarray, np.ndarray]:
@@ -98,36 +116,42 @@ def build_mesh(M: int) -> StructuredMesh:
                           interior_index=interior_index, boundary_mask=boundary_mask)
 
 
-def locate_point(mesh: StructuredMesh, p) -> tuple[int, np.ndarray]:
-    """Find the triangle containing p and its barycentric coordinates.
+def locate_points(mesh: StructuredMesh, P) -> tuple[np.ndarray, np.ndarray]:
+    """Triangles containing the (k, 2) points P and their barycentric coordinates.
 
-    Points on shared edges or vertices resolve to the lowest containing
-    triangle index. O(1): cell indices come from floor division, the
-    diagonal test picks the triangle within the cell.
+    Returns (tri, lam) of shapes (k,) and (k, 3). Points on shared edges or
+    vertices resolve to the lowest containing triangle index. Cell indices
+    come from floor division, the diagonal test picks the triangle within
+    the cell.
     """
-    x, y = float(p[0]), float(p[1])
-    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
-        raise OutOfDomainError(f"point ({x}, {y}) outside the closed unit square")
+    P = np.asarray(P, dtype=float).reshape(-1, 2)
+    x, y = P[:, 0], P[:, 1]
+    inside = (0.0 <= x) & (x <= 1.0) & (0.0 <= y) & (y <= 1.0)
+    if not inside.all():
+        i = int(np.argmin(inside))
+        raise OutOfDomainError(
+            f"point ({float(x[i])}, {float(y[i])}) outside the closed unit square")
     M = mesh.M
-    # Cell index with exact-gridline ties shifted down so the lowest-index
-    # containing cell wins.
-    sx, fx = divmod(x * M, 1.0)
-    sy, fy = divmod(y * M, 1.0)
-    sx, sy = int(sx), int(sy)
-    if fx == 0.0 and sx > 0:
-        sx -= 1
-        fx = 1.0
-    if fy == 0.0 and sy > 0:
-        sy -= 1
-        fy = 1.0
-    cell = sy * M + sx
-    if fx >= fy:  # lower triangle (LL, LR, UR); diagonal ties land here
-        tri = 2 * cell
-        lam = np.array([1.0 - fx, fx - fy, fy])
-    else:         # upper triangle (LL, UR, UL)
-        tri = 2 * cell + 1
-        lam = np.array([1.0 - fy, fx, fy - fx])
+    sx, fx = np.divmod(x * M, 1.0)
+    sy, fy = np.divmod(y * M, 1.0)
+    sx, sy = sx.astype(np.int64), sy.astype(np.int64)
+    # exact-gridline ties shift down so the lowest-index containing cell wins
+    for s, f in ((sx, fx), (sy, fy)):
+        tie = (f == 0.0) & (s > 0)
+        s[tie] -= 1
+        f[tie] = 1.0
+    lower = fx >= fy  # lower triangle (LL, LR, UR); diagonal ties land here
+    tri = 2 * (sy * M + sx) + ~lower
+    lam = np.where(lower[:, None],
+                   np.column_stack([1.0 - fx, fx - fy, fy]),
+                   np.column_stack([1.0 - fy, fx, fy - fx]))  # upper: (LL, UR, UL)
     return tri, lam
+
+
+def locate_point(mesh: StructuredMesh, p) -> tuple[int, np.ndarray]:
+    """locate_points for the single point p: (triangle index, barycentrics)."""
+    tri, lam = locate_points(mesh, [float(p[0]), float(p[1])])
+    return int(tri[0]), lam[0]
 
 
 def write_debug_csv(mesh: StructuredMesh, node_path, triangle_path) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import FieldP1
-from .mesh import StructuredMesh, locate_point
+from .mesh import StructuredMesh, locate_points
 from .sparse import csr_from_coo, matvec
 
 
@@ -55,21 +55,15 @@ class LatticeInterpolator:
     def __init__(self, mesh: StructuredMesh, lattice: FineLattice):
         self.mesh = mesh
         self.lattice = lattice
-        pts = lattice.points()
+        tri, lam = locate_points(mesh, lattice.points())
+        dof = mesh.interior_index[mesh.triangles[tri]]
+        keep = (dof >= 0) & (lam != 0.0)
         n = max(lattice.n_nodes, mesh.n_interior)
-        # zero padding keeps every row populated (rows near corners may
-        # touch only boundary nodes)
-        rows = list(range(n))
-        cols = [0] * n
-        vals = [0.0] * n
-        for r, p in enumerate(pts):
-            tri, lam = locate_point(mesh, p)
-            for k, node in enumerate(mesh.triangles[tri]):
-                dof = mesh.interior_index[node]
-                if dof >= 0 and lam[k] != 0.0:
-                    rows.append(r)
-                    cols.append(dof)
-                    vals.append(lam[k])
+        # a zero in column 0 of every row keeps each row populated (rows near
+        # corners may touch only boundary nodes)
+        rows = np.concatenate([np.arange(n), np.nonzero(keep)[0]])
+        cols = np.concatenate([np.zeros(n, dtype=np.int64), dof[keep]])
+        vals = np.concatenate([np.zeros(n), lam[keep]])
         self._P = csr_from_coo(n, rows, cols, vals)
 
     def __call__(self, field: FieldP1) -> np.ndarray:

@@ -4,11 +4,23 @@ Serves the per-step solves of the time stepper: matrices here are symmetric
 positive definite, small (a few thousand rows), and share one sparsity
 pattern, so plain CG with a diagonal preconditioner and warm starts is a
 better fit than a factorizing solver.
+
+Matrices are built and stored as CSR, but applied in a column-major
+ELLPACK form (``SparseMatrix.ell``): two (K, n) arrays E and J, K the
+longest row, with row i's k-th stored entry in E[k, i] and its column in
+J[k, i]. Shorter rows are padded with value 0 and a column the row already
+reads. ``matvec`` sums row i as a_0 + (a_1 + ... + a_(K-1)), a_k the
+products E[k, i] * x[J[k, i]], added in k order; padding adds exact zeros.
+That is the order ``np.add.reduceat`` uses on CSR rows of fewer than 9
+entries (every finite-element and interpolation row here), so the products
+agree with the CSR sum bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +54,20 @@ class SparseMatrix:
         on_diag = rows == self.indices
         d[rows[on_diag]] = self.data[on_diag]
         return d
+
+    @cached_property
+    def ell(self) -> tuple[np.ndarray, np.ndarray]:
+        """(E, J): the padded column-major ELLPACK form (see the module docstring)."""
+        counts = np.diff(self.indptr)
+        rows = np.repeat(np.arange(self.n), counts)
+        k = np.arange(self.nnz) - self.indptr[rows]
+        E = np.zeros((int(counts.max()), self.n))
+        E[k, rows] = self.data
+        J = np.tile(self.indices[self.indptr[:-1]], (E.shape[0], 1))
+        J[k, rows] = self.indices
+        for arr in (E, J):
+            arr.setflags(write=False)
+        return E, J
 
     def to_dense(self) -> np.ndarray:
         A = np.zeros((self.n, self.n))
@@ -89,8 +115,12 @@ def matvec(A: SparseMatrix, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (A.n,):
         raise ValueError(f"dimension mismatch: matrix {A.n}, vector {x.shape}")
-    prod = A.data * x[A.indices]
-    return np.add.reduceat(prod, A.indptr[:-1])
+    return _ell_matvec(*A.ell, x)
+
+
+def _ell_matvec(E: np.ndarray, J: np.ndarray, x: np.ndarray) -> np.ndarray:
+    P = E * x[J]
+    return P[0] + np.add.reduce(P[1:], axis=0)
 
 
 def add_scaled(A: SparseMatrix, B: SparseMatrix, a: float, b: float) -> SparseMatrix:
@@ -119,11 +149,12 @@ class LinearSolver:
     method "dense_cholesky": dense factorization, for small systems.
 
     With ``shift`` (same sparsity pattern as ``matrix``) each solve picks
-    its own s. Symmetry is checked and diagonals are taken once, here, so a
-    time stepper needs one solver per run. A solve with shift s uses the
-    operator data matrix.data + s * shift.data and the preconditioner
-    1 / (diag(matrix) + s * diag(shift)): entry for entry what a solver
-    built on add_scaled(matrix, shift, 1, s) would use.
+    its own s. Symmetry is checked and diagonals are taken once, here, and
+    each matrix keeps its ELL form, so a time stepper needs one solver per
+    run. A solve with shift s applies E_matrix + s * E_shift (the two share
+    J), which is the ELL form of matrix.data + s * shift.data entry for
+    entry, with the preconditioner 1 / (diag(matrix) + s * diag(shift)):
+    what a solver built on add_scaled(matrix, shift, 1, s) would use.
     """
 
     matrix: SparseMatrix
@@ -165,59 +196,75 @@ class LinearSolver:
             raise ValueError("a nonzero s needs a solver built with a shift")
         if self.method == "dense_cholesky":
             return _cholesky_solve(self._chol, rhs)
-        A, diag = self.matrix, self._diag
+        E, J = self.matrix.ell
+        diag = self._diag
         if self.shift is not None:
-            A = SparseMatrix(n=A.n, indptr=A.indptr, indices=A.indices,
-                             data=A.data + s * self.shift.data)
+            E = E + s * self.shift.ell[0]
             diag = diag + s * self._shift_diag
         maxit = self.max_iter if self.max_iter > 0 else 10 * self.matrix.n + 1000
-        x, residuals = cg_solve(A, rhs, x0=x0, rtol=self.rtol, max_iter=maxit,
+        x, residuals = cg_solve((E, J), rhs, x0=x0, rtol=self.rtol, max_iter=maxit,
                                 dinv=1.0 / diag)
         return x
 
 
-def cg_solve(A: SparseMatrix, b: np.ndarray, x0=None, rtol: float = 1e-12,
-             max_iter: int = 10000,
+def cg_solve(A: SparseMatrix | tuple[np.ndarray, np.ndarray], b: np.ndarray, x0=None,
+             rtol: float = 1e-12, max_iter: int = 10000,
              dinv: np.ndarray | None = None) -> tuple[np.ndarray, list[float]]:
     """Jacobi-preconditioned CG. Returns (x, per-iteration residual norms).
 
-    Stops when the true residual satisfies ||Ax-b|| <= rtol ||b||; raises
-    SolverFailureError past max_iter. dinv is the inverse diagonal of A,
-    taken from A when not given.
+    A is a SparseMatrix or the (E, J) pair of its ELL form. Stops when the
+    true residual satisfies ||Ax-b|| <= rtol ||b||; raises
+    SolverFailureError past max_iter. dinv is the inverse diagonal of A;
+    it may be left out only when A is a SparseMatrix.
     """
-    bnorm = float(np.linalg.norm(b))
+    if isinstance(A, SparseMatrix):
+        if dinv is None:
+            dinv = 1.0 / A.diagonal()
+        A = A.ell
+    elif dinv is None:
+        raise ValueError("cg_solve on an ELL pair needs dinv")
+    E, J = A
+    b = np.asarray(b, dtype=float)
+    if b.shape != (E.shape[1],):
+        raise ValueError(f"dimension mismatch: matrix {E.shape[1]}, vector {b.shape}")
+    bnorm = math.sqrt(float(b @ b))
     if bnorm == 0.0:
         return np.zeros_like(b), [0.0]
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
-    if dinv is None:
-        dinv = 1.0 / A.diagonal()
-    r = b - matvec(A, x)
-    residuals = [float(np.linalg.norm(r))]
+    r = b - _ell_matvec(E, J, x)
+    residuals = [math.sqrt(float(r @ r))]
     tol_abs = rtol * bnorm
+    z = np.empty_like(b)
+    tmp = np.empty_like(b)
+    p = None
     it = 0
     while it < max_iter:
         if residuals[-1] <= tol_abs:
             # recursion may drift from the true residual; confirm before exiting
-            true_r = b - matvec(A, x)
-            tn = float(np.linalg.norm(true_r))
+            true_r = b - _ell_matvec(E, J, x)
+            tn = math.sqrt(float(true_r @ true_r))
             if tn <= tol_abs:
                 return x, residuals
             r = true_r
             residuals[-1] = tn
-        z = dinv * r
+        np.multiply(dinv, r, out=z)
         rz = float(r @ z)
-        if it == 0:
-            p = z
+        if p is None:
+            p = z.copy()
         else:
-            p = z + (rz / rz_prev) * p
-        Ap = matvec(A, p)
+            p *= rz / rz_prev
+            p += z
+        Ap = _ell_matvec(E, J, p)
         alpha = rz / float(p @ Ap)
-        x = x + alpha * p
-        r = r - alpha * Ap
+        np.multiply(p, alpha, out=tmp)
+        x += tmp
+        np.multiply(Ap, alpha, out=tmp)
+        r -= tmp
         rz_prev = rz
-        residuals.append(float(np.linalg.norm(r)))
+        residuals.append(math.sqrt(float(r @ r)))
         it += 1
-    final = float(np.linalg.norm(b - matvec(A, x))) / bnorm
+    r = b - _ell_matvec(E, J, x)
+    final = math.sqrt(float(r @ r)) / bnorm
     raise SolverFailureError(
         f"CG did not converge in {max_iter} iterations (relative residual {final:.3e})",
         residual=final)

@@ -15,6 +15,7 @@ theta_1 = 1 and theta_n = 1/2 otherwise.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,11 +133,15 @@ HISTORY_BLOCK = 32
 
 @dataclass
 class SchemeState:
-    """Time-stepping state: accepted solutions and cached history products."""
+    """Time-stepping state: the latest solution and cached history products.
+
+    A step reads only u^(n-1), so us holds u^n alone (us[-1]); an observer
+    passed to run collects the solutions it needs.
+    """
 
     mesh: StructuredMesh
     time_mesh: GradedTimeMesh
-    us: list            # u^0 .. u^n coefficient vectors
+    us: deque           # (u^n,): the latest accepted coefficient vector
     Z: np.ndarray       # Z[j-1] = S ubar_j for accepted steps
     n: int = 0
     # current history block of steps k+1..k+B: rows c_nj, and sum_{j<=k} c_nj Z_j
@@ -147,27 +152,14 @@ class SchemeState:
     def start(cls, mesh: StructuredMesh, time_mesh: GradedTimeMesh,
               u0: FieldP1) -> "SchemeState":
         Z = np.zeros((time_mesh.N, mesh.n_interior))
-        return cls(mesh=mesh, time_mesh=time_mesh, us=[u0.values.copy()], Z=Z)
-
-    def history_bar(self, j: int) -> np.ndarray:
-        """ubar_j: u^1 on the first interval, midpoint average after."""
-        if j == 1:
-            return self.us[1]
-        return 0.5 * (self.us[j] + self.us[j - 1])
-
-    def verify_history(self, stiffness: SparseMatrix) -> float:
-        """Max norm of Z[j] - S ubar_j over accepted steps (audit hook)."""
-        worst = 0.0
-        for j in range(1, self.n + 1):
-            worst = max(worst, float(np.max(np.abs(
-                self.Z[j - 1] - matvec(stiffness, self.history_bar(j))))))
-        return worst
+        return cls(mesh=mesh, time_mesh=time_mesh, us=deque([u0.values.copy()], maxlen=1),
+                   Z=Z)
 
 
 def step(state: SchemeState, n: int, mass: SparseMatrix, stiffness: SparseMatrix,
          weights: FracWeights, load: np.ndarray | None = None,
          rtol: float = 1e-12, solver: LinearSolver | None = None) -> FieldP1:
-    """Advance the scheme from u^(n-1) to u^n and append it to the state.
+    """Advance the scheme from u^(n-1) to u^n and make u^n the state's solution.
 
     solver is the run's LinearSolver for the pencil mass + s stiffness; one
     is built here (with rtol) when it is not given. The history sum over
@@ -188,7 +180,7 @@ def step(state: SchemeState, n: int, mass: SparseMatrix, stiffness: SparseMatrix
     tau_n = state.time_mesh.tau[n - 1]
     c = state.block_c[i]
     theta = 1.0 if n == 1 else 0.5
-    u_prev = state.us[n - 1]
+    u_prev = state.us[-1]
 
     rhs = matvec(mass, u_prev)
     if n >= 2:
@@ -200,9 +192,10 @@ def step(state: SchemeState, n: int, mass: SparseMatrix, stiffness: SparseMatrix
     if not np.all(np.isfinite(u_n)):
         raise NumericalBlowupError(f"non-finite solution at step {n}", step=n)
 
+    # ubar_n: u^1 on the first interval, the midpoint average after
+    state.Z[n - 1] = matvec(stiffness, u_n if n == 1 else 0.5 * (u_n + u_prev))
     state.us.append(u_n)
     state.n = n
-    state.Z[n - 1] = matvec(stiffness, state.history_bar(n))
     return FieldP1(mesh=state.mesh, values=u_n)
 
 

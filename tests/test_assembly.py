@@ -1,11 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
-from subdiff.assembly import (FieldP1, assemble_mass, assemble_stiffness,
+from subdiff.assembly import (FieldP1, _element_gradients, assemble_mass, assemble_stiffness,
                               l2_project, load_vector, ritz_project)
 from subdiff.exceptions import CoefficientRangeError
 from subdiff.mesh import build_mesh
-from subdiff.sparse import matvec
+from subdiff.sparse import LinearSolver, matvec
 
 
 def stencil_stiffness(M):
@@ -91,21 +93,58 @@ def test_stiffness_rejects_bad_coefficient():
         assemble_stiffness(mesh, lambda x, y: np.full_like(x, np.nan))
 
 
+def _triangle_midpoints(mesh):
+    """(ntri, 3, 2) midpoints of each triangle's edges v0v1, v1v2, v2v0."""
+    P = mesh.nodes[mesh.triangles]
+    return 0.5 * (P + np.roll(P, -1, axis=1))
+
+
+def _scatter_add_at(mesh, contrib):
+    out = np.zeros(mesh.n_interior)
+    dof = mesh.interior_index[mesh.triangles]
+    np.add.at(out, dof[dof >= 0], contrib[dof >= 0])
+    return out
+
+
 def test_load_vector_bitwise_matches_add_at_reference():
-    """Cached quadrature points and bincount reproduce the direct scatter."""
+    """Once-per-edge evaluation and bincount reproduce g at every triangle's
+    own midpoints, the einsum rule and the direct scatter, bit for bit."""
     _PHI_MID = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
     g = lambda x, y: np.exp(x) * np.sin(3.0 * y) + x * y
-    for M in (2, 5, 16):
+    # math.* rejects arrays, so this g takes the np.vectorize fallback
+    g_scalar = lambda x, y: math.exp(x) * math.sin(3.0 * y) + x * y
+    for M in (2, 5, 16, 32):
         mesh = build_mesh(M)
-        P = mesh.nodes[mesh.triangles]
-        mids = 0.5 * (P + np.roll(P, -1, axis=1))
-        gv = g(mids[..., 0], mids[..., 1])
-        contrib = mesh.triangle_area / 3.0 * np.einsum("tq,qi->ti", gv, _PHI_MID)
-        ref = np.zeros(mesh.n_interior)
-        dof = mesh.interior_index[mesh.triangles]
-        np.add.at(ref, dof[dof >= 0], contrib[dof >= 0])
-        assert np.array_equal(load_vector(mesh, g), ref)
-        assert np.array_equal(load_vector(mesh, g), ref)  # cached geometry
+        mids = _triangle_midpoints(mesh)
+        for fn, gv in ((g, g(mids[..., 0], mids[..., 1])),
+                       (g_scalar, np.vectorize(g_scalar)(mids[..., 0], mids[..., 1]))):
+            contrib = mesh.triangle_area / 3.0 * np.einsum("tq,qi->ti", gv, _PHI_MID)
+            ref = _scatter_add_at(mesh, contrib)
+            assert np.array_equal(load_vector(mesh, fn), ref)
+            assert np.array_equal(load_vector(mesh, fn), ref)  # cached geometry
+
+
+def test_ritz_project_bitwise_matches_all_midpoint_reference():
+    """a and grad g evaluated once per edge give the load of the per-triangle
+    evaluation at all 6 M^2 midpoints, so the projection is unchanged."""
+    a = lambda x, y: 1.0 + 0.5 * np.sin(np.pi * x) * np.sin(np.pi * y)
+    grad = lambda x, y: (np.pi * np.cos(np.pi * x) * np.sin(np.pi * y),
+                         np.pi * np.sin(np.pi * x) * np.cos(np.pi * y))
+    g = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
+    for M, coeff in ((5, None), (32, a)):
+        mesh = build_mesh(M)
+        mids = _triangle_midpoints(mesh)
+        mx, my = mids[..., 0], mids[..., 1]
+        gx, gy = grad(mx, my)
+        a_q = np.ones_like(mx) if coeff is None else coeff(mx, my)
+        grads = _element_gradients(mesh)
+        sx = (a_q * gx).sum(axis=1)
+        sy = (a_q * gy).sum(axis=1)
+        contrib = mesh.triangle_area / 3.0 * (
+            sx[:, None] * grads[:, :, 0] + sy[:, None] * grads[:, :, 1])
+        stiff = assemble_stiffness(mesh, coeff)
+        ref = LinearSolver(stiff).solve(_scatter_add_at(mesh, contrib))
+        assert np.array_equal(ritz_project(mesh, coeff, g, grad).values, ref)
 
 
 def test_load_vector_degree2_exact():

@@ -43,6 +43,7 @@ def test_trace_hooks_resolve_and_count_one_run():
     assert layers["sparse.solver_builds"] == 1
     assert layers["sparse.cg_calls"] == 40
     assert layers["assembly.load_vector_calls"] == 40
-    assert layers["sparse.cg_iters"] > 0
+    # recorded on the reduceat CSR path; the CG iterates must not move
+    assert layers["sparse.cg_iters"] == 360
     for owner, attr, _ in spans.WRAPPED:  # uninstall restored the originals
         assert not hasattr(getattr(owner, attr), "__wrapped__")

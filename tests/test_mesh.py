@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from subdiff.exceptions import OutOfDomainError
-from subdiff.mesh import build_mesh, locate_point, write_debug_csv
+from subdiff.mesh import build_mesh, locate_point, locate_points, write_debug_csv
 
 
 def test_counts_M2():
@@ -128,3 +128,24 @@ def test_debug_csv(tmp_path):
     assert node_lines[0] == "0,0.0,0.0"
     first = tri_lines[0].split(",")
     assert first[0] == "0" and len(first) == 4
+
+
+@pytest.mark.parametrize("M", [2, 3, 8, 32])
+def test_edge_points_once_per_edge(M):
+    mesh = build_mesh(M)
+    points, index = mesh.edges
+    assert points.shape == (3 * M * M + 2 * M, 2)
+    assert index.shape == mesh.triangles.shape
+    assert np.unique(points, axis=0).shape == points.shape
+    P = mesh.nodes[mesh.triangles]
+    mids = 0.5 * (P + np.roll(P, -1, axis=1))
+    assert np.array_equal(points[index], mids)  # every triangle's own bits
+
+
+def test_locate_points_rejects_any_point_outside():
+    mesh = build_mesh(6)
+    P = np.array([[0.5, 0.5], [1.0, 1.0], [0.5, np.nan], [0.25, 0.75]])
+    with pytest.raises(OutOfDomainError, match="nan"):
+        locate_points(mesh, P)
+    tri, lam = locate_points(mesh, P[[0, 1, 3]])
+    assert tri.shape == (3,) and lam.shape == (3, 3)

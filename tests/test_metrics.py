@@ -7,6 +7,7 @@ from subdiff.benchmarks import (M_VALUES, TABLE1_ERRORS, TABLE1_RATES,
                                 TABLE3_RATES)
 from subdiff.exact import example1, make_series
 from subdiff.mesh import build_mesh
+from subdiff.sparse import csr_from_coo
 from subdiff.metrics import (ErrorReport, FineLattice, LatticeInterpolator,
                              convergence_rates, fine_lattice, step_error,
                              weighted_errors)
@@ -184,3 +185,41 @@ def test_error_tracker_decay_bitwise_per_mode():
     args = (lam_act[None, :] * (tm.t[1:] ** sol.alpha)[:, None]).ravel()
     per_mode = sol.evaluator(args).reshape(tm.N, lam_act.size)
     assert np.array_equal(tracker.decay, per_mode)
+
+
+def _locate_scalar(M, x, y):
+    """Point location one point at a time: floor division, gridline ties
+    shifted to the lower cell, diagonal ties to the lower triangle."""
+    sx, fx = divmod(x * M, 1.0)
+    sy, fy = divmod(y * M, 1.0)
+    sx, sy = int(sx), int(sy)
+    if fx == 0.0 and sx > 0:
+        sx, fx = sx - 1, 1.0
+    if fy == 0.0 and sy > 0:
+        sy, fy = sy - 1, 1.0
+    cell = sy * M + sx
+    if fx >= fy:
+        return 2 * cell, (1.0 - fx, fx - fy, fy)
+    return 2 * cell + 1, (1.0 - fy, fx, fy - fx)
+
+
+@pytest.mark.parametrize("M", [2, 3, 4, 8, 16, 32])
+def test_interpolator_matches_loop_construction(M):
+    """The vectorized build gives the rows, cols and vals of a point-by-point
+    loop; nested lattices put points on gridlines, vertices and diagonals."""
+    mesh = build_mesh(M)
+    lat = fine_lattice(128)
+    n = max(lat.n_nodes, mesh.n_interior)
+    rows, cols, vals = list(range(n)), [0] * n, [0.0] * n
+    for r, (x, y) in enumerate(lat.points()):
+        tri, lam = _locate_scalar(M, float(x), float(y))
+        for k, node in enumerate(mesh.triangles[tri]):
+            dof = mesh.interior_index[node]
+            if dof >= 0 and lam[k] != 0.0:
+                rows.append(r)
+                cols.append(dof)
+                vals.append(lam[k])
+    ref = csr_from_coo(n, rows, cols, vals)
+    P = LatticeInterpolator(mesh, lat)._P
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(P, name), getattr(ref, name)), name

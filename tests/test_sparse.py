@@ -4,6 +4,7 @@ import pytest
 from subdiff.assembly import assemble_mass, assemble_stiffness
 from subdiff.exceptions import SolverFailureError
 from subdiff.mesh import build_mesh
+from subdiff.metrics import LatticeInterpolator, fine_lattice
 from subdiff.sparse import (LinearSolver, add_scaled, cg_solve, csr_from_coo,
                             matvec, write_matrix_market)
 
@@ -28,14 +29,56 @@ def test_matvec_zero_and_identity():
 
 
 def test_matvec_matches_dense():
+    # random patterns; rows of 9 or more entries sum in another order than
+    # the CSR reduceat did, so these compare with the dense product
     rng = np.random.default_rng(0)
-    B = rng.standard_normal((20, 20))
-    B[np.abs(B) < 0.7] = 0.0
-    np.fill_diagonal(B, 1.0)
-    rows, cols = np.nonzero(B)
-    A = csr_from_coo(20, rows, cols, B[rows, cols])
-    x = rng.standard_normal(20)
-    assert np.max(np.abs(matvec(A, x) - B @ x)) <= 1e-13
+    longest = 0
+    for n, cut in ((20, 0.7), (20, 0.3), (60, 1.0), (200, 1.8), (1, 0.0)):
+        B = rng.standard_normal((n, n))
+        B[np.abs(B) < cut] = 0.0
+        np.fill_diagonal(B, 1.0)
+        rows, cols = np.nonzero(B)
+        A = csr_from_coo(n, rows, cols, B[rows, cols])
+        longest = max(longest, int(np.diff(A.indptr).max()))
+        x = rng.standard_normal(n)
+        assert np.max(np.abs(matvec(A, x) - B @ x)) <= 1e-13
+    assert longest >= 9
+
+
+def _reduceat_matvec(A, x):
+    """The CSR product: each row's products summed by np.add.reduceat."""
+    return np.add.reduceat(A.data * x[A.indices], A.indptr[:-1])
+
+
+def test_matvec_bitwise_matches_reduceat_on_fe_matrices():
+    rng = np.random.default_rng(11)
+    a = lambda x, y: 1.0 + 0.5 * np.sin(np.pi * x) * np.sin(np.pi * y)
+    for M in range(2, 65):
+        mesh = build_mesh(M)
+        for include_boundary in (False, True):
+            mass = assemble_mass(mesh, include_boundary=include_boundary)
+            stiff = assemble_stiffness(mesh, a, include_boundary=include_boundary)
+            pencil = add_scaled(mass, stiff, 1.0, 0.0123)
+            for A in (mass, stiff, pencil):
+                x = rng.standard_normal(A.n)
+                assert np.array_equal(matvec(A, x), _reduceat_matvec(A, x)), (M, include_boundary)
+
+
+def test_matvec_bitwise_matches_reduceat_on_interpolator():
+    rng = np.random.default_rng(12)
+    for M in (3, 4, 32):
+        P = LatticeInterpolator(build_mesh(M), fine_lattice(128))._P
+        x = rng.standard_normal(P.n)
+        assert np.array_equal(matvec(P, x), _reduceat_matvec(P, x))
+
+
+def test_ell_form_layout():
+    A = csr_from_coo(3, [0, 0, 0, 1, 2, 2], [0, 1, 2, 1, 0, 2],
+                     [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    E, J = A.ell
+    assert np.array_equal(E, [[1.0, 4.0, 5.0], [2.0, 0.0, 6.0], [3.0, 0.0, 0.0]])
+    assert np.array_equal(J, [[0, 1, 0], [1, 1, 2], [2, 1, 0]])  # padding reads the row's own columns
+    assert A.ell is A.ell
 
 
 def test_matvec_dimension_mismatch():
@@ -123,6 +166,19 @@ def test_shifted_solver_matches_add_scaled_bitwise():
         x0 = rng.standard_normal(M.n)
         fresh = LinearSolver(add_scaled(M, S, 1.0, s))
         assert np.array_equal(pencil.solve(b, x0=x0, s=s), fresh.solve(b, x0=x0))
+
+
+def test_cg_solve_on_ell_pair_matches_matrix():
+    mesh = build_mesh(8)
+    A = add_scaled(assemble_mass(mesh), assemble_stiffness(mesh), 1.0, 0.01)
+    b = np.random.default_rng(8).standard_normal(A.n)
+    x, res = cg_solve(A, b)
+    x_ell, res_ell = cg_solve(A.ell, b, dinv=1.0 / A.diagonal())
+    assert np.array_equal(x, x_ell) and res == res_ell
+    with pytest.raises(ValueError):
+        cg_solve(A.ell, b)                         # no diagonal to take
+    with pytest.raises(ValueError):
+        cg_solve(A, np.ones(A.n + 1))
 
 
 def test_shifted_solver_validation():

@@ -19,8 +19,9 @@ def test_zero_data_stays_zero():
     mesh = build_mesh(4)
     tm = build_time_mesh(20, 1.6, 0.5)
     u0 = FieldP1(mesh=mesh, values=np.zeros(mesh.n_interior))
-    state = run(mesh, tm, 0.75, None, u0)
-    assert all(np.max(np.abs(u)) == 0.0 for u in state.us)
+    us = [u0.values]
+    run(mesh, tm, 0.75, None, u0, observer=lambda n, t, u: us.append(u.values))
+    assert all(np.max(np.abs(u)) == 0.0 for u in us)
 
 
 def test_single_dof_first_step_closed_form():
@@ -82,11 +83,22 @@ def test_observer_order_and_history_audit():
     tm = build_time_mesh(15, 1.3, 0.4)
     u0 = l2_project(mesh, example1().evaluate)
     seen = []
-    state = run(mesh, tm, 0.5, None, u0, observer=lambda n, t, u: seen.append((n, t)))
+    us = [u0.values]
+
+    def obs(n, t, u):
+        seen.append((n, t))
+        us.append(u.values)
+
+    state = run(mesh, tm, 0.5, None, u0, observer=obs)
     assert [n for n, _ in seen] == list(range(1, 16))
     assert np.allclose([t for _, t in seen], tm.t[1:])
+    assert len(state.us) == 1 and np.array_equal(state.us[-1], us[-1])
+    # Z[j-1] = S ubar_j: u^1 on the first interval, midpoint average after
     stiff = assemble_stiffness(mesh)
-    assert state.verify_history(stiff) <= 1e-12
+    worst = max(float(np.max(np.abs(
+        state.Z[j - 1] - matvec(stiff, us[1] if j == 1 else 0.5 * (us[j] + us[j - 1])))))
+        for j in range(1, state.n + 1))
+    assert worst <= 1e-12
 
 
 def test_step_index_enforced():
@@ -173,10 +185,11 @@ def test_run_matches_direct_sum_oracle():
     assert stepping.HISTORY_BLOCK < 100 // 3
     mesh, tm, a, f, u0 = _forced_variable_a_problem(8, 100)
     ref = _direct_sum_run(mesh, tm, 0.75, a, u0, f)
-    state = run(mesh, tm, 0.75, a, u0, f=f)
+    us = [u0.values]
+    run(mesh, tm, 0.75, a, u0, f=f, observer=lambda n, t, u: us.append(u.values))
     for n in range(1, tm.N + 1):
         scale = np.abs(ref[n]).max()
-        assert np.abs(state.us[n] - ref[n]).max() <= 1e-12 * scale, f"step {n}"
+        assert np.abs(us[n] - ref[n]).max() <= 1e-12 * scale, f"step {n}"
 
 
 def test_run_builds_one_solver(monkeypatch):
