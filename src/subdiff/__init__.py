@@ -17,7 +17,7 @@ from .exceptions import (CoefficientRangeError, EvaluationError,
 from .mesh import StructuredMesh, build_mesh, locate_point, locate_points, write_debug_csv
 from .metrics import (ErrorReport, FineLattice, LatticeInterpolator,
                       convergence_rates, fine_lattice, step_error, weighted_errors)
-from .mittag_leffler import MlfEvaluator, gamma, mlf, reciprocal_gamma
+from .mittag_leffler import MlfEvaluator, gamma, reciprocal_gamma
 from .sparse import (LinearSolver, SparseMatrix, add_scaled, cg_solve,
                      csr_from_coo, matvec, write_matrix_market)
 from .stepping import (FracWeights, GradedTimeMesh, SchemeState, build_time_mesh,
@@ -38,7 +38,7 @@ __all__ = [
     "eval_points", "example1", "example2", "example3", "fine_lattice",
     "frac_integral_nodes", "frac_weights", "gamma", "initial_field",
     "l2_project", "load_vector", "locate_point", "locate_points", "make_series", "matvec",
-    "mlf", "reciprocal_gamma", "ritz_project", "run", "run_single",
+    "reciprocal_gamma", "ritz_project", "run", "run_single",
     "run_table", "step", "step_error", "weighted_errors",
     "write_debug_csv", "write_matrix_market",
 ]

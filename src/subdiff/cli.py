@@ -47,7 +47,10 @@ def build_config(args, preset: str | None = None) -> ExperimentConfig:
     if preset is not None:
         cfg = cfg.replace(**PRESETS[preset])
     if args.config:
-        cfg_text = Path(args.config).read_text()
+        try:
+            cfg_text = Path(args.config).read_text()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {args.config}: {exc.strerror}") from exc
         file_cfg = ExperimentConfig.from_json(cfg_text)
         merged = {**vars(file_cfg)}
         if preset is not None:

@@ -185,7 +185,13 @@ class MlfEvaluator:
         return np.sin(th) / (a * np.pi) * U * total
 
     def asymptotic_value(self, x) -> np.ndarray:
-        """Asymptotic series sum_k (-1)^(k+1) x^-k / Gamma(1 - a k), optimally truncated."""
+        """Asymptotic series sum_k (-1)^(k+1) x^-k / Gamma(1 - a k), optimally truncated.
+
+        A point also stops once a nonzero term is at most a quarter ulp of
+        its sum. That leaves the sum unchanged: every later term either
+        exceeds that one (the truncation drops it) or is no larger, and
+        adding it rounds back to the same sum.
+        """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         s = np.zeros_like(x)
         smallest = np.full_like(x, np.inf)
@@ -198,10 +204,11 @@ class MlfEvaluator:
             term = (1.0 if k % 2 else -1.0) * power * rg
             mag = np.abs(term)
             growing = mag > smallest
-            take = active & ~growing
-            s[take] += term[take]
             active &= ~growing
-            np.minimum(smallest, np.where(mag > 0.0, mag, smallest), out=smallest)
+            np.add(s, term, out=s, where=active)
+            nonzero = mag > 0.0
+            active &= ~(nonzero & (mag <= 0.25 * np.spacing(np.abs(s))))
+            np.minimum(smallest, mag, out=smallest, where=nonzero)
             if not active.any():
                 break
         return s
@@ -226,8 +233,3 @@ class MlfEvaluator:
             if asym.any():
                 out[asym] = self.asymptotic_value(xv[asym])
         return float(out[0]) if scalar else out
-
-
-def mlf(evaluator: MlfEvaluator, x):
-    """E_alpha(-x) for x >= 0; functional spelling of evaluator(x)."""
-    return evaluator(x)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,7 +11,9 @@ from .assembly import FieldP1, l2_project
 from .config import ExperimentConfig
 from .exact import INITIAL_DATA, SeriesSolution, custom, make_series, sine_matrix
 from .mesh import StructuredMesh, build_mesh
-from .metrics import ErrorReport, FineLattice, LatticeInterpolator, fine_lattice
+from .metrics import (ErrorReport, FineLattice, LatticeInterpolator, fine_lattice,
+                      weighted_errors)
+from .mittag_leffler import MlfEvaluator
 from .stepping import build_time_mesh, run
 
 
@@ -24,12 +27,28 @@ def get_datum(tag: str):
     return INITIAL_DATA[tag]()
 
 
+@functools.lru_cache(maxsize=1)
+def _decay_table(evaluator: MlfEvaluator, lam_bytes: bytes, t_bytes: bytes) -> np.ndarray:
+    """Read-only E_alpha(-lam t^alpha), shape (steps, eigenvalues).
+
+    Keyed by value, so every row of a study (same datum, alpha, modes and
+    time mesh, any M) reuses one evaluation.
+    """
+    lam = np.frombuffer(lam_bytes)
+    t = np.frombuffer(t_bytes)
+    args = (lam[None, :] * (t ** evaluator.alpha)[:, None]).ravel()
+    table = evaluator(args).reshape(t.size, lam.size)
+    table.setflags(write=False)
+    return table
+
+
 class ErrorTracker:
     """Observer recording |||u_h^n - u(t_n)||| at every step.
 
     Modal decay factors for all steps are evaluated upfront in one
     vectorized pass, once per distinct eigenvalue (modes (m, n) and (n, m)
-    share one); each step then costs two small matrix products.
+    share one), and shared with the next tracker on the same series and
+    time mesh; each step then costs two small matrix products.
     """
 
     def __init__(self, sol: SeriesSolution, lattice: FineLattice,
@@ -45,13 +64,11 @@ class ErrorTracker:
         t = time_mesh.t
         if lam_act.size:
             lam_u, mode_of = np.unique(lam_act, return_inverse=True)
-            args = (lam_u[None, :] * (t[1:] ** sol.alpha)[:, None]).ravel()
-            self.decay = sol.evaluator(args).reshape(time_mesh.N, lam_u.size)[:, mode_of]
+            self.decay = _decay_table(sol.evaluator, lam_u.tobytes(), t[1:].tobytes())[:, mode_of]
         else:
             self.decay = np.zeros((time_mesh.N, 0))
         self.t = t
         self.errors = np.zeros(time_mesh.N)
-        self.running_max = {}
 
     def exact_on_lattice(self, n: int) -> np.ndarray:
         D = np.zeros_like(self.sol.C)
@@ -61,8 +78,6 @@ class ErrorTracker:
     def __call__(self, n: int, t_n: float, u_n: FieldP1) -> None:
         err = float(np.abs(self.interp(u_n) - self.exact_on_lattice(n)).max())
         self.errors[n - 1] = err
-        for mu, cur in self.running_max.items():
-            self.running_max[mu] = max(cur, t_n ** mu * err)
 
 
 @dataclass
@@ -80,8 +95,6 @@ def run_single(cfg: ExperimentConfig, M: int, mus=None, observer_extra=None) -> 
     sol = make_series(datum, cfg.alpha, cfg.modes)
     lattice = fine_lattice(cfg.fine_M)
     tracker = ErrorTracker(sol, lattice, time_mesh, mesh)
-    for mu in mus:
-        tracker.running_max[mu] = 0.0
     u0 = l2_project(mesh, datum.evaluate, rtol=cfg.tol)
 
     def observer(n, t_n, u_n):
@@ -93,7 +106,8 @@ def run_single(cfg: ExperimentConfig, M: int, mus=None, observer_extra=None) -> 
     report = ErrorReport(M=M, N=cfg.N, gamma=cfg.gamma, alpha=cfg.alpha,
                          example=cfg.example, M_s=cfg.fine_M,
                          t=time_mesh.t[1:], errors=tracker.errors)
-    return RunResult(report=report, E_mu=dict(tracker.running_max))
+    return RunResult(report=report,
+                     E_mu=dict(zip(mus, weighted_errors(report.t, report.errors, mus))))
 
 
 @dataclass

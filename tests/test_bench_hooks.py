@@ -2,7 +2,8 @@
 
 perfbench/spans.py wraps package callables by module attribute name; a
 rename would break `perfbench/run.py --trace 1` without failing any other
-test. This module loads spans.py (read only) and traces one tiny forced run.
+test. This module loads spans.py (read only) and traces one tiny forced run
+and one tiny convergence study.
 """
 
 import importlib.util
@@ -11,7 +12,10 @@ from pathlib import Path
 import numpy as np
 
 import subdiff.stepping as stepping
+import subdiff.study as study
 from subdiff.assembly import FieldP1
+from subdiff.config import ExperimentConfig
+from subdiff.exact import example1, make_series
 from subdiff.mesh import build_mesh
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -47,3 +51,26 @@ def test_trace_hooks_resolve_and_count_one_run():
     assert layers["sparse.cg_iters"] == 360
     for owner, attr, _ in spans.WRAPPED:  # uninstall restored the originals
         assert not hasattr(getattr(owner, attr), "__wrapped__")
+
+
+def test_trace_counts_one_oracle_evaluation_per_study():
+    # the modal decay table depends on the series and the time mesh, not on
+    # M: a two-row study evaluates the oracle once, on the distinct
+    # eigenvalues, while each row interpolates at every step
+    spans = _load_spans()
+    cfg = ExperimentConfig(example="example1", M=[2, 4], N=20, modes=8, fine_M=8)
+    cfg.validate()
+    sol = make_series(example1(), cfg.alpha, cfg.modes)
+    n_lam = np.unique(sol.lam[sol.active_mask]).size
+    study._decay_table.cache_clear()
+    tracer = spans.Tracer("test")
+    tracer.install()
+    try:
+        table = study.run_table(cfg)
+    finally:
+        tracer.uninstall()
+    assert len(table.reports) == 2
+    layers = tracer.layer_metrics()
+    assert layers["mittag_leffler.args"] == cfg.N * n_lam
+    assert layers["metrics.interp_calls"] == 2 * cfg.N
+    assert layers["sparse.solver_builds"] == 2

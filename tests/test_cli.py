@@ -47,6 +47,15 @@ def test_config_file_bad_value_exit_code(bad, field, capsys, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_config_exit_code(kind, capsys, tmp_path):
+    path = tmp_path / "absent.json" if kind == "missing" else tmp_path
+    assert main(["solve", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration: cannot read config file ")
+    assert str(path) in err
+
+
 def test_invalid_alpha_exit_code(capsys, tmp_path):
     code = main(["solve", "--alpha", "1.5", "--M", "4", "--N", "5",
                  "--fine-M", "16", "--out", str(tmp_path)])

@@ -187,6 +187,85 @@ def test_error_tracker_decay_bitwise_per_mode():
     assert np.array_equal(tracker.decay, per_mode)
 
 
+def _count_mlf_calls(monkeypatch):
+    from subdiff.mittag_leffler import MlfEvaluator
+    calls = []
+    real = MlfEvaluator.__call__
+
+    def counted(self, x):
+        calls.append(np.size(x))
+        return real(self, x)
+
+    monkeypatch.setattr(MlfEvaluator, "__call__", counted)
+    return calls
+
+
+def _fresh_decay(sol, tm):
+    lam_act = sol.lam[sol.active_mask]
+    args = (lam_act[None, :] * (tm.t[1:] ** sol.alpha)[:, None]).ravel()
+    return sol.evaluator(args).reshape(tm.N, lam_act.size)
+
+
+def test_error_tracker_shares_decay_table_across_meshes(monkeypatch):
+    # one study (same series and time mesh) evaluates the oracle once,
+    # whatever the spatial mesh of each row
+    from subdiff.stepping import build_time_mesh
+    from subdiff.study import ErrorTracker, _decay_table
+    _decay_table.cache_clear()
+    sol = make_series(example1(), 0.75, K=12)
+    tm = build_time_mesh(30, 1.6, 0.5)
+    lat = fine_lattice(16)
+    calls = _count_mlf_calls(monkeypatch)
+    trackers = [ErrorTracker(sol, lat, tm, build_mesh(M)) for M in (2, 4, 8)]
+    assert len(calls) == 1
+    assert calls[0] == tm.N * np.unique(sol.lam[sol.active_mask]).size
+    monkeypatch.undo()
+    fresh = _fresh_decay(sol, tm)
+    for tracker in trackers:
+        assert np.array_equal(tracker.decay, fresh)
+
+
+@pytest.mark.parametrize("change", ["alpha", "K", "N", "T", "x_lo"])
+def test_error_tracker_decay_table_keyed_by_value(change, monkeypatch):
+    from dataclasses import replace
+    from subdiff.stepping import build_time_mesh
+    from subdiff.study import ErrorTracker, _decay_table
+    _decay_table.cache_clear()
+    lat, mesh = fine_lattice(16), build_mesh(4)
+    sol = make_series(example1(), 0.75, K=12)
+    tm = build_time_mesh(30, 1.6, 0.5)
+    ErrorTracker(sol, lat, tm, mesh)
+    if change == "alpha":
+        sol = make_series(example1(), 0.6, K=12)
+    elif change == "K":
+        sol = make_series(example1(), 0.75, K=14)
+    elif change == "N":
+        tm = build_time_mesh(31, 1.6, 0.5)
+    elif change == "T":
+        tm = build_time_mesh(30, 1.6, 0.25)
+    else:
+        sol = replace(sol, evaluator=type(sol.evaluator)(0.75, x_lo=1.0))
+    calls = _count_mlf_calls(monkeypatch)
+    tracker = ErrorTracker(sol, lat, tm, mesh)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert np.array_equal(tracker.decay, _fresh_decay(sol, tm))
+
+
+def test_decay_table_is_read_only():
+    from subdiff.stepping import build_time_mesh
+    from subdiff.study import _decay_table
+    sol = make_series(example1(), 0.75, K=8)
+    lam_u = np.unique(sol.lam[sol.active_mask])
+    t = build_time_mesh(20, 1.6, 0.5).t[1:]
+    table = _decay_table(sol.evaluator, lam_u.tobytes(), t.tobytes())
+    assert table.shape == (20, lam_u.size)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.0
+    assert _decay_table(sol.evaluator, lam_u.tobytes(), t.tobytes()) is table
+
+
 def _locate_scalar(M, x, y):
     """Point location one point at a time: floor division, gridline ties
     shifted to the lower cell, diagonal ties to the lower triangle."""

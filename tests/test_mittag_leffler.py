@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from subdiff.mittag_leffler import MlfEvaluator, gamma, mlf, reciprocal_gamma
+from subdiff.mittag_leffler import MlfEvaluator, gamma, reciprocal_gamma
 
 # Frozen values of E_alpha(-x) from the extended-precision series oracle
 # (tools/gen_mlf_reference.py): the defining series summed with ~0.45 x^(1/alpha)
@@ -147,6 +147,61 @@ def test_mlf_large_argument_asymptotics():
     assert MlfEvaluator(alpha)(x) == pytest.approx(ref, rel=1e-9)
 
 
+def _asymptotic_all_terms(alpha, x):
+    """Reference: the 40-term optimally truncated loop with no early stop.
+
+    Returns the sums and which points the truncation (a growing term) cut.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    s = np.zeros_like(x)
+    smallest = np.full_like(x, np.inf)
+    active = np.ones_like(x, dtype=bool)
+    power = np.ones_like(x)
+    for k in range(1, 41):
+        power = power * (1.0 / x)
+        term = (1.0 if k % 2 else -1.0) * power * reciprocal_gamma(1.0 - alpha * k)
+        mag = np.abs(term)
+        growing = mag > smallest
+        take = active & ~growing
+        s[take] += term[take]
+        active &= ~growing
+        np.minimum(smallest, np.where(mag > 0.0, mag, smallest), out=smallest)
+    return s, ~active
+
+
+ASYM_ALPHAS = [0.1, 0.25, 0.5, 0.75, 0.9, 0.99]
+
+
+@pytest.mark.parametrize("alpha", ASYM_ALPHAS)
+def test_asymptotic_early_stop_bitwise_large_x(alpha):
+    ev = MlfEvaluator(alpha)
+    x = np.geomspace(ev.asym_cut, 1e8, 4001)
+    ref, _ = _asymptotic_all_terms(alpha, x)
+    assert np.array_equal(ev.asymptotic_value(x), ref)
+    assert np.array_equal(ev(x), ref)
+
+
+@pytest.mark.parametrize("alpha", ASYM_ALPHAS)
+def test_asymptotic_early_stop_bitwise_truncated(alpha):
+    # below the default switch (the --mlf-x-hi diagnostic path) the terms
+    # start to grow and optimal truncation cuts the series
+    ev = MlfEvaluator(alpha, x_hi=0.5)
+    x = np.geomspace(0.5, 50.0, 2001)
+    ref, cut = _asymptotic_all_terms(alpha, x)
+    assert cut.any()
+    assert np.array_equal(ev(x), ref)
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5])
+def test_asymptotic_early_stop_bitwise_exact_zero_terms(alpha):
+    # alpha k integer: 1/Gamma(1 - alpha k) = 0, so those terms are exactly zero
+    assert reciprocal_gamma(1.0 - alpha * round(1 / alpha)) == 0.0
+    ev = MlfEvaluator(alpha)
+    x = np.concatenate([np.geomspace(ev.asym_cut, 1e8, 2001), np.geomspace(0.5, 50.0, 2001)])
+    ref, _ = _asymptotic_all_terms(alpha, x)
+    assert np.array_equal(ev.asymptotic_value(x), ref)
+
+
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 0.95])
 def test_mlf_monotone_decreasing(alpha):
     ev = MlfEvaluator(alpha)
@@ -200,11 +255,6 @@ def test_mlf_rejects_bad_arguments():
         MlfEvaluator(0.0)
     with pytest.raises(ValueError):
         MlfEvaluator(1.2)
-
-
-def test_mlf_functional_spelling():
-    ev = MlfEvaluator(0.5)
-    assert mlf(ev, 1.0) == ev(1.0)
 
 
 def test_mlf_large_batch_chunking_consistent():
