@@ -1,8 +1,8 @@
 """Command-line interface: solve, table, figure, verify.
 
-Configuration comes from an optional JSON file plus flags of the same
-names; flags win. Exit codes: 0 success, 1 numerical failure, 2 invalid
-configuration.
+Configuration starts from the defaults; a preset, an optional JSON file
+and flags of the same names each override what came before. Exit codes:
+0 success, 1 numerical failure, 2 invalid configuration.
 """
 
 from __future__ import annotations
@@ -39,10 +39,10 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                    help="fine evaluation lattice subdivisions")
     p.add_argument("--out", type=str, default=None, help="output directory")
     p.add_argument("--tol", type=float, default=None, help="linear solver tolerance")
-    p.add_argument("--seed", type=int, default=None)
 
 
 def build_config(args, preset: str | None = None) -> ExperimentConfig:
+    """Defaults, then the preset, then the fields the config file names, then flags."""
     cfg = ExperimentConfig()
     if preset is not None:
         cfg = cfg.replace(**PRESETS[preset])
@@ -51,16 +51,10 @@ def build_config(args, preset: str | None = None) -> ExperimentConfig:
             cfg_text = Path(args.config).read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc.strerror}") from exc
-        file_cfg = ExperimentConfig.from_json(cfg_text)
-        merged = {**vars(file_cfg)}
-        if preset is not None:
-            merged.update(PRESETS[preset])
-            merged.update({k: v for k, v in vars(file_cfg).items()
-                           if v != getattr(ExperimentConfig(), k)})
-        cfg = ExperimentConfig(**merged)
+        cfg = ExperimentConfig.from_json(cfg_text, base=cfg)
     overrides = {}
     for name in ("alpha", "example", "N", "gamma", "T", "modes", "fine_M",
-                 "out", "tol", "seed"):
+                 "out", "tol"):
         val = getattr(args, name, None)
         if val is not None:
             overrides[name] = val

@@ -34,13 +34,12 @@ class ExperimentConfig:
     fine_M: int = 128
     out: str = "out"
     tol: float = 1e-12
-    seed: int = 0
 
     def validate(self) -> None:
         for name in ("alpha", "gamma", "T", "tol"):
             if not _is_real(getattr(self, name)):
                 raise ConfigError(f"{name} must be a finite number, got {getattr(self, name)!r}")
-        for name in ("N", "modes", "fine_M", "seed"):
+        for name in ("N", "modes", "fine_M"):
             if not _is_int(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         for name, ok, what in (("M", _is_int, "integers"), ("mu", _is_real, "finite numbers")):
@@ -84,16 +83,16 @@ class ExperimentConfig:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
+    def from_json(cls, text: str, base: "ExperimentConfig | None" = None) -> "ExperimentConfig":
+        """Config from a JSON object: the fields it names replace base's
+        (the defaults when base is None); the others keep base's values."""
         raw = json.loads(text)
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        cfg = cls(**raw)
-        return cfg
+        if not isinstance(raw, dict):
+            raise ConfigError("a config file must hold a JSON object")
+        return (cls() if base is None else base).replace(**raw)
 
     def replace(self, **overrides) -> "ExperimentConfig":
-        data = asdict(self)
-        data.update(overrides)
-        return ExperimentConfig(**data)
+        unknown = set(overrides) - {f.name for f in fields(self)}
+        if unknown:
+            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        return ExperimentConfig(**{**asdict(self), **overrides})

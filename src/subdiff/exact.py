@@ -155,11 +155,3 @@ def eval_grid(sol: SeriesSolution, t: float, xs: np.ndarray, ys: np.ndarray) -> 
         raise EvaluationError(f"series evaluation produced non-finite values at t={t}")
     return out
 
-
-def eval_points(sol: SeriesSolution, t: float, points: np.ndarray) -> np.ndarray:
-    """u at arbitrary points (slow path; grids should use eval_grid)."""
-    pts = np.asarray(points, dtype=float)
-    Sx = sine_matrix(pts[:, 0], sol.K)
-    Sy = sine_matrix(pts[:, 1], sol.K)
-    D = 2.0 * sol.C * modal_factors(sol, t)
-    return np.einsum("pm,mn,pn->p", Sx, D, Sy)

@@ -153,12 +153,3 @@ def locate_point(mesh: StructuredMesh, p) -> tuple[int, np.ndarray]:
     tri, lam = locate_points(mesh, [float(p[0]), float(p[1])])
     return int(tri[0]), lam[0]
 
-
-def write_debug_csv(mesh: StructuredMesh, node_path, triangle_path) -> None:
-    """Dump nodes ("id,x,y") and triangles ("id,n0,n1,n2") as CSV."""
-    with open(node_path, "w") as fh:
-        for i, (x, y) in enumerate(mesh.nodes):
-            fh.write(f"{i},{float(x)!r},{float(y)!r}\n")
-    with open(triangle_path, "w") as fh:
-        for i, (a, b, c) in enumerate(mesh.triangles):
-            fh.write(f"{i},{a},{b},{c}\n")

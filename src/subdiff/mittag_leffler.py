@@ -11,8 +11,8 @@ grows past ~10 (alternating terms reach exp(x^(1/a))), so the series
 cutoff shrinks with a; the integral representation covers the gap at
 machine precision. For a = 1 the function is exp(-x) exactly.
 
-Also provides the gamma function (Lanczos approximation with reflection)
-that the weights and expansions need.
+Gamma comes from libm (math.gamma) through two thin wrappers that fix
+the behaviour at poles and on overflow.
 """
 
 from __future__ import annotations
@@ -22,60 +22,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Lanczos g = 7, 9-term coefficients
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 # series regime is safe while x^(1/a) <= _SERIES_T_MAX (cancellation budget)
 _SERIES_T_MAX = 10.0
 _SERIES_P_CAP = 700
 
 
-def _sinpi(x: float) -> float:
-    """sin(pi x) with exact zeros at integers."""
-    r = x - round(x)
-    s = math.sin(math.pi * r)
-    return -s if round(x) % 2 else s
-
-
 def gamma(x: float) -> float:
-    """Gamma(x) for real x, Lanczos approximation, reflection for x < 0.5."""
+    """Gamma(x) for real x (math.gamma); ValueError when not finite or at a pole."""
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"gamma argument must be finite, got {x!r}")
     if x <= 0.0 and x == round(x):
         raise ValueError(f"gamma pole at nonpositive integer {x!r}")
-    if x < 0.5:
-        return math.pi / (_sinpi(x) * gamma(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS[0]
-    for i, c in enumerate(_LANCZOS[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    if x > 100.0:  # avoid overflow in the intermediate power
-        return math.sqrt(2.0 * math.pi) * acc * math.exp((z + 0.5) * math.log(t) - t)
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    return math.gamma(x)
 
 
 def reciprocal_gamma(x: float) -> float:
     """1/Gamma(x); zero at the poles and past the double-precision overflow."""
-    if x <= 0.0 and x == round(x):
+    if (x <= 0.0 and x == round(x)) or x > 171.62:
         return 0.0
-    if x > 171.62:  # Gamma(x) overflows float64
-        return 0.0
-    if x < 0.5:
-        return _sinpi(x) * gamma(1.0 - x) / math.pi
-    return 1.0 / gamma(x)
+    return 1.0 / math.gamma(x)
 
 
 def _tanh_sinh_unit(level: int, tmax: float = 4.0):
@@ -104,7 +70,6 @@ class MlfEvaluator:
     alpha: float
     x_lo: float | None = None
     x_hi: float | None = None
-    rel_tol: float = 1e-10
     series_cut: float = field(init=False)
     asym_cut: float = field(init=False)
 

@@ -76,19 +76,14 @@ class SparseMatrix:
         return A
 
     def max_asymmetry(self) -> float:
-        """max |A_ij - A_ji| relative to max |A_ij|."""
-        At = self.transpose()
-        scale = np.abs(self.data).max() if self.nnz else 1.0
-        # patterns may differ in principle; compare densified halves lazily
-        if (At.indptr.shape == self.indptr.shape
-                and np.array_equal(At.indptr, self.indptr)
-                and np.array_equal(At.indices, self.indices)):
-            return float(np.abs(At.data - self.data).max() / scale)
-        return float(np.abs(self.to_dense() - At.to_dense()).max() / scale)
-
-    def transpose(self) -> "SparseMatrix":
+        """max |A_ij - A_ji| relative to max |A_ij|; inf when the pattern is not symmetric."""
         rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        return csr_from_coo(self.n, self.indices, rows, self.data)
+        order = np.lexsort((rows, self.indices))  # entries in the transpose's CSR order
+        if not (np.array_equal(self.indices[order], rows)
+                and np.array_equal(rows[order], self.indices)):
+            return math.inf
+        scale = np.abs(self.data).max()
+        return float(np.abs(self.data[order] - self.data).max() / scale)
 
 
 def csr_from_coo(n: int, rows, cols, vals) -> SparseMatrix:
@@ -131,22 +126,9 @@ def add_scaled(A: SparseMatrix, B: SparseMatrix, a: float, b: float) -> SparseMa
                         data=a * A.data + b * B.data)
 
 
-def write_matrix_market(A: SparseMatrix, path) -> None:
-    """Dump in MatrixMarket coordinate format (1-based, general)."""
-    with open(path, "w") as fh:
-        fh.write("%%MatrixMarket matrix coordinate real general\n")
-        fh.write(f"{A.n} {A.n} {A.nnz}\n")
-        rows = np.repeat(np.arange(A.n), np.diff(A.indptr))
-        for r, c, v in zip(rows, A.indices, A.data):
-            fh.write(f"{r + 1} {c + 1} {float(v)!r}\n")
-
-
 @dataclass(frozen=True)
 class LinearSolver:
-    """SPD solver bound to one matrix, or to the pencil matrix + s * shift.
-
-    method "cg": Jacobi-preconditioned conjugate gradients (default).
-    method "dense_cholesky": dense factorization, for small systems.
+    """Jacobi-CG solver bound to one SPD matrix, or to the pencil matrix + s * shift.
 
     With ``shift`` (same sparsity pattern as ``matrix``) each solve picks
     its own s. Symmetry is checked and diagonals are taken once, here, and
@@ -158,11 +140,9 @@ class LinearSolver:
     """
 
     matrix: SparseMatrix
-    method: str = "cg"
     rtol: float = 1e-12
     max_iter: int = 0  # 0: pick 10 n + 1000
     shift: SparseMatrix | None = None
-    _chol: np.ndarray | None = field(default=None, repr=False, compare=False)
     _diag: np.ndarray = field(init=False, repr=False, compare=False)
     _shift_diag: np.ndarray | None = field(init=False, default=None, repr=False,
                                            compare=False)
@@ -171,18 +151,12 @@ class LinearSolver:
         for A in (self.matrix, self.shift):
             if A is not None and (asym := A.max_asymmetry()) > 1e-12:
                 raise ValueError(f"matrix is not symmetric (relative asymmetry {asym:.2e})")
-        if self.method not in ("cg", "dense_cholesky"):
-            raise ValueError(f"unknown method {self.method!r}")
         if self.shift is not None:
-            if self.method != "cg":
-                raise ValueError(f"method {self.method!r} does not take a shift")
             if not (np.array_equal(self.matrix.indptr, self.shift.indptr)
                     and np.array_equal(self.matrix.indices, self.shift.indices)):
                 raise ValueError("shift must share the sparsity pattern of the matrix")
             object.__setattr__(self, "_shift_diag", self.shift.diagonal())
         object.__setattr__(self, "_diag", self.matrix.diagonal())
-        if self.method == "dense_cholesky":
-            object.__setattr__(self, "_chol", np.linalg.cholesky(self.matrix.to_dense()))
 
     def solve(self, rhs: np.ndarray, x0: np.ndarray | None = None,
               s: float = 0.0) -> np.ndarray:
@@ -194,36 +168,27 @@ class LinearSolver:
             raise ValueError("rhs contains non-finite entries")
         if self.shift is None and s != 0.0:
             raise ValueError("a nonzero s needs a solver built with a shift")
-        if self.method == "dense_cholesky":
-            return _cholesky_solve(self._chol, rhs)
         E, J = self.matrix.ell
         diag = self._diag
         if self.shift is not None:
             E = E + s * self.shift.ell[0]
             diag = diag + s * self._shift_diag
         maxit = self.max_iter if self.max_iter > 0 else 10 * self.matrix.n + 1000
-        x, residuals = cg_solve((E, J), rhs, x0=x0, rtol=self.rtol, max_iter=maxit,
-                                dinv=1.0 / diag)
+        x, residuals = cg_solve((E, J), rhs, 1.0 / diag, x0=x0, rtol=self.rtol,
+                                max_iter=maxit)
         return x
 
 
-def cg_solve(A: SparseMatrix | tuple[np.ndarray, np.ndarray], b: np.ndarray, x0=None,
-             rtol: float = 1e-12, max_iter: int = 10000,
-             dinv: np.ndarray | None = None) -> tuple[np.ndarray, list[float]]:
+def cg_solve(ell: tuple[np.ndarray, np.ndarray], b: np.ndarray, dinv: np.ndarray,
+             x0=None, rtol: float = 1e-12,
+             max_iter: int = 10000) -> tuple[np.ndarray, list[float]]:
     """Jacobi-preconditioned CG. Returns (x, per-iteration residual norms).
 
-    A is a SparseMatrix or the (E, J) pair of its ELL form. Stops when the
-    true residual satisfies ||Ax-b|| <= rtol ||b||; raises
-    SolverFailureError past max_iter. dinv is the inverse diagonal of A;
-    it may be left out only when A is a SparseMatrix.
+    ell is the (E, J) pair of A's ELL form and dinv the inverse of A's
+    diagonal. Stops when the true residual satisfies ||Ax-b|| <= rtol ||b||;
+    raises SolverFailureError past max_iter.
     """
-    if isinstance(A, SparseMatrix):
-        if dinv is None:
-            dinv = 1.0 / A.diagonal()
-        A = A.ell
-    elif dinv is None:
-        raise ValueError("cg_solve on an ELL pair needs dinv")
-    E, J = A
+    E, J = ell
     b = np.asarray(b, dtype=float)
     if b.shape != (E.shape[1],):
         raise ValueError(f"dimension mismatch: matrix {E.shape[1]}, vector {b.shape}")
@@ -268,14 +233,3 @@ def cg_solve(A: SparseMatrix | tuple[np.ndarray, np.ndarray], b: np.ndarray, x0=
     raise SolverFailureError(
         f"CG did not converge in {max_iter} iterations (relative residual {final:.3e})",
         residual=final)
-
-
-def _cholesky_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = L.shape[0]
-    y = np.empty(n)
-    for i in range(n):
-        y[i] = (b[i] - L[i, :i] @ y[:i]) / L[i, i]
-    x = np.empty(n)
-    for i in range(n - 1, -1, -1):
-        x[i] = (y[i] - L[i + 1:, i] @ x[i + 1:]) / L[i, i]
-    return x

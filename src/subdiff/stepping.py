@@ -106,10 +106,6 @@ class FracWeights:
             prev = bn
         return C
 
-    def increment_row(self, n: int) -> np.ndarray:
-        """c_nj = b_nj - b_(n-1)j for j < n, c_nn = b_nn."""
-        return self.increment_rows(n, n + 1)[0]
-
 
 def frac_weights(mesh: GradedTimeMesh, alpha: float) -> FracWeights:
     """Quadrature weights of I^alpha on the mesh (rows come on demand)."""
@@ -157,20 +153,17 @@ class SchemeState:
 
 
 def step(state: SchemeState, n: int, mass: SparseMatrix, stiffness: SparseMatrix,
-         weights: FracWeights, load: np.ndarray | None = None,
-         rtol: float = 1e-12, solver: LinearSolver | None = None) -> FieldP1:
+         weights: FracWeights, solver: LinearSolver,
+         load: np.ndarray | None = None) -> FieldP1:
     """Advance the scheme from u^(n-1) to u^n and make u^n the state's solution.
 
-    solver is the run's LinearSolver for the pencil mass + s stiffness; one
-    is built here (with rtol) when it is not given. The history sum over
-    j < n is split at the start k of the step's block of HISTORY_BLOCK
-    steps: the part over j <= k comes from one GEMM per block, the tail
-    k < j < n from the step itself.
+    solver is the run's LinearSolver for the pencil mass + s stiffness
+    (shift=stiffness). The history sum over j < n is split at the start k
+    of the step's block of HISTORY_BLOCK steps: the part over j <= k comes
+    from one GEMM per block, the tail k < j < n from the step itself.
     """
     if n != state.n + 1:
         raise ValueError(f"expected step {state.n + 1}, got {n}")
-    if solver is None:
-        solver = LinearSolver(mass, rtol=rtol, shift=stiffness)
     i = (n - 1) % HISTORY_BLOCK
     k = n - 1 - i
     if i == 0:
@@ -226,7 +219,7 @@ def run(mesh: StructuredMesh, time_mesh: GradedTimeMesh, alpha: float, a,
         if f is not None:
             t_mid = 0.5 * (t[n - 1] + t[n])
             load = load_vector(mesh, lambda x, y: f(x, y, t_mid))
-        u_n = step(state, n, mass, stiffness, weights, load=load, solver=solver)
+        u_n = step(state, n, mass, stiffness, weights, solver, load=load)
         if observer is not None:
             observer(n, t[n], u_n)
     return state

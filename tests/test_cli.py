@@ -2,21 +2,23 @@ import json
 
 import pytest
 
-from subdiff.cli import main
+from subdiff.cli import build_config, main, make_parser
 from subdiff.config import ConfigError, ExperimentConfig
 
 
 def test_config_roundtrip():
     cfg = ExperimentConfig(alpha=0.6, example="example2", M=[4, 8], N=77,
                            gamma=1.3, T=0.25, modes=20, mu=[0.0, 0.5],
-                           fine_M=32, out="elsewhere", tol=1e-11, seed=3)
+                           fine_M=32, out="elsewhere", tol=1e-11)
     again = ExperimentConfig.from_json(cfg.to_json())
     assert again == cfg
 
 
 def test_config_rejects_unknown_fields():
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_json(json.dumps({"alhpa": 0.5}))
+    # unknown names, and JSON values that are not objects
+    for text in (json.dumps({"alhpa": 0.5}), json.dumps({"seed": 0}), "[1]", "5"):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_json(text)
 
 
 @pytest.mark.parametrize("overrides", [
@@ -84,6 +86,17 @@ def test_solve_deterministic_output(tmp_path):
     f1 = out1 / "steps_example1_M4_N15.csv"
     f2 = out2 / "steps_example1_M4_N15.csv"
     assert f1.read_bytes() == f2.read_bytes()
+
+
+def test_config_file_overrides_preset(tmp_path):
+    # a file value equal to the dataclass default still beats the preset
+    cfg_path = tmp_path / "f.json"
+    cfg_path.write_text(json.dumps({"N": 1000, "modes": 20}))
+    args = make_parser().parse_args(["table", "table2", "--config", str(cfg_path),
+                                     "--modes", "30"])
+    cfg = build_config(args, preset="table2")
+    assert cfg.N == 1000 and cfg.modes == 30
+    assert cfg.example == "example2" and cfg.mu == [0.0, 0.25, 0.5, 0.75]
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from subdiff.exact import (custom, eval_grid, eval_points, example1, example2,
-                           example3, make_series, modal_factors)
+from subdiff.exact import (custom, eval_grid, example1, example2, example3,
+                           make_series, modal_factors)
 from subdiff.metrics import fine_lattice
 
 
@@ -133,17 +133,6 @@ def test_truncation_tail_small_for_example1():
         v60 = eval_grid(s60, t, lat.xs, lat.xs)
         v120 = eval_grid(s120, t, lat.xs, lat.xs)
         assert np.abs(v60 - v120).max() <= 2e-6
-
-
-def test_eval_points_matches_grid():
-    sol = make_series(example1(), 0.75, K=20)
-    xs = np.array([0.25, 0.5])
-    grid = eval_grid(sol, 0.1, xs, xs)
-    pts = np.array([[0.25, 0.25], [0.25, 0.5], [0.5, 0.5]])
-    vals = eval_points(sol, 0.1, pts)
-    assert vals[0] == pytest.approx(grid[0, 0], rel=1e-14)
-    assert vals[1] == pytest.approx(grid[0, 1], rel=1e-14)
-    assert vals[2] == pytest.approx(grid[1, 1], rel=1e-14)
 
 
 def test_negative_time_rejected():

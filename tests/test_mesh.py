@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from subdiff.exceptions import OutOfDomainError
-from subdiff.mesh import build_mesh, locate_point, locate_points, write_debug_csv
+from subdiff.mesh import build_mesh, locate_point, locate_points
 
 
 def test_counts_M2():
@@ -115,19 +115,6 @@ def test_locate_rejects_outside():
     for p in [(-0.01, 0.5), (0.5, 1.01), (2.0, 2.0)]:
         with pytest.raises(OutOfDomainError):
             locate_point(mesh, p)
-
-
-def test_debug_csv(tmp_path):
-    mesh = build_mesh(2)
-    nodes = tmp_path / "nodes.csv"
-    tris = tmp_path / "tris.csv"
-    write_debug_csv(mesh, nodes, tris)
-    node_lines = nodes.read_text().strip().splitlines()
-    tri_lines = tris.read_text().strip().splitlines()
-    assert len(node_lines) == 9 and len(tri_lines) == 8
-    assert node_lines[0] == "0,0.0,0.0"
-    first = tri_lines[0].split(",")
-    assert first[0] == "0" and len(first) == 4
 
 
 @pytest.mark.parametrize("M", [2, 3, 8, 32])

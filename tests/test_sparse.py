@@ -5,8 +5,7 @@ from subdiff.assembly import assemble_mass, assemble_stiffness
 from subdiff.exceptions import SolverFailureError
 from subdiff.mesh import build_mesh
 from subdiff.metrics import LatticeInterpolator, fine_lattice
-from subdiff.sparse import (LinearSolver, add_scaled, cg_solve, csr_from_coo,
-                            matvec, write_matrix_market)
+from subdiff.sparse import LinearSolver, add_scaled, cg_solve, csr_from_coo, matvec
 
 
 def random_spd(n, rng):
@@ -127,9 +126,11 @@ def test_solver_roundtrip():
 
 
 def test_solver_rejects_nonsymmetric():
-    A = csr_from_coo(2, [0, 0, 1], [0, 1, 1], [1.0, 0.5, 1.0])
-    with pytest.raises(ValueError):
-        LinearSolver(A)
+    A = csr_from_coo(2, [0, 0, 1], [0, 1, 1], [1.0, 0.5, 1.0])  # pattern not symmetric
+    B = csr_from_coo(2, [0, 0, 1, 1], [0, 1, 0, 1], [1.0, 0.5, 0.4, 1.0])
+    for C in (A, B):
+        with pytest.raises(ValueError):
+            LinearSolver(C)
 
 
 def test_solver_rejects_nonfinite_rhs():
@@ -151,7 +152,7 @@ def test_cg_residual_monotone_on_fe_system():
     A = add_scaled(assemble_mass(mesh), assemble_stiffness(mesh), 1.0, 0.003)
     rng = np.random.default_rng(4)
     for _ in range(5):
-        _, res = cg_solve(A, rng.standard_normal(A.n))
+        _, res = cg_solve(A.ell, rng.standard_normal(A.n), 1.0 / A.diagonal())
         r = np.array(res)
         assert np.all(r[1:] <= r[:-1] * (1.0 + 1e-12))
 
@@ -172,13 +173,12 @@ def test_cg_solve_on_ell_pair_matches_matrix():
     mesh = build_mesh(8)
     A = add_scaled(assemble_mass(mesh), assemble_stiffness(mesh), 1.0, 0.01)
     b = np.random.default_rng(8).standard_normal(A.n)
-    x, res = cg_solve(A, b)
-    x_ell, res_ell = cg_solve(A.ell, b, dinv=1.0 / A.diagonal())
-    assert np.array_equal(x, x_ell) and res == res_ell
+    x, res = cg_solve(A.ell, b, 1.0 / A.diagonal())
+    assert np.array_equal(x, LinearSolver(A).solve(b))
+    assert np.linalg.norm(matvec(A, x) - b) <= 1e-12 * np.linalg.norm(b)
+    assert res[-1] <= 1e-12 * np.linalg.norm(b)
     with pytest.raises(ValueError):
-        cg_solve(A.ell, b)                         # no diagonal to take
-    with pytest.raises(ValueError):
-        cg_solve(A, np.ones(A.n + 1))
+        cg_solve(A.ell, np.ones(A.n + 1), 1.0 / A.diagonal())
 
 
 def test_shifted_solver_validation():
@@ -187,19 +187,17 @@ def test_shifted_solver_validation():
     with pytest.raises(ValueError):
         LinearSolver(A, shift=B)                  # pattern differs
     with pytest.raises(ValueError):
-        LinearSolver(A, shift=A, method="dense_cholesky")
-    with pytest.raises(ValueError):
         LinearSolver(A).solve(np.ones(2), s=1.0)  # no shift to scale
 
 
-def test_dense_cholesky_matches_cg():
+def test_cg_matches_dense_solve():
     mesh = build_mesh(6)
     A = assemble_stiffness(mesh)
     rng = np.random.default_rng(5)
     b = rng.standard_normal(A.n)
     x_cg = LinearSolver(A).solve(b)
-    x_ch = LinearSolver(A, method="dense_cholesky").solve(b)
-    assert np.max(np.abs(x_cg - x_ch)) <= 1e-10
+    x_dense = np.linalg.solve(A.to_dense(), b)
+    assert np.max(np.abs(x_cg - x_dense)) <= 1e-10
 
 
 def test_warm_start_converges_fast():
@@ -207,21 +205,8 @@ def test_warm_start_converges_fast():
     A = add_scaled(assemble_mass(mesh), assemble_stiffness(mesh), 1.0, 0.003)
     rng = np.random.default_rng(6)
     b = rng.standard_normal(A.n)
-    x, res_cold = cg_solve(A, b)
-    _, res_warm = cg_solve(A, b, x0=x + 1e-8 * rng.standard_normal(A.n))
+    dinv = 1.0 / A.diagonal()
+    x, res_cold = cg_solve(A.ell, b, dinv)
+    _, res_warm = cg_solve(A.ell, b, dinv, x0=x + 1e-8 * rng.standard_normal(A.n))
     assert len(res_warm) < len(res_cold)
 
-
-def test_matrix_market_roundtrip(tmp_path):
-    A = assemble_mass(build_mesh(3))
-    path = tmp_path / "mass.mtx"
-    write_matrix_market(A, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].startswith("%%MatrixMarket")
-    n, m, nnz = map(int, lines[1].split())
-    assert (n, m, nnz) == (A.n, A.n, A.nnz)
-    dense = np.zeros((n, n))
-    for line in lines[2:]:
-        r, c, v = line.split()
-        dense[int(r) - 1, int(c) - 1] = float(v)
-    assert np.array_equal(dense, A.to_dense())

@@ -34,7 +34,7 @@ def test_single_dof_first_step_closed_form():
     w = frac_weights(tm, alpha)
     u0 = FieldP1(mesh=mesh, values=np.array([0.3]))
     state = SchemeState.start(mesh, tm, u0)
-    u1 = step(state, 1, mass, stiff, w)
+    u1 = step(state, 1, mass, stiff, w, LinearSolver(mass, shift=stiff))
     c11 = 0.5 ** alpha / gamma(1.0 + alpha)
     expected = 0.3 * (1.0 / 8.0) / (1.0 / 8.0 + c11 * 4.0)
     assert u1.values[0] == pytest.approx(expected, rel=1e-12)
@@ -107,7 +107,8 @@ def test_step_index_enforced():
     w = frac_weights(tm, 0.5)
     state = SchemeState.start(mesh, tm, FieldP1(mesh=mesh, values=np.zeros(1)))
     with pytest.raises(ValueError):
-        step(state, 2, assemble_mass(mesh), assemble_stiffness(mesh), w)
+        mass, stiff = assemble_mass(mesh), assemble_stiffness(mesh)
+        step(state, 2, mass, stiff, w, LinearSolver(mass, shift=stiff))
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.75])
@@ -166,7 +167,7 @@ def _direct_sum_run(mesh, tm, alpha, a, u0, f):
     us = [u0.values]
     Z = np.zeros((tm.N, mesh.n_interior))
     for n in range(1, tm.N + 1):
-        c = w.increment_row(n)
+        c = w.increment_rows(n, n + 1)[0]
         theta = 1.0 if n == 1 else 0.5
         rhs = matvec(mass, us[-1])
         if n >= 2:
@@ -213,7 +214,7 @@ def test_frac_weights_memory_is_linear_in_N():
     try:
         w = frac_weights(tm, 0.75)
         assert w.row(N).shape == (N,)
-        assert w.increment_row(N).shape == (N,)
+        assert w.increment_rows(N, N + 1)[0].shape == (N,)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

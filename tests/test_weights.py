@@ -66,7 +66,7 @@ def test_increment_rows_telescope():
     w = frac_weights(tm, alpha)
     g1a = gamma(1.0 + alpha)
     for n in (1, 2, 57, 200):
-        c = w.increment_row(n)
+        c = w.increment_rows(n, n + 1)[0]
         ref = (tm.t[n] ** alpha - tm.t[n - 1] ** alpha) / g1a
         assert c.sum() == pytest.approx(ref, rel=1e-12)
 
