@@ -9,35 +9,32 @@ series exact solution for convergence studies.
 from .assembly import (FieldP1, assemble_mass, assemble_stiffness, l2_project,
                        load_vector, ritz_project)
 from .config import ConfigError, ExperimentConfig
-from .exact import (InitialDatum, SeriesSolution, custom, eval_grid, example1,
-                    example2, example3, make_series)
+from .exact import DATA, InitialDatum, SeriesSolution, eval_grid, make_series
 from .exceptions import (CoefficientRangeError, EvaluationError,
                          NumericalBlowupError, OutOfDomainError,
                          SolverFailureError)
-from .mesh import StructuredMesh, build_mesh, locate_point, locate_points
+from .mesh import StructuredMesh, build_mesh, locate_points
 from .metrics import (ErrorReport, FineLattice, LatticeInterpolator,
-                      convergence_rates, fine_lattice, step_error, weighted_errors)
+                      convergence_rates, fine_lattice, weighted_errors)
 from .mittag_leffler import MlfEvaluator, gamma, reciprocal_gamma
-from .sparse import (LinearSolver, SparseMatrix, add_scaled, cg_solve,
-                     csr_from_coo, matvec)
+from .sparse import LinearSolver, SparseMatrix, cg_solve, csr_from_coo, matvec
 from .stepping import (FracWeights, GradedTimeMesh, SchemeState, build_time_mesh,
-                       frac_integral_nodes, frac_weights, initial_field, run, step)
+                       frac_integral_nodes, frac_weights, run, step)
 from .study import ErrorTracker, RunResult, TableResult, run_single, run_table
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoefficientRangeError", "ConfigError", "ErrorReport", "ErrorTracker",
+    "CoefficientRangeError", "ConfigError", "DATA", "ErrorReport", "ErrorTracker",
     "EvaluationError", "ExperimentConfig", "FieldP1", "FineLattice",
     "FracWeights", "GradedTimeMesh", "InitialDatum", "LatticeInterpolator",
     "LinearSolver", "MlfEvaluator", "NumericalBlowupError", "OutOfDomainError",
     "RunResult", "SchemeState", "SeriesSolution", "SolverFailureError",
-    "SparseMatrix", "StructuredMesh", "TableResult", "add_scaled",
+    "SparseMatrix", "StructuredMesh", "TableResult",
     "assemble_mass", "assemble_stiffness", "build_mesh", "build_time_mesh",
-    "cg_solve", "convergence_rates", "csr_from_coo", "custom", "eval_grid",
-    "example1", "example2", "example3", "fine_lattice",
-    "frac_integral_nodes", "frac_weights", "gamma", "initial_field",
-    "l2_project", "load_vector", "locate_point", "locate_points", "make_series", "matvec",
+    "cg_solve", "convergence_rates", "csr_from_coo", "eval_grid",
+    "fine_lattice", "frac_integral_nodes", "frac_weights", "gamma",
+    "l2_project", "load_vector", "locate_points", "make_series", "matvec",
     "reciprocal_gamma", "ritz_project", "run", "run_single",
-    "run_table", "step", "step_error", "weighted_errors",
+    "run_table", "step", "weighted_errors",
 ]

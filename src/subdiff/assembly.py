@@ -27,12 +27,6 @@ class FieldP1:
             raise ValueError("values length must equal the interior node count")
         self.values.setflags(write=False)
 
-    def node_values(self) -> np.ndarray:
-        """Values on the full node set, zeros on the boundary."""
-        full = np.zeros(self.mesh.nodes.shape[0])
-        full[~self.mesh.boundary_mask] = self.values
-        return full
-
 
 def _element_gradients(mesh: StructuredMesh) -> np.ndarray:
     """Constant gradients of the three local basis functions, per triangle."""

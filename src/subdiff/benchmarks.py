@@ -64,10 +64,7 @@ PRESETS = {
                    gamma=1.6, T=0.5, mu=list(TABLE2_MUS)),
     "table3": dict(example="example3", alpha=0.75, M=list(M_VALUES), N=1300,
                    gamma=1.6, T=0.5, mu=list(TABLE3_MUS)),
-    "figure1": dict(example="example1", alpha=0.75, M=list(M_VALUES), N=1000,
-                    gamma=1.6, T=0.5, mu=[0.0]),
-    "figure2": dict(example="example2", alpha=0.75, M=list(M_VALUES), N=1300,
-                    gamma=1.6, T=0.5, mu=[0.0]),
-    "figure3": dict(example="example3", alpha=0.75, M=list(M_VALUES), N=1300,
-                    gamma=1.6, T=0.5, mu=[0.0]),
 }
+# each figure plots the per-step errors of its table's runs
+PRESETS.update({f"figure{k}": dict(PRESETS[f"table{k}"], M=list(M_VALUES), mu=[0.0])
+                for k in (1, 2, 3)})

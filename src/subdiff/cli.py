@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .benchmarks import PRESETS
@@ -22,18 +23,26 @@ EXIT_NUMERICAL = 1
 EXIT_CONFIG = 2
 
 
+def _int_list(text: str) -> list:
+    return [int(s) for s in text.split(",") if s]
+
+
+def _float_list(text: str) -> list:
+    return [float(s) for s in text.split(",") if s]
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=str, default=None, help="JSON config file")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--example", type=str, default=None,
                    help="example1 | example2 | example3 | zero")
-    p.add_argument("--M", type=str, default=None,
+    p.add_argument("--M", type=_int_list, default=None,
                    help="mesh subdivisions; comma-separated list for studies")
     p.add_argument("--N", type=int, default=None, help="time subintervals")
     p.add_argument("--gamma", type=float, default=None, help="time-mesh grading")
     p.add_argument("--T", type=float, default=None, help="final time")
     p.add_argument("--modes", type=int, default=None, help="series truncation per axis")
-    p.add_argument("--mu", type=str, default=None,
+    p.add_argument("--mu", type=_float_list, default=None,
                    help="comma-separated weight exponents")
     p.add_argument("--fine-M", dest="fine_M", type=int, default=None,
                    help="fine evaluation lattice subdivisions")
@@ -52,17 +61,8 @@ def build_config(args, preset: str | None = None) -> ExperimentConfig:
         except OSError as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc.strerror}") from exc
         cfg = ExperimentConfig.from_json(cfg_text, base=cfg)
-    overrides = {}
-    for name in ("alpha", "example", "N", "gamma", "T", "modes", "fine_M",
-                 "out", "tol"):
-        val = getattr(args, name, None)
-        if val is not None:
-            overrides[name] = val
-    if getattr(args, "M", None) is not None:
-        overrides["M"] = [int(s) for s in str(args.M).split(",") if s]
-    if getattr(args, "mu", None) is not None:
-        overrides["mu"] = [float(s) for s in str(args.mu).split(",") if s]
-    cfg = cfg.replace(**overrides)
+    flags = {f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)}
+    cfg = cfg.replace(**{name: val for name, val in flags.items() if val is not None})
     cfg.validate()
     return cfg
 

@@ -6,7 +6,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 
-EXAMPLES = ("example1", "example2", "example3", "zero")
+from .exact import DATA
 
 
 class ConfigError(ValueError):
@@ -50,8 +50,8 @@ class ExperimentConfig:
             raise ConfigError(f"alpha must lie strictly in (0, 1), got {self.alpha}")
         if not isinstance(self.out, str):
             raise ConfigError(f"out must be a path string, got {self.out!r}")
-        if self.example not in EXAMPLES:
-            raise ConfigError(f"example must be one of {EXAMPLES}, got {self.example!r}")
+        if self.example not in DATA:
+            raise ConfigError(f"example must be one of {tuple(DATA)}, got {self.example!r}")
         if not self.M:
             raise ConfigError("M must list at least one mesh size")
         for m in self.M:

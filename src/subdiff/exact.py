@@ -49,6 +49,14 @@ def _eval_example3(x, y):
     return np.ones_like(np.asarray(x, dtype=float) * np.asarray(y, dtype=float))
 
 
+def _coeff_zero(m: np.ndarray, n: np.ndarray) -> np.ndarray:
+    return np.zeros_like(m)
+
+
+def _eval_zero(x, y):
+    return np.zeros_like(np.asarray(x, dtype=float) + y)
+
+
 @dataclass(frozen=True)
 class InitialDatum:
     """Initial datum: pointwise evaluator plus optional closed-form coefficients."""
@@ -58,27 +66,17 @@ class InitialDatum:
     coefficient_rule: Callable | None = None
 
 
-def example1() -> InitialDatum:
-    """u0 = x y (1-x)(1-y): smooth, compatible datum."""
-    return InitialDatum("example1", _eval_example1, _coeff_example1)
-
-
-def example2() -> InitialDatum:
-    """u0 = min(x, 1-x) min(y, 1-y): continuous with gradient kinks."""
-    return InitialDatum("example2", _eval_example2, _coeff_example2)
-
-
-def example3() -> InitialDatum:
-    """u0 = 1: incompatible with the boundary condition."""
-    return InitialDatum("example3", _eval_example3, _coeff_example3)
-
-
-def custom(evaluate: Callable, tag: str = "custom") -> InitialDatum:
-    """Datum from a pointwise function; coefficients come from quadrature."""
-    return InitialDatum(tag, evaluate, None)
-
-
-INITIAL_DATA = {"example1": example1, "example2": example2, "example3": example3}
+# The named initial data, by the tag a config's `example` selects.
+DATA = {datum.tag: datum for datum in (
+    # u0 = x y (1-x)(1-y): smooth, compatible datum
+    InitialDatum("example1", _eval_example1, _coeff_example1),
+    # u0 = min(x, 1-x) min(y, 1-y): continuous with gradient kinks
+    InitialDatum("example2", _eval_example2, _coeff_example2),
+    # u0 = 1: incompatible with the boundary condition
+    InitialDatum("example3", _eval_example3, _coeff_example3),
+    # u0 = 0: the exact solution is zero
+    InitialDatum("zero", _eval_zero, _coeff_zero),
+)}
 
 
 @dataclass(frozen=True)

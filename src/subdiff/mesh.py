@@ -9,7 +9,7 @@ deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -26,10 +26,8 @@ class StructuredMesh:
     triangles: np.ndarray       # (2 M^2, 3) node indices, CCW
     interior_index: np.ndarray  # ((M+1)^2,) dof index or -1 for boundary nodes
     boundary_mask: np.ndarray   # ((M+1)^2,) bool
-    h: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "h", np.sqrt(2.0) / self.M)
         for arr in (self.nodes, self.triangles, self.interior_index, self.boundary_mask):
             arr.setflags(write=False)
 
@@ -40,13 +38,6 @@ class StructuredMesh:
     @property
     def triangle_area(self) -> float:
         return 1.0 / (2.0 * self.M * self.M)
-
-    def node_id(self, ix: int, iy: int) -> int:
-        return iy * (self.M + 1) + ix
-
-    def interior_coords(self) -> np.ndarray:
-        """Coordinates of interior nodes ordered by dof index."""
-        return self.nodes[~self.boundary_mask]
 
     @cached_property
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
@@ -146,10 +137,4 @@ def locate_points(mesh: StructuredMesh, P) -> tuple[np.ndarray, np.ndarray]:
                    np.column_stack([1.0 - fx, fx - fy, fy]),
                    np.column_stack([1.0 - fy, fx, fy - fx]))  # upper: (LL, UR, UL)
     return tri, lam
-
-
-def locate_point(mesh: StructuredMesh, p) -> tuple[int, np.ndarray]:
-    """locate_points for the single point p: (triangle index, barycentrics)."""
-    tri, lam = locate_points(mesh, [float(p[0]), float(p[1])])
-    return int(tri[0]), lam[0]
 

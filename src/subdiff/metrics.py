@@ -7,7 +7,6 @@ weighted variants multiply by t^mu before taking the max over steps.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,44 +74,19 @@ class LatticeInterpolator:
         return out.reshape(m, m)
 
 
-def step_error(u_h: FieldP1, exact_vals: np.ndarray, lattice: FineLattice,
-               interpolator: LatticeInterpolator | None = None) -> float:
-    """|||u_h - u||| on the lattice; exact_vals indexed [ix, iy]."""
-    if interpolator is None:
-        interpolator = LatticeInterpolator(u_h.mesh, lattice)
-    m = lattice.M_s - 1
-    if exact_vals.shape != (m, m):
-        raise ValueError(f"exact values must have shape {(m, m)}, got {exact_vals.shape}")
-    return float(np.abs(interpolator(u_h) - exact_vals).max())
-
-
 @dataclass
 class ErrorReport:
-    """Per-step error records plus metadata for one solver run."""
+    """Per-step errors of one solver run on an M x M mesh."""
 
     M: int
-    N: int
-    gamma: float
-    alpha: float
-    example: str
-    M_s: int
     t: np.ndarray
     errors: np.ndarray
 
-    def weighted_error(self, mu: float) -> float:
-        return weighted_errors(self.t, self.errors, [mu])[0]
-
     def write_steps_csv(self, path) -> None:
         with open(path, "w") as fh:
-            fh.write(steps_csv_text(self.t, self.errors))
-
-
-def steps_csv_text(t: np.ndarray, errors: np.ndarray) -> str:
-    buf = io.StringIO()
-    buf.write("n,t,err\n")
-    for n, (tn, en) in enumerate(zip(t, errors), start=1):
-        buf.write(f"{n},{float(tn)!r},{float(en)!r}\n")
-    return buf.getvalue()
+            fh.write("n,t,err\n")
+            for n, (tn, en) in enumerate(zip(self.t, self.errors), start=1):
+                fh.write(f"{n},{float(tn)!r},{float(en)!r}\n")
 
 
 def weighted_errors(t: np.ndarray, errors: np.ndarray, mus) -> list[float]:

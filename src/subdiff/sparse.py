@@ -44,10 +44,6 @@ class SparseMatrix:
         for arr in (self.indptr, self.indices, self.data):
             arr.setflags(write=False)
 
-    @property
-    def nnz(self) -> int:
-        return int(self.indptr[-1])
-
     def diagonal(self) -> np.ndarray:
         d = np.zeros(self.n)
         rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
@@ -60,7 +56,7 @@ class SparseMatrix:
         """(E, J): the padded column-major ELLPACK form (see the module docstring)."""
         counts = np.diff(self.indptr)
         rows = np.repeat(np.arange(self.n), counts)
-        k = np.arange(self.nnz) - self.indptr[rows]
+        k = np.arange(rows.size) - self.indptr[rows]
         E = np.zeros((int(counts.max()), self.n))
         E[k, rows] = self.data
         J = np.tile(self.indices[self.indptr[:-1]], (E.shape[0], 1))
@@ -118,14 +114,6 @@ def _ell_matvec(E: np.ndarray, J: np.ndarray, x: np.ndarray) -> np.ndarray:
     return P[0] + np.add.reduce(P[1:], axis=0)
 
 
-def add_scaled(A: SparseMatrix, B: SparseMatrix, a: float, b: float) -> SparseMatrix:
-    """a*A + b*B for matrices sharing one sparsity pattern."""
-    if not (np.array_equal(A.indptr, B.indptr) and np.array_equal(A.indices, B.indices)):
-        raise ValueError("add_scaled requires identical sparsity patterns")
-    return SparseMatrix(n=A.n, indptr=A.indptr, indices=A.indices,
-                        data=a * A.data + b * B.data)
-
-
 @dataclass(frozen=True)
 class LinearSolver:
     """Jacobi-CG solver bound to one SPD matrix, or to the pencil matrix + s * shift.
@@ -136,7 +124,7 @@ class LinearSolver:
     run. A solve with shift s applies E_matrix + s * E_shift (the two share
     J), which is the ELL form of matrix.data + s * shift.data entry for
     entry, with the preconditioner 1 / (diag(matrix) + s * diag(shift)):
-    what a solver built on add_scaled(matrix, shift, 1, s) would use.
+    what a solver built on that summed matrix would use.
     """
 
     matrix: SparseMatrix

@@ -20,11 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import FieldP1, assemble_mass, assemble_stiffness, l2_project, load_vector, ritz_project
+from .assembly import FieldP1, assemble_mass, assemble_stiffness, load_vector
 from .exceptions import NumericalBlowupError
 from .mesh import StructuredMesh
 from .mittag_leffler import gamma
-from .sparse import LinearSolver, SparseMatrix, matvec
+from .sparse import LinearSolver, matvec
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,9 @@ class GradedTimeMesh:
             raise ValueError(f"T must be > 0, got {self.T!r}")
         t = (np.arange(self.N + 1) / self.N) ** self.gamma * self.T
         tau = np.diff(t)
+        if not np.all(tau > 0.0):
+            raise ValueError(f"time mesh with N={self.N} and gamma={self.gamma!r} has "
+                             f"steps that are not positive; lower gamma or N")
         t.setflags(write=False)
         tau.setflags(write=False)
         object.__setattr__(self, "t", t)
@@ -152,15 +155,15 @@ class SchemeState:
                    Z=Z)
 
 
-def step(state: SchemeState, n: int, mass: SparseMatrix, stiffness: SparseMatrix,
-         weights: FracWeights, solver: LinearSolver,
+def step(state: SchemeState, n: int, weights: FracWeights, solver: LinearSolver,
          load: np.ndarray | None = None) -> FieldP1:
     """Advance the scheme from u^(n-1) to u^n and make u^n the state's solution.
 
     solver is the run's LinearSolver for the pencil mass + s stiffness
-    (shift=stiffness). The history sum over j < n is split at the start k
-    of the step's block of HISTORY_BLOCK steps: the part over j <= k comes
-    from one GEMM per block, the tail k < j < n from the step itself.
+    (matrix=mass, shift=stiffness), and the step takes both matrices from
+    it. The history sum over j < n is split at the start k of the step's
+    block of HISTORY_BLOCK steps: the part over j <= k comes from one GEMM
+    per block, the tail k < j < n from the step itself.
     """
     if n != state.n + 1:
         raise ValueError(f"expected step {state.n + 1}, got {n}")
@@ -174,6 +177,7 @@ def step(state: SchemeState, n: int, mass: SparseMatrix, stiffness: SparseMatrix
     c = state.block_c[i]
     theta = 1.0 if n == 1 else 0.5
     u_prev = state.us[-1]
+    mass, stiffness = solver.matrix, solver.shift
 
     rhs = matvec(mass, u_prev)
     if n >= 2:
@@ -193,9 +197,7 @@ def step(state: SchemeState, n: int, mass: SparseMatrix, stiffness: SparseMatrix
 
 
 def run(mesh: StructuredMesh, time_mesh: GradedTimeMesh, alpha: float, a,
-        u0_field: FieldP1, f=None, observer=None, rtol: float = 1e-12,
-        mass: SparseMatrix | None = None,
-        stiffness: SparseMatrix | None = None) -> SchemeState:
+        u0_field: FieldP1, f=None, observer=None, rtol: float = 1e-12) -> SchemeState:
     """Run the scheme over the whole time mesh.
 
     Once per run: assembly, the weights and one solver for the pencil
@@ -206,10 +208,8 @@ def run(mesh: StructuredMesh, time_mesh: GradedTimeMesh, alpha: float, a,
     """
     if u0_field.mesh is not mesh:
         raise ValueError("initial field is attached to a different mesh")
-    if mass is None:
-        mass = assemble_mass(mesh)
-    if stiffness is None:
-        stiffness = assemble_stiffness(mesh, a)
+    mass = assemble_mass(mesh)
+    stiffness = assemble_stiffness(mesh, a)
     weights = frac_weights(time_mesh, alpha)
     solver = LinearSolver(mass, rtol=rtol, shift=stiffness)
     state = SchemeState.start(mesh, time_mesh, u0_field)
@@ -219,17 +219,8 @@ def run(mesh: StructuredMesh, time_mesh: GradedTimeMesh, alpha: float, a,
         if f is not None:
             t_mid = 0.5 * (t[n - 1] + t[n])
             load = load_vector(mesh, lambda x, y: f(x, y, t_mid))
-        u_n = step(state, n, mass, stiffness, weights, solver, load=load)
+        u_n = step(state, n, weights, solver, load=load)
         if observer is not None:
             observer(n, t[n], u_n)
     return state
 
-
-def initial_field(mesh: StructuredMesh, u0, a=None, grad_u0=None,
-                  use_ritz: bool = False) -> FieldP1:
-    """Initial datum for the scheme: L2 projection, or Ritz projection on request."""
-    if use_ritz:
-        if grad_u0 is None:
-            raise ValueError("Ritz initialization needs grad_u0")
-        return ritz_project(mesh, a, u0, grad_u0)
-    return l2_project(mesh, u0)

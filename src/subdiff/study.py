@@ -9,22 +9,12 @@ import numpy as np
 
 from .assembly import FieldP1, l2_project
 from .config import ExperimentConfig
-from .exact import INITIAL_DATA, SeriesSolution, custom, make_series, sine_matrix
+from .exact import DATA, SeriesSolution, make_series, sine_matrix
 from .mesh import StructuredMesh, build_mesh
-from .metrics import (ErrorReport, FineLattice, LatticeInterpolator, fine_lattice,
-                      weighted_errors)
+from .metrics import (ErrorReport, FineLattice, LatticeInterpolator, convergence_rates,
+                      fine_lattice, weighted_errors)
 from .mittag_leffler import MlfEvaluator
 from .stepping import build_time_mesh, run
-
-
-def _zero_datum():
-    return custom(lambda x, y: np.zeros_like(np.asarray(x, dtype=float) + y), tag="zero")
-
-
-def get_datum(tag: str):
-    if tag == "zero":
-        return _zero_datum()
-    return INITIAL_DATA[tag]()
 
 
 @functools.lru_cache(maxsize=1)
@@ -91,7 +81,7 @@ def run_single(cfg: ExperimentConfig, M: int, mus=None, observer_extra=None) -> 
     mus = list(cfg.mu) if mus is None else list(mus)
     mesh = build_mesh(M)
     time_mesh = build_time_mesh(cfg.N, cfg.gamma, cfg.T)
-    datum = get_datum(cfg.example)
+    datum = DATA[cfg.example]
     sol = make_series(datum, cfg.alpha, cfg.modes)
     lattice = fine_lattice(cfg.fine_M)
     tracker = ErrorTracker(sol, lattice, time_mesh, mesh)
@@ -103,9 +93,7 @@ def run_single(cfg: ExperimentConfig, M: int, mus=None, observer_extra=None) -> 
             observer_extra(n, t_n, u_n)
 
     run(mesh, time_mesh, cfg.alpha, None, u0, f=None, observer=observer, rtol=cfg.tol)
-    report = ErrorReport(M=M, N=cfg.N, gamma=cfg.gamma, alpha=cfg.alpha,
-                         example=cfg.example, M_s=cfg.fine_M,
-                         t=time_mesh.t[1:], errors=tracker.errors)
+    report = ErrorReport(M=M, t=time_mesh.t[1:], errors=tracker.errors)
     return RunResult(report=report,
                      E_mu=dict(zip(mus, weighted_errors(report.t, report.errors, mus))))
 
@@ -157,7 +145,5 @@ def run_table(cfg: ExperimentConfig) -> TableResult:
         reports.append(res.report)
         for mu in mus:
             E[mu].append(res.E_mu[mu])
-    CR = {}
-    for mu in mus:
-        CR[mu] = [float(np.log2(a / b)) for a, b in zip(E[mu], E[mu][1:])]
+    CR = {mu: convergence_rates(E[mu]) if len(cfg.M) > 1 else [] for mu in mus}
     return TableResult(Ms=list(cfg.M), mus=mus, E=E, CR=CR, reports=reports)

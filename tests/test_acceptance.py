@@ -15,7 +15,7 @@ from subdiff.benchmarks import (M_VALUES, PRESETS, TABLE1_ERRORS, TABLE1_RATES,
                                 TABLE2_ERRORS, TABLE2_RATES, TABLE3_ERRORS,
                                 TABLE3_RATES)
 from subdiff.config import ExperimentConfig
-from subdiff.exact import example1
+from subdiff.exact import DATA
 from subdiff.mesh import build_mesh
 from subdiff.metrics import LatticeInterpolator, convergence_rates, fine_lattice
 from subdiff.mittag_leffler import MlfEvaluator, gamma
@@ -121,7 +121,7 @@ def test_criterion_5_alpha_to_one_degeneration():
     M, N, T = 8, 50, 0.5
     mesh = build_mesh(M)
     tm = build_time_mesh(N, 1.0, T)
-    u0 = l2_project(mesh, example1().evaluate)
+    u0 = l2_project(mesh, DATA["example1"].evaluate)
     recorded = np.empty((N, mesh.n_interior))
 
     def obs(n, t, u):

@@ -6,7 +6,7 @@ import pytest
 from subdiff.assembly import (FieldP1, _element_gradients, assemble_mass, assemble_stiffness,
                               l2_project, load_vector, ritz_project)
 from subdiff.exceptions import CoefficientRangeError
-from subdiff.mesh import build_mesh
+from subdiff.mesh import build_mesh, locate_points
 from subdiff.sparse import LinearSolver, matvec
 
 
@@ -174,7 +174,8 @@ def test_l2_project_reproduces_hat():
     coeffs = np.zeros(mesh.n_interior)
     coeffs[7] = 1.0
     hat = FieldP1(mesh=mesh, values=coeffs)
-    full = hat.node_values()
+    full = np.zeros(mesh.nodes.shape[0])
+    full[~mesh.boundary_mask] = hat.values
 
     def hat_fn(x, y):
         # P1 interpolation of the stored nodal values
@@ -182,10 +183,9 @@ def test_l2_project_reproduces_hat():
         flat_x = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
         flat_y = np.atleast_1d(np.asarray(y, dtype=float)).ravel()
         vals = np.empty_like(flat_x)
-        from subdiff.mesh import locate_point
-        for i, (xi, yi) in enumerate(zip(flat_x, flat_y)):
-            tri, lam = locate_point(mesh, (xi, yi))
-            vals[i] = lam @ full[mesh.triangles[tri]]
+        tri, lam = locate_points(mesh, np.column_stack([flat_x, flat_y]))
+        for i in range(flat_x.size):
+            vals[i] = lam[i] @ full[mesh.triangles[tri[i]]]
         return vals.reshape(np.shape(out))
 
     proj = l2_project(mesh, hat_fn)
@@ -196,7 +196,7 @@ def test_l2_project_close_to_interpolant():
     mesh = build_mesh(16)
     g = lambda x, y: x * y * (1 - x) * (1 - y)
     proj = l2_project(mesh, g)
-    coords = mesh.interior_coords()
+    coords = mesh.nodes[~mesh.boundary_mask]
     interp = g(coords[:, 0], coords[:, 1])
     h = 1.0 / 16
     assert np.max(np.abs(proj.values - interp)) <= h * h
@@ -206,10 +206,10 @@ def test_l2_project_constant_center_value():
     # projecting 1: boundary-layer oscillations decay toward the center
     mesh = build_mesh(8)
     proj = l2_project(mesh, lambda x, y: np.ones_like(x))
-    full = proj.node_values()
-    center = full[mesh.node_id(4, 4)]
+    # node (ix, iy) of the 9 x 9 lattice is dof (iy - 1) * 7 + ix - 1
+    center = proj.values[3 * 7 + 3]
     assert abs(center - 1.0) < 0.05
-    edge_adjacent = full[mesh.node_id(1, 4)]
+    edge_adjacent = proj.values[3 * 7 + 0]
     assert abs(edge_adjacent - 1.0) > abs(center - 1.0)
 
 
@@ -233,10 +233,21 @@ def test_ritz_project_sine_converges_second_order():
     for M in (8, 16, 32):
         mesh = build_mesh(M)
         proj = ritz_project(mesh, None, g, grad)
-        coords = mesh.interior_coords()
+        coords = mesh.nodes[~mesh.boundary_mask]
         errs.append(np.max(np.abs(proj.values - g(coords[:, 0], coords[:, 1]))))
     rate = np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])
     assert min(rate) > 1.8
+
+
+def test_ritz_and_l2_projections_close():
+    mesh = build_mesh(8)
+    g = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
+    grad = lambda x, y: (np.pi * np.cos(np.pi * x) * np.sin(np.pi * y),
+                         np.pi * np.sin(np.pi * x) * np.cos(np.pi * y))
+    f_l2 = l2_project(mesh, g)
+    f_ritz = ritz_project(mesh, None, g, grad)
+    assert f_l2.values.shape == f_ritz.values.shape
+    assert 0.0 < np.max(np.abs(f_l2.values - f_ritz.values)) < 0.05
 
 
 def test_ritz_project_zero_gradient_gives_zero():

@@ -15,7 +15,7 @@ import subdiff.stepping as stepping
 import subdiff.study as study
 from subdiff.assembly import FieldP1
 from subdiff.config import ExperimentConfig
-from subdiff.exact import example1, make_series
+from subdiff.exact import DATA, make_series
 from subdiff.mesh import build_mesh
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -60,7 +60,7 @@ def test_trace_counts_one_oracle_evaluation_per_study():
     spans = _load_spans()
     cfg = ExperimentConfig(example="example1", M=[2, 4], N=20, modes=8, fine_M=8)
     cfg.validate()
-    sol = make_series(example1(), cfg.alpha, cfg.modes)
+    sol = make_series(DATA["example1"], cfg.alpha, cfg.modes)
     n_lam = np.unique(sol.lam[sol.active_mask]).size
     study._decay_table.cache_clear()
     tracer = spans.Tracer("test")

@@ -77,6 +77,26 @@ def test_zero_datum_solve(tmp_path, capsys):
         assert line.endswith(",0.0")
 
 
+@pytest.mark.parametrize("command", [["table", "custom"], ["figure", "figure1"]])
+def test_zero_datum_study_has_no_rates(command, tmp_path, capsys):
+    code = main(command + ["--example", "zero", "--M", "2,4", "--N", "10",
+                           "--modes", "4", "--fine-M", "8", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == ("error: invalid configuration: "
+                   "convergence rate undefined for non-positive errors\n")
+
+
+def test_degenerate_time_mesh_exit_code(tmp_path, capsys, recwarn):
+    code = main(["solve", "--gamma", "1e6", "--M", "4", "--N", "10",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration: time mesh with N=10 and gamma=")
+    assert "not positive" in err
+    assert len(recwarn) == 0
+
+
 def test_solve_deterministic_output(tmp_path):
     args = ["solve", "--example", "example1", "--M", "4", "--N", "15",
             "--modes", "12", "--fine-M", "16"]

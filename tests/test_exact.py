@@ -1,31 +1,30 @@
 import numpy as np
 import pytest
 
-from subdiff.exact import (custom, eval_grid, example1, example2, example3,
-                           make_series, modal_factors)
+from subdiff.exact import DATA, InitialDatum, eval_grid, make_series, modal_factors
 from subdiff.metrics import fine_lattice
 
 
 def test_example1_leading_coefficient():
-    sol = make_series(example1(), 0.75, K=4)
+    sol = make_series(DATA["example1"], 0.75, K=4)
     assert sol.C[0, 0] == pytest.approx(32.0 / np.pi ** 6, rel=1e-14)
 
 
 def test_example3_leading_coefficient():
-    sol = make_series(example3(), 0.75, K=4)
+    sol = make_series(DATA["example3"], 0.75, K=4)
     assert sol.C[0, 0] == pytest.approx(8.0 / np.pi ** 2, rel=1e-14)
     assert sol.C[0, 0] == pytest.approx(0.8105695, rel=1e-6)
 
 
-@pytest.mark.parametrize("datum", [example1, example2, example3])
+@pytest.mark.parametrize("datum", ["example1", "example2", "example3"])
 def test_even_modes_vanish(datum):
-    sol = make_series(datum(), 0.5, K=8)
+    sol = make_series(DATA[datum], 0.5, K=8)
     assert np.all(sol.C[1::2, :] == 0.0)
     assert np.all(sol.C[:, 1::2] == 0.0)
 
 
 def test_eigenvalues():
-    sol = make_series(example1(), 0.5, K=3)
+    sol = make_series(DATA["example1"], 0.5, K=3)
     assert sol.lam[0, 0] == pytest.approx(2 * np.pi ** 2, rel=1e-15)
     assert sol.lam[2, 1] == pytest.approx(13 * np.pi ** 2, rel=1e-15)
     assert np.all(np.diff(sol.lam, axis=0) > 0)
@@ -35,7 +34,7 @@ def test_eigenvalues():
 def test_example2_coefficients_match_quadrature():
     """Sign and magnitude against direct quadrature of the stated datum,
     with panels aligned to the gradient kinks."""
-    datum = example2()
+    datum = DATA["example2"]
     xg, wg = np.polynomial.legendre.leggauss(48)
     x = np.concatenate([0.25 * (xg + 1.0), 0.5 + 0.25 * (xg + 1.0)])
     w = np.concatenate([0.25 * wg, 0.25 * wg])
@@ -51,14 +50,14 @@ def test_example2_coefficients_match_quadrature():
 
 
 def test_custom_datum_quadrature_matches_closed_form():
-    ex1 = example1()
+    ex1 = DATA["example1"]
     sol_closed = make_series(ex1, 0.75, K=10)
-    sol_quad = make_series(custom(ex1.evaluate), 0.75, K=10)
+    sol_quad = make_series(InitialDatum("custom", ex1.evaluate), 0.75, K=10)
     assert np.max(np.abs(sol_closed.C - sol_quad.C)) <= 1e-12
 
 
 def test_example1_initial_values_on_lattice():
-    sol = make_series(example1(), 0.75, K=60)
+    sol = make_series(DATA["example1"], 0.75, K=60)
     lat = fine_lattice(128)
     vals = eval_grid(sol, 0.0, lat.xs, lat.xs)
     X, Y = np.meshgrid(lat.xs, lat.xs, indexing="ij")
@@ -69,16 +68,16 @@ def test_example1_initial_values_on_lattice():
 def test_example2_initial_values_in_lattice_mean_square():
     # pointwise (sup) agreement at t=0 is not required for the kinked datum;
     # the truncated series converges in the mean
-    sol = make_series(example2(), 0.75, K=60)
+    sol = make_series(DATA["example2"], 0.75, K=60)
     lat = fine_lattice(128)
     vals = eval_grid(sol, 0.0, lat.xs, lat.xs)
     X, Y = np.meshgrid(lat.xs, lat.xs, indexing="ij")
-    diff = vals - example2().evaluate(X, Y)
+    diff = vals - DATA["example2"].evaluate(X, Y)
     assert np.sqrt(np.mean(diff ** 2)) <= 1e-3
 
 
 def test_alpha_one_matches_heat_kernel_series():
-    sol = make_series(example1(), 1.0, K=12)
+    sol = make_series(DATA["example1"], 1.0, K=12)
     t = 0.01
     xs = np.linspace(0.05, 0.95, 7)
     vals = eval_grid(sol, t, xs, xs)
@@ -90,9 +89,9 @@ def test_alpha_one_matches_heat_kernel_series():
     assert np.abs(vals - ref).max() <= 1e-12
 
 
-@pytest.mark.parametrize("datum", [example1, example3])
+@pytest.mark.parametrize("datum", ["example1", "example3"])
 def test_solution_symmetries(datum):
-    sol = make_series(datum(), 0.75, K=40)
+    sol = make_series(DATA[datum], 0.75, K=40)
     xs = np.linspace(1 / 16, 15 / 16, 15)
     for t in (0.01, 0.2):
         vals = eval_grid(sol, t, xs, xs)
@@ -101,7 +100,7 @@ def test_solution_symmetries(datum):
 
 
 def test_separable_matches_naive_sum():
-    sol = make_series(example1(), 0.6, K=10)
+    sol = make_series(DATA["example1"], 0.6, K=10)
     xs = np.linspace(0.1, 0.9, 9)
     t = 0.05
     vals = eval_grid(sol, t, xs, xs)
@@ -119,15 +118,15 @@ def test_separable_matches_naive_sum():
 
 
 def test_first_mode_amplitude_decreases_in_time():
-    sol = make_series(example1(), 0.75, K=4)
+    sol = make_series(DATA["example1"], 0.75, K=4)
     ts = np.linspace(0.0, 0.5, 21)
     amps = [modal_factors(sol, t)[0, 0] for t in ts]
     assert np.all(np.diff(amps) < 0.0)
 
 
 def test_truncation_tail_small_for_example1():
-    s60 = make_series(example1(), 0.75, K=60)
-    s120 = make_series(example1(), 0.75, K=120)
+    s60 = make_series(DATA["example1"], 0.75, K=60)
+    s120 = make_series(DATA["example1"], 0.75, K=120)
     lat = fine_lattice(64)
     for t in (0.0, 0.01):
         v60 = eval_grid(s60, t, lat.xs, lat.xs)
@@ -136,11 +135,11 @@ def test_truncation_tail_small_for_example1():
 
 
 def test_negative_time_rejected():
-    sol = make_series(example1(), 0.75, K=4)
+    sol = make_series(DATA["example1"], 0.75, K=4)
     with pytest.raises(ValueError):
         eval_grid(sol, -0.1, np.array([0.5]), np.array([0.5]))
 
 
 def test_mode_cutoff_validation():
     with pytest.raises(ValueError):
-        make_series(example1(), 0.75, K=0)
+        make_series(DATA["example1"], 0.75, K=0)

@@ -5,12 +5,11 @@ from subdiff.assembly import FieldP1, l2_project
 from subdiff.benchmarks import (M_VALUES, TABLE1_ERRORS, TABLE1_RATES,
                                 TABLE2_ERRORS, TABLE2_RATES, TABLE3_ERRORS,
                                 TABLE3_RATES)
-from subdiff.exact import example1, make_series
+from subdiff.exact import DATA, make_series
 from subdiff.mesh import build_mesh
 from subdiff.sparse import csr_from_coo
 from subdiff.metrics import (ErrorReport, FineLattice, LatticeInterpolator,
-                             convergence_rates, fine_lattice, step_error,
-                             weighted_errors)
+                             convergence_rates, fine_lattice, weighted_errors)
 
 
 def test_fine_lattice_counts():
@@ -39,32 +38,13 @@ def test_interpolator_reproduces_coarse_nodes():
     rng = np.random.default_rng(9)
     field = FieldP1(mesh=mesh, values=rng.standard_normal(mesh.n_interior))
     grid = interp(field)
-    full = field.node_values()
-    # lattice indices 4k-1 in 0-based grid coords hit the coarse nodes
+    # lattice indices 4k-1 in 0-based grid coords hit the coarse nodes,
+    # and coarse node (ci, cj) is dof (cj - 1) * 3 + ci - 1
     for ci in range(1, 4):
         for cj in range(1, 4):
             gi, gj = 4 * ci - 1, 4 * cj - 1
             assert grid[gi, gj] == pytest.approx(
-                full[mesh.node_id(ci, cj)], abs=1e-15)
-
-
-def test_step_error_zero_for_nested_interpolant():
-    mesh = build_mesh(4)
-    lat = fine_lattice(8)
-    g = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
-    proj = l2_project(mesh, g)
-    interp = LatticeInterpolator(mesh, lat)
-    vals = interp(proj)
-    assert step_error(proj, vals, lat, interp) == 0.0
-
-
-def test_step_error_against_zero_exact():
-    mesh = build_mesh(4)
-    lat = fine_lattice(16)
-    interp = LatticeInterpolator(mesh, lat)
-    field = FieldP1(mesh=mesh, values=np.linspace(-1.0, 2.0, mesh.n_interior))
-    zero = np.zeros((15, 15))
-    assert step_error(field, zero, lat, interp) == np.abs(interp(field)).max()
+                field.values[(cj - 1) * 3 + ci - 1], abs=1e-15)
 
 
 def test_step_error_symmetric_fields():
@@ -75,14 +55,6 @@ def test_step_error_symmetric_fields():
     proj = l2_project(mesh, g)
     grid = interp(proj)
     assert np.abs(grid - grid.T).max() <= 1e-14
-
-
-def test_step_error_shape_check():
-    mesh = build_mesh(4)
-    lat = fine_lattice(16)
-    field = FieldP1(mesh=mesh, values=np.zeros(mesh.n_interior))
-    with pytest.raises(ValueError):
-        step_error(field, np.zeros((3, 3)), lat)
 
 
 def test_weighted_errors_basic():
@@ -134,14 +106,13 @@ def test_published_rate_convention_table3():
 def test_report_csv_roundtrip(tmp_path):
     t = np.array([0.1, 0.2])
     errors = np.array([0.5, 0.25])
-    report = ErrorReport(M=4, N=2, gamma=1.0, alpha=0.5, example="example1",
-                         M_s=8, t=t, errors=errors)
+    report = ErrorReport(M=4, t=t, errors=errors)
     path = tmp_path / "steps.csv"
     report.write_steps_csv(path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "n,t,err"
     assert lines[1] == "1,0.1,0.5"
-    assert report.weighted_error(0.0) == 0.5
+    assert weighted_errors(report.t, report.errors, [0.0]) == [0.5]
 
 
 def test_streaming_max_equals_posthoc():
@@ -158,11 +129,11 @@ def test_streaming_max_equals_posthoc():
 
 def test_error_tracker_decay_matches_public_evaluator():
     # the batched modal-decay precompute must agree with per-time calls
-    from subdiff.exact import example1, make_series, modal_factors, eval_grid
+    from subdiff.exact import DATA, make_series, modal_factors, eval_grid
     from subdiff.stepping import build_time_mesh
     from subdiff.study import ErrorTracker
     from subdiff.mesh import build_mesh
-    sol = make_series(example1(), 0.75, K=16)
+    sol = make_series(DATA["example1"], 0.75, K=16)
     tm = build_time_mesh(40, 1.6, 0.5)
     mesh = build_mesh(4)
     lat = fine_lattice(16)
@@ -177,7 +148,7 @@ def test_error_tracker_decay_bitwise_per_mode():
     # batch exactly: the evaluator's per-point results ignore the batch
     from subdiff.stepping import build_time_mesh
     from subdiff.study import ErrorTracker
-    sol = make_series(example1(), 0.75, K=30)
+    sol = make_series(DATA["example1"], 0.75, K=30)
     tm = build_time_mesh(50, 1.6, 0.5)
     tracker = ErrorTracker(sol, fine_lattice(16), tm, build_mesh(4))
     lam_act = sol.lam[sol.active_mask]
@@ -212,7 +183,7 @@ def test_error_tracker_shares_decay_table_across_meshes(monkeypatch):
     from subdiff.stepping import build_time_mesh
     from subdiff.study import ErrorTracker, _decay_table
     _decay_table.cache_clear()
-    sol = make_series(example1(), 0.75, K=12)
+    sol = make_series(DATA["example1"], 0.75, K=12)
     tm = build_time_mesh(30, 1.6, 0.5)
     lat = fine_lattice(16)
     calls = _count_mlf_calls(monkeypatch)
@@ -232,13 +203,13 @@ def test_error_tracker_decay_table_keyed_by_value(change, monkeypatch):
     from subdiff.study import ErrorTracker, _decay_table
     _decay_table.cache_clear()
     lat, mesh = fine_lattice(16), build_mesh(4)
-    sol = make_series(example1(), 0.75, K=12)
+    sol = make_series(DATA["example1"], 0.75, K=12)
     tm = build_time_mesh(30, 1.6, 0.5)
     ErrorTracker(sol, lat, tm, mesh)
     if change == "alpha":
-        sol = make_series(example1(), 0.6, K=12)
+        sol = make_series(DATA["example1"], 0.6, K=12)
     elif change == "K":
-        sol = make_series(example1(), 0.75, K=14)
+        sol = make_series(DATA["example1"], 0.75, K=14)
     elif change == "N":
         tm = build_time_mesh(31, 1.6, 0.5)
     elif change == "T":
@@ -255,7 +226,7 @@ def test_error_tracker_decay_table_keyed_by_value(change, monkeypatch):
 def test_decay_table_is_read_only():
     from subdiff.stepping import build_time_mesh
     from subdiff.study import _decay_table
-    sol = make_series(example1(), 0.75, K=8)
+    sol = make_series(DATA["example1"], 0.75, K=8)
     lam_u = np.unique(sol.lam[sol.active_mask])
     t = build_time_mesh(20, 1.6, 0.5).t[1:]
     table = _decay_table(sol.evaluator, lam_u.tobytes(), t.tobytes())

@@ -5,7 +5,9 @@ from subdiff.assembly import assemble_mass, assemble_stiffness
 from subdiff.exceptions import SolverFailureError
 from subdiff.mesh import build_mesh
 from subdiff.metrics import LatticeInterpolator, fine_lattice
-from subdiff.sparse import LinearSolver, add_scaled, cg_solve, csr_from_coo, matvec
+from subdiff.sparse import LinearSolver, cg_solve, csr_from_coo, matvec
+
+from oracles import add_scaled
 
 
 def random_spd(n, rng):

@@ -6,13 +6,14 @@ import pytest
 import subdiff.stepping as stepping
 from subdiff.assembly import (FieldP1, assemble_mass, assemble_stiffness, l2_project,
                               load_vector)
-from subdiff.exact import example1, example3
+from subdiff.exact import DATA
 from subdiff.mesh import build_mesh
 from subdiff.mittag_leffler import MlfEvaluator, gamma
-from subdiff.sparse import LinearSolver, add_scaled, matvec
-from subdiff.stepping import (SchemeState, build_time_mesh, frac_weights,
-                              initial_field, run, step)
+from subdiff.sparse import LinearSolver, matvec
+from subdiff.stepping import SchemeState, build_time_mesh, frac_weights, run, step
 from subdiff.verify import heat_crank_nicolson_reference
+
+from oracles import add_scaled
 
 
 def test_zero_data_stays_zero():
@@ -34,7 +35,7 @@ def test_single_dof_first_step_closed_form():
     w = frac_weights(tm, alpha)
     u0 = FieldP1(mesh=mesh, values=np.array([0.3]))
     state = SchemeState.start(mesh, tm, u0)
-    u1 = step(state, 1, mass, stiff, w, LinearSolver(mass, shift=stiff))
+    u1 = step(state, 1, w, LinearSolver(mass, shift=stiff))
     c11 = 0.5 ** alpha / gamma(1.0 + alpha)
     expected = 0.3 * (1.0 / 8.0) / (1.0 / 8.0 + c11 * 4.0)
     assert u1.values[0] == pytest.approx(expected, rel=1e-12)
@@ -46,7 +47,7 @@ def test_alpha_to_one_matches_crank_nicolson():
     M, N, T = 8, 50, 0.5
     mesh = build_mesh(M)
     tm = build_time_mesh(N, 1.0, T)
-    u0 = l2_project(mesh, example1().evaluate)
+    u0 = l2_project(mesh, DATA["example1"].evaluate)
     recorded = np.empty((N, mesh.n_interior))
 
     def obs(n, t, u):
@@ -65,7 +66,7 @@ def test_stepper_matches_exact_semidiscrete_solution():
     mesh = build_mesh(M)
     Md = assemble_mass(mesh).to_dense()
     Sd = assemble_stiffness(mesh).to_dense()
-    u0 = l2_project(mesh, example3().evaluate)
+    u0 = l2_project(mesh, DATA["example3"].evaluate)
     L = np.linalg.cholesky(Md)
     Linv = np.linalg.inv(L)
     lam_h, Q = np.linalg.eigh(Linv @ Sd @ Linv.T)
@@ -81,7 +82,7 @@ def test_stepper_matches_exact_semidiscrete_solution():
 def test_observer_order_and_history_audit():
     mesh = build_mesh(4)
     tm = build_time_mesh(15, 1.3, 0.4)
-    u0 = l2_project(mesh, example1().evaluate)
+    u0 = l2_project(mesh, DATA["example1"].evaluate)
     seen = []
     us = [u0.values]
 
@@ -108,16 +109,16 @@ def test_step_index_enforced():
     state = SchemeState.start(mesh, tm, FieldP1(mesh=mesh, values=np.zeros(1)))
     with pytest.raises(ValueError):
         mass, stiff = assemble_mass(mesh), assemble_stiffness(mesh)
-        step(state, 2, mass, stiff, w, LinearSolver(mass, shift=stiff))
+        step(state, 2, w, LinearSolver(mass, shift=stiff))
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.75])
-@pytest.mark.parametrize("example", [example1, example3])
+@pytest.mark.parametrize("example", ["example1", "example3"])
 def test_mass_norm_decays(example, alpha):
     mesh = build_mesh(8)
     Mm = assemble_mass(mesh)
     tm = build_time_mesh(80, 1.6, 0.5)
-    u0 = l2_project(mesh, example().evaluate)
+    u0 = l2_project(mesh, DATA[example].evaluate)
     norms = [float(u0.values @ matvec(Mm, u0.values))]
     run(mesh, tm, alpha, None, u0,
         observer=lambda n, t, u: norms.append(float(u.values @ matvec(Mm, u.values))))
@@ -125,17 +126,12 @@ def test_mass_norm_decays(example, alpha):
     assert np.all(norms[1:] <= norms[:-1] * (1.0 + 1e-12))
 
 
-def test_ritz_initialization_flag():
-    mesh = build_mesh(8)
-    g = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
-    grad = lambda x, y: (np.pi * np.cos(np.pi * x) * np.sin(np.pi * y),
-                         np.pi * np.sin(np.pi * x) * np.cos(np.pi * y))
-    f_l2 = initial_field(mesh, g)
-    f_ritz = initial_field(mesh, g, a=None, grad_u0=grad, use_ritz=True)
-    assert f_l2.values.shape == f_ritz.values.shape
-    assert 0.0 < np.max(np.abs(f_l2.values - f_ritz.values)) < 0.05
-    with pytest.raises(ValueError):
-        initial_field(mesh, g, use_ritz=True)
+def test_time_mesh_rejects_steps_that_underflow():
+    # (n/N)^gamma underflows to 0 for every n < N: tau_1 = ... = tau_(N-1) = 0
+    with pytest.raises(ValueError, match=r"N=10 and gamma=1000000.0 .*not positive"):
+        build_time_mesh(10, 1e6, 0.5)
+    tm = build_time_mesh(10, 200.0, 0.5)  # steps tiny but positive
+    assert np.all(tm.tau > 0.0)
 
 
 def test_run_with_load_reaches_steady_profile():
@@ -154,7 +150,7 @@ def _forced_variable_a_problem(M, N):
     tm = build_time_mesh(N, 1.6, 0.5)
     a = lambda x, y: 1.0 + 0.5 * np.sin(np.pi * x) * np.sin(np.pi * y)
     f = lambda x, y, t: np.cos(3.0 * t) * x * (1.0 - y) + t ** 0.25
-    u0 = l2_project(mesh, example1().evaluate)
+    u0 = l2_project(mesh, DATA["example1"].evaluate)
     return mesh, tm, a, f, u0
 
 
