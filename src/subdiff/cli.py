@@ -69,6 +69,8 @@ def build_config(args, preset: str | None = None) -> ExperimentConfig:
 
 def cmd_solve(args) -> int:
     cfg = build_config(args)
+    if len(cfg.M) != 1:
+        raise ConfigError(f"M must name one mesh size for solve, got {cfg.M}")
     M = cfg.M[0]
     res = run_single(cfg, M)
     outdir = Path(cfg.out)
@@ -124,7 +126,7 @@ def cmd_figure(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    ok, report = run_all(mlf_x_lo=args.mlf_x_lo, mlf_x_hi=args.mlf_x_hi)
+    ok, report = run_all()
     print(report)
     return EXIT_OK if ok else EXIT_NUMERICAL
 
@@ -152,10 +154,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_figure)
 
     p = sub.add_parser("verify", help="run the built-in verification suites")
-    p.add_argument("--mlf-x-lo", type=float, default=None,
-                   help="diagnostic: perturb the series/quadrature switch point")
-    p.add_argument("--mlf-x-hi", type=float, default=None,
-                   help="diagnostic: perturb the quadrature/asymptotic switch point")
     p.set_defaults(fn=cmd_verify)
     return ap
 

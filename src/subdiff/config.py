@@ -48,8 +48,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be a list of {what}, got {vals!r}")
         if not (0.0 < self.alpha < 1.0):
             raise ConfigError(f"alpha must lie strictly in (0, 1), got {self.alpha}")
-        if not isinstance(self.out, str):
-            raise ConfigError(f"out must be a path string, got {self.out!r}")
+        for name in ("example", "out"):
+            if not isinstance(getattr(self, name), str):
+                raise ConfigError(f"{name} must be a string, got {getattr(self, name)!r}")
         if self.example not in DATA:
             raise ConfigError(f"example must be one of {tuple(DATA)}, got {self.example!r}")
         if not self.M:
@@ -68,6 +69,8 @@ class ExperimentConfig:
         for mu in self.mu:
             if mu < 0.0:
                 raise ConfigError(f"mu values must be >= 0, got {mu}")
+        if len(set(self.mu)) != len(self.mu):
+            raise ConfigError(f"mu values must be distinct, got {self.mu}")
         if self.fine_M < 2:
             raise ConfigError(f"fine_M must be an integer >= 2, got {self.fine_M!r}")
         for m in self.M:

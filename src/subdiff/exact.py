@@ -2,14 +2,16 @@
 
 Eigenpairs of the Dirichlet Laplacian are phi_mn = 2 sin(m pi x) sin(n pi y)
 with lambda_mn = (m^2 + n^2) pi^2; the solution for initial datum u0 is the
-eigenfunction expansion with modal decay E_alpha(-lambda_mn t^alpha). Three
-standard initial data have closed-form sine coefficients; anything else is
-handled by tensor Gauss quadrature.
+eigenfunction expansion with modal decay E_alpha(-lambda_mn t^alpha). Each
+named initial datum carries its closed-form sine coefficients. The decay
+is evaluated in one place (decay_rows), once per distinct eigenvalue and
+time, and series_on_grid sums the expansion on a tensor grid from one row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -59,11 +61,11 @@ def _eval_zero(x, y):
 
 @dataclass(frozen=True)
 class InitialDatum:
-    """Initial datum: pointwise evaluator plus optional closed-form coefficients."""
+    """Initial datum: pointwise evaluator plus closed-form sine coefficients."""
 
     tag: str
     evaluate: Callable
-    coefficient_rule: Callable | None = None
+    coefficient_rule: Callable
 
 
 # The named initial data, by the tag a config's `example` selects.
@@ -87,54 +89,63 @@ class SeriesSolution:
     K: int
     C: np.ndarray        # (K, K) coefficients (u0, phi_mn)
     lam: np.ndarray      # (K, K) eigenvalues
-    evaluator: MlfEvaluator = field(repr=False)
 
     def __post_init__(self):
         self.C.setflags(write=False)
         self.lam.setflags(write=False)
 
-    @property
+    @functools.cached_property
     def active_mask(self) -> np.ndarray:
         return self.C != 0.0
 
+    @functools.cached_property
+    def c2_active(self) -> np.ndarray:
+        """2 C on the active modes, in active_mask order."""
+        return 2.0 * self.C[self.active_mask]
+
 
 def make_series(datum: InitialDatum, alpha: float, K: int = 60) -> SeriesSolution:
-    """Coefficients from the closed form when available, else sine quadrature."""
+    """Coefficients from the datum's closed form, K modes per axis."""
     if K < 1:
         raise ValueError(f"mode cutoff K must be >= 1, got {K!r}")
     modes = np.arange(1, K + 1, dtype=float)
     mm, nn = np.meshgrid(modes, modes, indexing="ij")
-    if datum.coefficient_rule is not None:
-        C = datum.coefficient_rule(mm, nn)
-    else:
-        # tensor Gauss-Legendre, >= 4K points per axis, on (0,1)^2
-        npts = 4 * K
-        xg, wg = np.polynomial.legendre.leggauss(npts)
-        xq = 0.5 * (xg + 1.0)
-        wq = 0.5 * wg
-        X, Y = np.meshgrid(xq, xq, indexing="ij")
-        U = np.asarray(datum.evaluate(X, Y), dtype=float)
-        if not np.all(np.isfinite(U)):
-            raise EvaluationError("initial datum produced non-finite values")
-        Sq = np.sin(np.pi * np.outer(xq, modes))     # (npts, K)
-        # (u0, phi_mn) with phi = 2 sin sin
-        C = 2.0 * (wq[:, None] * Sq).T @ U @ (wq[:, None] * Sq)
+    C = datum.coefficient_rule(mm, nn)
     lam = (mm ** 2 + nn ** 2) * np.pi ** 2
-    return SeriesSolution(alpha=float(alpha), K=int(K), C=np.asarray(C, dtype=float),
-                          lam=lam, evaluator=MlfEvaluator(alpha=float(alpha)))
+    return SeriesSolution(alpha=float(alpha), K=int(K), C=np.asarray(C, dtype=float), lam=lam)
 
 
-def modal_factors(sol: SeriesSolution, t: float) -> np.ndarray:
-    """E_alpha(-lambda_mn t^alpha) on the active modes, zero elsewhere."""
-    if t < 0.0:
+@functools.lru_cache(maxsize=1)
+def _decay_table(alpha: float, lam_bytes: bytes, t_bytes: bytes) -> np.ndarray:
+    """Read-only E_alpha(-lam t^alpha), shape (times, eigenvalues).
+
+    Keyed by value, so every row of a study (same datum, alpha, modes and
+    time mesh, any M) reuses one evaluation.
+    """
+    lam = np.frombuffer(lam_bytes)
+    t = np.frombuffer(t_bytes)
+    args = (lam[None, :] * (t ** alpha)[:, None]).ravel()
+    table = MlfEvaluator(alpha)(args).reshape(t.size, lam.size)
+    table.setflags(write=False)
+    return table
+
+
+def decay_rows(sol: SeriesSolution, t) -> np.ndarray:
+    """E_alpha(-lambda_mn t^alpha) on the active modes, shape (times, active modes),
+    from one oracle run per distinct eigenvalue ((m, n) and (n, m) share one)."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0.0):
         raise ValueError("time must be >= 0")
-    E = np.zeros_like(sol.C)
-    mask = sol.active_mask
-    if t == 0.0:
-        E[mask] = 1.0
-    else:
-        E[mask] = sol.evaluator(sol.lam[mask] * t ** sol.alpha)
-    return E
+    lam_u, mode_of = np.unique(sol.lam[sol.active_mask], return_inverse=True)
+    return _decay_table(sol.alpha, lam_u.tobytes(), t.tobytes())[:, mode_of]
+
+
+def series_on_grid(sol: SeriesSolution, row: np.ndarray, Sx: np.ndarray,
+                   Sy: np.ndarray) -> np.ndarray:
+    """Sx (2 C E) Sy^T for one decay row E of decay_rows."""
+    D = np.zeros_like(sol.C)
+    D[sol.active_mask] = sol.c2_active * row
+    return Sx @ D @ Sy.T
 
 
 def sine_matrix(coords: np.ndarray, K: int) -> np.ndarray:
@@ -144,12 +155,9 @@ def sine_matrix(coords: np.ndarray, K: int) -> np.ndarray:
 
 
 def eval_grid(sol: SeriesSolution, t: float, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """u(x_i, y_j, t) on the tensor grid, separably: Sx (2 C E) Sy^T."""
-    Sx = sine_matrix(xs, sol.K)
-    Sy = sine_matrix(ys, sol.K)
-    D = 2.0 * sol.C * modal_factors(sol, t)
-    out = Sx @ D @ Sy.T
+    """u(x_i, y_j, t) on the tensor grid xs x ys."""
+    row = decay_rows(sol, [t])[0]
+    out = series_on_grid(sol, row, sine_matrix(xs, sol.K), sine_matrix(ys, sol.K))
     if not np.all(np.isfinite(out)):
         raise EvaluationError(f"series evaluation produced non-finite values at t={t}")
     return out
-

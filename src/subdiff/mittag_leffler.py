@@ -8,8 +8,9 @@ Three regimes:
 
 The plain series loses all accuracy in double precision once x^(1/a)
 grows past ~10 (alternating terms reach exp(x^(1/a))), so the series
-cutoff shrinks with a; the integral representation covers the gap at
-machine precision. For a = 1 the function is exp(-x) exactly.
+covers x <= min(5, 10^a); the asymptotic expansion covers x >= 50 and the
+integral representation the gap between, at machine precision. The
+cut-offs are fixed per a. For a = 1 the function is exp(-x) exactly.
 
 Gamma comes from libm (math.gamma) through two thin wrappers that fix
 the behaviour at poles and on overflow.
@@ -62,25 +63,19 @@ _QUAD_CUTOFF = 50.0  # decay budget: integrand truncated where exp(-cutoff)
 class MlfEvaluator:
     """Evaluator for E_alpha(-x), x >= 0.
 
-    x_lo / x_hi are the regime switch points. Left at None, x_lo defaults
-    to min(5, series-safe bound for this alpha) and x_hi to 50; explicit
-    values are honored verbatim (diagnostics may perturb them on purpose).
+    The series serves x <= series_cut = min(5, series-safe bound for this
+    alpha), the asymptotic expansion x >= asym_cut = 50, and the quadrature
+    the rest.
     """
 
     alpha: float
-    x_lo: float | None = None
-    x_hi: float | None = None
     series_cut: float = field(init=False)
-    asym_cut: float = field(init=False)
+    asym_cut: float = field(init=False, default=50.0)
 
     def __post_init__(self):
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha!r}")
-        cut = self.x_lo if self.x_lo is not None else min(
-            5.0, _SERIES_T_MAX ** self.alpha)
-        object.__setattr__(self, "series_cut", float(cut))
-        object.__setattr__(self, "asym_cut",
-                           float(self.x_hi) if self.x_hi is not None else 50.0)
+        object.__setattr__(self, "series_cut", min(5.0, _SERIES_T_MAX ** self.alpha))
 
     # branch evaluators are exposed for regime-continuity checks
 
@@ -96,8 +91,8 @@ class MlfEvaluator:
         power = np.ones_like(x)
         t_own = x ** (1.0 / self.alpha)
         active = np.ones_like(x, dtype=bool)
-        # overflow only happens when the cutoffs are deliberately perturbed
-        # past the safe region; let it surface as nan rather than warn
+        # overflow only happens past the series-safe region; let it
+        # surface as nan rather than warn
         with np.errstate(over="ignore", invalid="ignore"):
             for p in range(1, _SERIES_P_CAP + 1):
                 power = power * (-x)

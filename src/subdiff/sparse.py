@@ -129,7 +129,6 @@ class LinearSolver:
 
     matrix: SparseMatrix
     rtol: float = 1e-12
-    max_iter: int = 0  # 0: pick 10 n + 1000
     shift: SparseMatrix | None = None
     _diag: np.ndarray = field(init=False, repr=False, compare=False)
     _shift_diag: np.ndarray | None = field(init=False, default=None, repr=False,
@@ -161,9 +160,8 @@ class LinearSolver:
         if self.shift is not None:
             E = E + s * self.shift.ell[0]
             diag = diag + s * self._shift_diag
-        maxit = self.max_iter if self.max_iter > 0 else 10 * self.matrix.n + 1000
         x, residuals = cg_solve((E, J), rhs, 1.0 / diag, x0=x0, rtol=self.rtol,
-                                max_iter=maxit)
+                                max_iter=10 * self.matrix.n + 1000)
         return x
 
 

@@ -2,68 +2,37 @@
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .assembly import FieldP1, l2_project
 from .config import ExperimentConfig
-from .exact import DATA, SeriesSolution, make_series, sine_matrix
+from .exact import DATA, SeriesSolution, decay_rows, make_series, series_on_grid, sine_matrix
 from .mesh import StructuredMesh, build_mesh
 from .metrics import (ErrorReport, FineLattice, LatticeInterpolator, convergence_rates,
                       fine_lattice, weighted_errors)
-from .mittag_leffler import MlfEvaluator
 from .stepping import build_time_mesh, run
-
-
-@functools.lru_cache(maxsize=1)
-def _decay_table(evaluator: MlfEvaluator, lam_bytes: bytes, t_bytes: bytes) -> np.ndarray:
-    """Read-only E_alpha(-lam t^alpha), shape (steps, eigenvalues).
-
-    Keyed by value, so every row of a study (same datum, alpha, modes and
-    time mesh, any M) reuses one evaluation.
-    """
-    lam = np.frombuffer(lam_bytes)
-    t = np.frombuffer(t_bytes)
-    args = (lam[None, :] * (t ** evaluator.alpha)[:, None]).ravel()
-    table = evaluator(args).reshape(t.size, lam.size)
-    table.setflags(write=False)
-    return table
 
 
 class ErrorTracker:
     """Observer recording |||u_h^n - u(t_n)||| at every step.
 
-    Modal decay factors for all steps are evaluated upfront in one
-    vectorized pass, once per distinct eigenvalue (modes (m, n) and (n, m)
-    share one), and shared with the next tracker on the same series and
-    time mesh; each step then costs two small matrix products.
+    Modal decay factors for all steps come upfront from exact.decay_rows,
+    shared with the next tracker on the same series and time mesh; each
+    step then costs two small matrix products.
     """
 
     def __init__(self, sol: SeriesSolution, lattice: FineLattice,
                  time_mesh, mesh: StructuredMesh):
         self.sol = sol
-        self.lattice = lattice
         self.interp = LatticeInterpolator(mesh, lattice)
         self.Sx = sine_matrix(lattice.xs, sol.K)
-        mask = sol.active_mask
-        lam_act = sol.lam[mask]
-        self.mask = mask
-        self.c2_act = 2.0 * sol.C[mask]
-        t = time_mesh.t
-        if lam_act.size:
-            lam_u, mode_of = np.unique(lam_act, return_inverse=True)
-            self.decay = _decay_table(sol.evaluator, lam_u.tobytes(), t[1:].tobytes())[:, mode_of]
-        else:
-            self.decay = np.zeros((time_mesh.N, 0))
-        self.t = t
+        self.decay = decay_rows(sol, time_mesh.t[1:])
         self.errors = np.zeros(time_mesh.N)
 
     def exact_on_lattice(self, n: int) -> np.ndarray:
-        D = np.zeros_like(self.sol.C)
-        D[self.mask] = self.c2_act * self.decay[n - 1]
-        return self.Sx @ D @ self.Sx.T
+        return series_on_grid(self.sol, self.decay[n - 1], self.Sx, self.Sx)
 
     def __call__(self, n: int, t_n: float, u_n: FieldP1) -> None:
         err = float(np.abs(self.interp(u_n) - self.exact_on_lattice(n)).max())

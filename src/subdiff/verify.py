@@ -37,7 +37,7 @@ def _check(name, ok, detail=""):
     return (name, bool(ok), detail)
 
 
-def suite_special_functions(mlf_x_lo=None, mlf_x_hi=None) -> list:
+def suite_special_functions() -> list:
     checks = []
     # exponential identity at alpha = 1
     ev1 = MlfEvaluator(1.0)
@@ -59,10 +59,10 @@ def suite_special_functions(mlf_x_lo=None, mlf_x_hi=None) -> list:
             worst = max(worst, abs(ev(x) - ref) / abs(ref))
     checks.append(_check("reference spot values", worst < 1e-10, f"worst rel {worst:.2e}"))
 
-    # regime continuity at the active thresholds (perturbable for diagnostics)
+    # regime continuity at the switch points
     worst = 0.0
     for alpha in (0.25, 0.5, 0.75, 0.95):
-        ev = MlfEvaluator(alpha, x_lo=mlf_x_lo, x_hi=mlf_x_hi)
+        ev = MlfEvaluator(alpha)
         lo, hi = ev.series_cut, ev.asym_cut
         v1 = float(ev.series_value(lo)[0])
         v2 = float(ev.quadrature_value(lo)[0])
@@ -236,11 +236,11 @@ SUITES = {
 }
 
 
-def run_all(mlf_x_lo=None, mlf_x_hi=None) -> tuple[bool, str]:
+def run_all() -> tuple[bool, str]:
     lines = []
     all_ok = True
     for name, fn in SUITES.items():
-        checks = fn(mlf_x_lo, mlf_x_hi) if name == "special_functions" else fn()
+        checks = fn()
         ok = all(c[1] for c in checks)
         all_ok &= ok
         lines.append(f"[{'PASS' if ok else 'FAIL'}] suite {name}")

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+import subdiff.exact as exact
 import subdiff.stepping as stepping
 import subdiff.study as study
 from subdiff.assembly import FieldP1
@@ -62,7 +63,7 @@ def test_trace_counts_one_oracle_evaluation_per_study():
     cfg.validate()
     sol = make_series(DATA["example1"], cfg.alpha, cfg.modes)
     n_lam = np.unique(sol.lam[sol.active_mask]).size
-    study._decay_table.cache_clear()
+    exact._decay_table.cache_clear()
     tracer = spans.Tracer("test")
     tracer.install()
     try:

@@ -38,7 +38,11 @@ def test_config_validation(overrides):
     ('"mu": [NaN]', "mu"),          # non-finite weight exponent
     ('"T": 1e400', "T"),            # overflows to inf
     ('"N": true', "N"),             # bool is not an integer here
-], ids=["alpha_string", "M_scalar", "mu_nan", "T_inf", "N_bool"])
+    ('"example": ["x"]', "example"),  # a list, not a tag
+    ('"mu": [0, 0, 0.5]', "mu"),    # one table column per mu: no repeats
+    ('"M": [4, 8]', "M"),           # solve runs one mesh size (the later "M" key wins)
+], ids=["alpha_string", "M_scalar", "mu_nan", "T_inf", "N_bool", "example_list",
+        "mu_repeated", "M_several_for_solve"])
 def test_config_file_bad_value_exit_code(bad, field, capsys, tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text('{"M": [4], "N": 5, "modes": 4, "fine_M": 16, '
@@ -178,8 +182,19 @@ def test_verify_command(capsys):
     assert out.count("[PASS]") == 5
 
 
-def test_verify_fault_injection(capsys):
-    # pushing the series switch point into the unstable region must fail
-    assert main(["verify", "--mlf-x-lo", "20.0"]) == 1
+def test_verify_fault_injection(capsys, monkeypatch):
+    # a series-safe bound of 1e6 moves the alpha = 1/4 switch point to 5,
+    # where the series has lost all its digits: verify must fail
+    import subdiff.mittag_leffler as mittag_leffler
+    monkeypatch.setattr(mittag_leffler, "_SERIES_T_MAX", 1e6)
+    assert main(["verify"]) == 1
     out = capsys.readouterr().out
     assert "[FAIL] suite special_functions" in out
+
+
+def test_verify_rejects_removed_cutoff_flags(capsys):
+    for flag in ("--mlf-x-lo", "--mlf-x-hi"):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", flag, "1"])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

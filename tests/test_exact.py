@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from subdiff.exact import DATA, InitialDatum, eval_grid, make_series, modal_factors
+from subdiff.exact import DATA, decay_rows, eval_grid, make_series
 from subdiff.metrics import fine_lattice
 
 
@@ -50,10 +50,16 @@ def test_example2_coefficients_match_quadrature():
 
 
 def test_custom_datum_quadrature_matches_closed_form():
+    # tensor Gauss-Legendre sine quadrature of the example1 datum
     ex1 = DATA["example1"]
-    sol_closed = make_series(ex1, 0.75, K=10)
-    sol_quad = make_series(InitialDatum("custom", ex1.evaluate), 0.75, K=10)
-    assert np.max(np.abs(sol_closed.C - sol_quad.C)) <= 1e-12
+    K = 10
+    xg, wg = np.polynomial.legendre.leggauss(4 * K)
+    x, w = 0.5 * (xg + 1.0), 0.5 * wg
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    Sw = w[:, None] * np.sin(np.pi * np.outer(x, np.arange(1, K + 1)))
+    C_quad = 2.0 * Sw.T @ ex1.evaluate(X, Y) @ Sw
+    sol_closed = make_series(ex1, 0.75, K=K)
+    assert np.max(np.abs(sol_closed.C - C_quad)) <= 1e-12
 
 
 def test_example1_initial_values_on_lattice():
@@ -104,7 +110,8 @@ def test_separable_matches_naive_sum():
     xs = np.linspace(0.1, 0.9, 9)
     t = 0.05
     vals = eval_grid(sol, t, xs, xs)
-    E = modal_factors(sol, t)
+    E = np.zeros_like(sol.C)
+    E[sol.active_mask] = decay_rows(sol, [t])[0]
     naive = np.zeros((9, 9))
     for i, x in enumerate(xs):
         for j, y in enumerate(xs):
@@ -120,7 +127,7 @@ def test_separable_matches_naive_sum():
 def test_first_mode_amplitude_decreases_in_time():
     sol = make_series(DATA["example1"], 0.75, K=4)
     ts = np.linspace(0.0, 0.5, 21)
-    amps = [modal_factors(sol, t)[0, 0] for t in ts]
+    amps = decay_rows(sol, ts)[:, 0]  # the first active mode is (1, 1)
     assert np.all(np.diff(amps) < 0.0)
 
 

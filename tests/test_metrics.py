@@ -7,6 +7,7 @@ from subdiff.benchmarks import (M_VALUES, TABLE1_ERRORS, TABLE1_RATES,
                                 TABLE3_RATES)
 from subdiff.exact import DATA, make_series
 from subdiff.mesh import build_mesh
+from subdiff.mittag_leffler import MlfEvaluator
 from subdiff.sparse import csr_from_coo
 from subdiff.metrics import (ErrorReport, FineLattice, LatticeInterpolator,
                              convergence_rates, fine_lattice, weighted_errors)
@@ -128,8 +129,8 @@ def test_streaming_max_equals_posthoc():
 
 
 def test_error_tracker_decay_matches_public_evaluator():
-    # the batched modal-decay precompute must agree with per-time calls
-    from subdiff.exact import DATA, make_series, modal_factors, eval_grid
+    # the tracker and eval_grid share one modal-decay path
+    from subdiff.exact import DATA, make_series, eval_grid
     from subdiff.stepping import build_time_mesh
     from subdiff.study import ErrorTracker
     from subdiff.mesh import build_mesh
@@ -140,7 +141,7 @@ def test_error_tracker_decay_matches_public_evaluator():
     tracker = ErrorTracker(sol, lat, tm, mesh)
     for n in (1, 17, 40):
         direct = eval_grid(sol, tm.t[n], lat.xs, lat.xs)
-        assert np.abs(tracker.exact_on_lattice(n) - direct).max() <= 1e-15
+        assert np.array_equal(tracker.exact_on_lattice(n), direct)
 
 
 def test_error_tracker_decay_bitwise_per_mode():
@@ -154,12 +155,11 @@ def test_error_tracker_decay_bitwise_per_mode():
     lam_act = sol.lam[sol.active_mask]
     assert np.unique(lam_act).size < lam_act.size
     args = (lam_act[None, :] * (tm.t[1:] ** sol.alpha)[:, None]).ravel()
-    per_mode = sol.evaluator(args).reshape(tm.N, lam_act.size)
+    per_mode = MlfEvaluator(sol.alpha)(args).reshape(tm.N, lam_act.size)
     assert np.array_equal(tracker.decay, per_mode)
 
 
 def _count_mlf_calls(monkeypatch):
-    from subdiff.mittag_leffler import MlfEvaluator
     calls = []
     real = MlfEvaluator.__call__
 
@@ -174,14 +174,15 @@ def _count_mlf_calls(monkeypatch):
 def _fresh_decay(sol, tm):
     lam_act = sol.lam[sol.active_mask]
     args = (lam_act[None, :] * (tm.t[1:] ** sol.alpha)[:, None]).ravel()
-    return sol.evaluator(args).reshape(tm.N, lam_act.size)
+    return MlfEvaluator(sol.alpha)(args).reshape(tm.N, lam_act.size)
 
 
 def test_error_tracker_shares_decay_table_across_meshes(monkeypatch):
     # one study (same series and time mesh) evaluates the oracle once,
     # whatever the spatial mesh of each row
     from subdiff.stepping import build_time_mesh
-    from subdiff.study import ErrorTracker, _decay_table
+    from subdiff.exact import _decay_table
+    from subdiff.study import ErrorTracker
     _decay_table.cache_clear()
     sol = make_series(DATA["example1"], 0.75, K=12)
     tm = build_time_mesh(30, 1.6, 0.5)
@@ -196,11 +197,11 @@ def test_error_tracker_shares_decay_table_across_meshes(monkeypatch):
         assert np.array_equal(tracker.decay, fresh)
 
 
-@pytest.mark.parametrize("change", ["alpha", "K", "N", "T", "x_lo"])
+@pytest.mark.parametrize("change", ["alpha", "K", "N", "T"])
 def test_error_tracker_decay_table_keyed_by_value(change, monkeypatch):
-    from dataclasses import replace
+    from subdiff.exact import _decay_table
     from subdiff.stepping import build_time_mesh
-    from subdiff.study import ErrorTracker, _decay_table
+    from subdiff.study import ErrorTracker
     _decay_table.cache_clear()
     lat, mesh = fine_lattice(16), build_mesh(4)
     sol = make_series(DATA["example1"], 0.75, K=12)
@@ -212,10 +213,8 @@ def test_error_tracker_decay_table_keyed_by_value(change, monkeypatch):
         sol = make_series(DATA["example1"], 0.75, K=14)
     elif change == "N":
         tm = build_time_mesh(31, 1.6, 0.5)
-    elif change == "T":
-        tm = build_time_mesh(30, 1.6, 0.25)
     else:
-        sol = replace(sol, evaluator=type(sol.evaluator)(0.75, x_lo=1.0))
+        tm = build_time_mesh(30, 1.6, 0.25)
     calls = _count_mlf_calls(monkeypatch)
     tracker = ErrorTracker(sol, lat, tm, mesh)
     assert len(calls) == 1
@@ -224,17 +223,17 @@ def test_error_tracker_decay_table_keyed_by_value(change, monkeypatch):
 
 
 def test_decay_table_is_read_only():
+    from subdiff.exact import _decay_table
     from subdiff.stepping import build_time_mesh
-    from subdiff.study import _decay_table
     sol = make_series(DATA["example1"], 0.75, K=8)
     lam_u = np.unique(sol.lam[sol.active_mask])
     t = build_time_mesh(20, 1.6, 0.5).t[1:]
-    table = _decay_table(sol.evaluator, lam_u.tobytes(), t.tobytes())
+    table = _decay_table(sol.alpha, lam_u.tobytes(), t.tobytes())
     assert table.shape == (20, lam_u.size)
     assert not table.flags.writeable
     with pytest.raises(ValueError):
         table[0, 0] = 0.0
-    assert _decay_table(sol.evaluator, lam_u.tobytes(), t.tobytes()) is table
+    assert _decay_table(sol.alpha, lam_u.tobytes(), t.tobytes()) is table
 
 
 def _locate_scalar(M, x, y):

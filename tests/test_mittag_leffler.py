@@ -183,13 +183,13 @@ def test_asymptotic_early_stop_bitwise_large_x(alpha):
 
 @pytest.mark.parametrize("alpha", ASYM_ALPHAS)
 def test_asymptotic_early_stop_bitwise_truncated(alpha):
-    # below the default switch (the --mlf-x-hi diagnostic path) the terms
-    # start to grow and optimal truncation cuts the series
-    ev = MlfEvaluator(alpha, x_hi=0.5)
+    # below the switch point the terms start to grow and optimal
+    # truncation cuts the series
+    ev = MlfEvaluator(alpha)
     x = np.geomspace(0.5, 50.0, 2001)
     ref, cut = _asymptotic_all_terms(alpha, x)
     assert cut.any()
-    assert np.array_equal(ev(x), ref)
+    assert np.array_equal(ev.asymptotic_value(x), ref)
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5])
@@ -226,12 +226,11 @@ def test_mlf_regime_continuity(alpha):
 def test_mlf_series_cut_respects_default_and_safety():
     assert MlfEvaluator(0.75).series_cut == 5.0
     assert MlfEvaluator(0.25).series_cut == pytest.approx(10.0 ** 0.25)
-    assert MlfEvaluator(0.3, x_lo=20.0).series_cut == 20.0  # explicit wins
 
 
 def test_mlf_perturbed_threshold_breaks_continuity():
     # pushing the series past its safe region must be detectable
-    ev = MlfEvaluator(0.3, x_lo=20.0)
+    ev = MlfEvaluator(0.3)
     v_series = float(ev.series_value(20.0)[0])
     v_quad = float(ev.quadrature_value(20.0)[0])
     assert not abs(v_series - v_quad) / abs(v_quad) <= 1e-9
