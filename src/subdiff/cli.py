@@ -83,9 +83,18 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _study_config(args, preset: str | None) -> ExperimentConfig:
+    """build_config for an M sweep, which needs nonzero errors."""
+    cfg = build_config(args, preset=preset)
+    if cfg.example == "zero":
+        raise ConfigError("example 'zero' is the zero datum: its error is 0 at every step, "
+                          "so a study of it has no convergence rates or error curves")
+    return cfg
+
+
 def cmd_table(args) -> int:
     preset = args.preset if args.preset != "custom" else None
-    cfg = build_config(args, preset=preset)
+    cfg = _study_config(args, preset)
     for a, b in zip(cfg.M, cfg.M[1:]):
         if b != 2 * a:
             raise ConfigError(f"M must double between table rows, got {cfg.M}")
@@ -101,12 +110,12 @@ def cmd_table(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    cfg = build_config(args, preset=args.preset)
-    result = run_table(cfg)
+    cfg = _study_config(args, args.preset)
+    reports = [run_single(cfg, M).report for M in cfg.M]
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     files = []
-    for report in result.reports:
+    for report in reports:
         path = outdir / f"{args.preset}_M{report.M}.csv"
         report.write_steps_csv(path)
         files.append(path)
@@ -118,7 +127,7 @@ def cmd_figure(args) -> int:
         "set key left bottom",
         "plot " + ", \\\n     ".join(
             f"'{f.name}' using 2:3 with lines title 'M={r.M}'"
-            for f, r in zip(files, result.reports)),
+            for f, r in zip(files, reports)),
     ]
     gp.write_text("\n".join(lines) + "\n")
     print(f"wrote {len(files)} error-curve files and {gp}")

@@ -5,7 +5,8 @@ with lambda_mn = (m^2 + n^2) pi^2; the solution for initial datum u0 is the
 eigenfunction expansion with modal decay E_alpha(-lambda_mn t^alpha). Each
 named initial datum carries its closed-form sine coefficients. The decay
 is evaluated in one place (decay_rows), once per distinct eigenvalue and
-time, and series_on_grid sums the expansion on a tensor grid from one row.
+time, and series_on_grid sums the expansion on a tensor grid from one row,
+over the rows and columns of the coefficients that hold a nonzero entry.
 """
 
 from __future__ import annotations
@@ -103,6 +104,15 @@ class SeriesSolution:
         """2 C on the active modes, in active_mask order."""
         return 2.0 * self.C[self.active_mask]
 
+    @functools.cached_property
+    def active_block(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, mask): the indices of the rows and columns of C that
+        hold a nonzero coefficient, and active_mask on that block, whose True
+        entries are the active modes in active_mask order."""
+        rows = np.flatnonzero(self.active_mask.any(axis=1))
+        cols = np.flatnonzero(self.active_mask.any(axis=0))
+        return rows, cols, self.active_mask[np.ix_(rows, cols)]
+
 
 def make_series(datum: InitialDatum, alpha: float, K: int = 60) -> SeriesSolution:
     """Coefficients from the datum's closed form, K modes per axis."""
@@ -142,22 +152,25 @@ def decay_rows(sol: SeriesSolution, t) -> np.ndarray:
 
 def series_on_grid(sol: SeriesSolution, row: np.ndarray, Sx: np.ndarray,
                    Sy: np.ndarray) -> np.ndarray:
-    """Sx (2 C E) Sy^T for one decay row E of decay_rows."""
-    D = np.zeros_like(sol.C)
-    D[sol.active_mask] = sol.c2_active * row
+    """Sx (2 C E) Sy^T for one decay row E of decay_rows, over the active
+    block of C; Sx and Sy are the sine_matrices of the grid's axes."""
+    mask = sol.active_block[2]
+    D = np.zeros(mask.shape)
+    D[mask] = sol.c2_active * row
     return Sx @ D @ Sy.T
 
 
-def sine_matrix(coords: np.ndarray, K: int) -> np.ndarray:
-    """S[i, m-1] = sin(m pi x_i)."""
-    modes = np.arange(1, K + 1, dtype=float)
-    return np.sin(np.pi * np.outer(np.asarray(coords, dtype=float), modes))
+def sine_matrices(sol: SeriesSolution, xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """sin(m pi x_i) for the active rows m of C and sin(n pi y_j) for its
+    active columns n."""
+    rows, cols, _ = sol.active_block
+    return np.sin(np.pi * np.outer(xs, rows + 1.0)), np.sin(np.pi * np.outer(ys, cols + 1.0))
 
 
 def eval_grid(sol: SeriesSolution, t: float, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """u(x_i, y_j, t) on the tensor grid xs x ys."""
     row = decay_rows(sol, [t])[0]
-    out = series_on_grid(sol, row, sine_matrix(xs, sol.K), sine_matrix(ys, sol.K))
+    out = series_on_grid(sol, row, *sine_matrices(sol, xs, ys))
     if not np.all(np.isfinite(out)):
         raise EvaluationError(f"series evaluation produced non-finite values at t={t}")
     return out

@@ -13,7 +13,6 @@ import numpy as np
 
 from .assembly import FieldP1
 from .mesh import StructuredMesh, locate_points
-from .sparse import csr_from_coo, matvec
 
 
 @dataclass(frozen=True)
@@ -30,48 +29,47 @@ class FineLattice:
         xs.setflags(write=False)
         object.__setattr__(self, "xs", xs)
 
-    @property
-    def n_nodes(self) -> int:
-        return (self.M_s - 1) ** 2
-
-    def points(self) -> np.ndarray:
-        """All (M_s - 1)^2 nodes, x varying fastest."""
-        X, Y = np.meshgrid(self.xs, self.xs, indexing="ij")
-        return np.column_stack([X.ravel(), Y.ravel()])
-
 
 def fine_lattice(M_s: int = 128) -> FineLattice:
     return FineLattice(M_s=int(M_s))
 
 
 class LatticeInterpolator:
-    """P1 interpolation from a coarse mesh onto a fine lattice, precomputed.
+    """P1 interpolation from a coarse mesh onto a fine lattice that refines it.
 
-    When the lattices nest, coarse node values are reproduced exactly
-    (barycentric weights are exactly 1/0 there).
+    With q = M_s / M, every coarse cell holds the same q x q lattice offsets,
+    and each offset has fixed barycentric weights on three of the cell's four
+    corners. The (4, q, q) weight table comes from locate_points on cell
+    (0, 0); a call forms one product of the table with the corner values of
+    every cell. Coarse node values are reproduced exactly (the weights are
+    exactly 1/0 there).
     """
 
     def __init__(self, mesh: StructuredMesh, lattice: FineLattice):
+        q, r = divmod(lattice.M_s, mesh.M)
+        if r != 0:
+            raise ValueError(f"lattice M_s={lattice.M_s} is not a multiple of mesh M={mesh.M}")
         self.mesh = mesh
         self.lattice = lattice
-        tri, lam = locate_points(mesh, lattice.points())
-        dof = mesh.interior_index[mesh.triangles[tri]]
-        keep = (dof >= 0) & (lam != 0.0)
-        n = max(lattice.n_nodes, mesh.n_interior)
-        # a zero in column 0 of every row keeps each row populated (rows near
-        # corners may touch only boundary nodes)
-        rows = np.concatenate([np.arange(n), np.nonzero(keep)[0]])
-        cols = np.concatenate([np.zeros(n, dtype=np.int64), dof[keep]])
-        vals = np.concatenate([np.zeros(n), lam[keep]])
-        self._P = csr_from_coo(n, rows, cols, vals)
+        X, Y = np.meshgrid(lattice.xs[:q], lattice.xs[:q], indexing="ij")
+        tri, lam = locate_points(mesh, np.column_stack([X.ravel(), Y.ravel()]))
+        # cell (0, 0)'s corners LL, LR, UL, UR are nodes 0, 1, M+1, M+2
+        nodes = mesh.triangles[tri]
+        corner = nodes % (mesh.M + 1) + 2 * (nodes // (mesh.M + 1))
+        W = np.zeros((q * q, 4))
+        np.put_along_axis(W, corner, lam, axis=1)
+        self._W = W.T.copy()  # (4, q*q): corner, then offset (x, y) with y fastest
 
     def __call__(self, field: FieldP1) -> np.ndarray:
         """Values on the lattice as an (M_s-1, M_s-1) array indexed [ix, iy]."""
-        x = np.zeros(self._P.n)
-        x[: field.values.size] = field.values
-        out = matvec(self._P, x)[: self.lattice.n_nodes]
-        m = self.lattice.M_s - 1
-        return out.reshape(m, m)
+        M = self.mesh.M
+        q = self.lattice.M_s // M
+        G = np.zeros((M + 1, M + 1))  # nodal values indexed [y, x]
+        G[1:-1, 1:-1] = field.values.reshape(M - 1, M - 1)
+        corners = np.stack([G[:-1, :-1], G[:-1, 1:], G[1:, :-1], G[1:, 1:]])
+        cells = corners.reshape(4, M * M).T @ self._W  # [(sy, sx), (a, b)]
+        out = cells.reshape(M, M, q, q).transpose(1, 2, 0, 3).reshape(M * q, M * q)
+        return out[:-1, :-1]
 
 
 @dataclass

@@ -8,7 +8,7 @@ import numpy as np
 
 from .assembly import FieldP1, l2_project
 from .config import ExperimentConfig
-from .exact import DATA, SeriesSolution, decay_rows, make_series, series_on_grid, sine_matrix
+from .exact import DATA, SeriesSolution, decay_rows, make_series, series_on_grid, sine_matrices
 from .mesh import StructuredMesh, build_mesh
 from .metrics import (ErrorReport, FineLattice, LatticeInterpolator, convergence_rates,
                       fine_lattice, weighted_errors)
@@ -20,19 +20,19 @@ class ErrorTracker:
 
     Modal decay factors for all steps come upfront from exact.decay_rows,
     shared with the next tracker on the same series and time mesh; each
-    step then costs two small matrix products.
+    step then costs two small matrix products over the active modes.
     """
 
     def __init__(self, sol: SeriesSolution, lattice: FineLattice,
                  time_mesh, mesh: StructuredMesh):
         self.sol = sol
         self.interp = LatticeInterpolator(mesh, lattice)
-        self.Sx = sine_matrix(lattice.xs, sol.K)
+        self.Sx, self.Sy = sine_matrices(sol, lattice.xs, lattice.xs)
         self.decay = decay_rows(sol, time_mesh.t[1:])
         self.errors = np.zeros(time_mesh.N)
 
     def exact_on_lattice(self, n: int) -> np.ndarray:
-        return series_on_grid(self.sol, self.decay[n - 1], self.Sx, self.Sx)
+        return series_on_grid(self.sol, self.decay[n - 1], self.Sx, self.Sy)
 
     def __call__(self, n: int, t_n: float, u_n: FieldP1) -> None:
         err = float(np.abs(self.interp(u_n) - self.exact_on_lattice(n)).max())

@@ -31,6 +31,7 @@ REMOVED_MEMBERS = (
     "exact.modal_factors", "exact.SeriesSolution.evaluator", "study._decay_table",
     "study.MlfEvaluator", "sparse.LinearSolver.max_iter",
     "mittag_leffler.MlfEvaluator.x_lo", "mittag_leffler.MlfEvaluator.x_hi",
+    "metrics.FineLattice.points", "metrics.FineLattice.n_nodes", "exact.sine_matrix",
 )
 
 

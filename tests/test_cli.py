@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import subdiff.cli as cli
+import subdiff.study as study
 from subdiff.cli import build_config, main, make_parser
 from subdiff.config import ConfigError, ExperimentConfig
 
@@ -82,13 +84,21 @@ def test_zero_datum_solve(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", [["table", "custom"], ["figure", "figure1"]])
-def test_zero_datum_study_has_no_rates(command, tmp_path, capsys):
+def test_zero_datum_study_has_no_rates(command, tmp_path, capsys, monkeypatch):
+    # a zero datum's errors are 0 before any solve: the study stops at once
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a zero-datum study must not solve")
+
+    monkeypatch.setattr(cli, "run_single", no_solve)
+    monkeypatch.setattr(study, "run_single", no_solve)
     code = main(command + ["--example", "zero", "--M", "2,4", "--N", "10",
                            "--modes", "4", "--fine-M", "8", "--out", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
-    assert err == ("error: invalid configuration: "
-                   "convergence rate undefined for non-positive errors\n")
+    assert err == ("error: invalid configuration: example 'zero' is the zero datum: "
+                   "its error is 0 at every step, so a study of it has no "
+                   "convergence rates or error curves\n")
+    assert not any(tmp_path.iterdir())
 
 
 def test_degenerate_time_mesh_exit_code(tmp_path, capsys, recwarn):

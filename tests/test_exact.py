@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from subdiff.exact import DATA, decay_rows, eval_grid, make_series
+from subdiff.exact import (DATA, InitialDatum, decay_rows, eval_grid, make_series,
+                           series_on_grid, sine_matrices)
 from subdiff.metrics import fine_lattice
 
 
@@ -150,3 +151,38 @@ def test_negative_time_rejected():
 def test_mode_cutoff_validation():
     with pytest.raises(ValueError):
         make_series(DATA["example1"], 0.75, K=0)
+
+
+# coefficients on m < n with n not a multiple of 3: the active rows and
+# columns differ and the active set is not their tensor product
+_TRIANGLE = InitialDatum(
+    "triangle", lambda x, y: np.zeros_like(x * y),
+    lambda m, n: np.where((m < n) & (n % 3 != 0), 1.0 / (m * n), 0.0))
+
+
+@pytest.mark.parametrize("datum", ["example1", "example2", "example3", "triangle"])
+def test_active_block_product_matches_full_product(datum):
+    sol = make_series(_TRIANGLE if datum == "triangle" else DATA[datum], 0.75, K=60)
+    rows, cols, mask = sol.active_block
+    assert mask.sum() == sol.active_mask.sum()
+    if datum == "triangle":
+        assert rows.size < sol.K and cols.size < sol.K and not np.array_equal(rows, cols)
+        assert not mask.all()
+    lat = fine_lattice(128)
+    S = np.sin(np.pi * np.outer(lat.xs, np.arange(1, sol.K + 1)))
+    for t in (0.0, 1e-4, 0.5):
+        row = decay_rows(sol, [t])[0]
+        E = np.zeros_like(sol.C)
+        E[sol.active_mask] = row
+        full = S @ (2.0 * sol.C * E) @ S.T
+        got = series_on_grid(sol, row, *sine_matrices(sol, lat.xs, lat.xs))
+        assert np.abs(got - full).max() <= 1e-15 * np.abs(full).max(), (datum, t)
+
+
+def test_zero_datum_grid_is_zero():
+    sol = make_series(DATA["zero"], 0.75, K=8)
+    assert all(part.size == 0 for part in sol.active_block)
+    lat = fine_lattice(16)
+    vals = eval_grid(sol, 0.3, lat.xs, lat.xs)
+    assert vals.shape == (15, 15)
+    assert np.array_equal(vals, np.zeros((15, 15)))

@@ -8,23 +8,22 @@ from subdiff.benchmarks import (M_VALUES, TABLE1_ERRORS, TABLE1_RATES,
 from subdiff.exact import DATA, make_series
 from subdiff.mesh import build_mesh
 from subdiff.mittag_leffler import MlfEvaluator
-from subdiff.sparse import csr_from_coo
+from subdiff.sparse import matvec
 from subdiff.metrics import (ErrorReport, FineLattice, LatticeInterpolator,
                              convergence_rates, fine_lattice, weighted_errors)
+
+from oracles import interpolation_matrix
 
 
 def test_fine_lattice_counts():
     lat = fine_lattice(128)
-    assert lat.n_nodes == 127 ** 2 == 16129
-    pts = lat.points()
-    assert pts.shape == (16129, 2)
-    assert np.all((pts > 0.0) & (pts < 1.0))
+    assert lat.xs.shape == (127,)
+    assert np.all((lat.xs > 0.0) & (lat.xs < 1.0))
 
 
 def test_fine_lattice_minimal():
     lat = fine_lattice(2)
-    assert lat.n_nodes == 1
-    assert tuple(lat.points()[0]) == (0.5, 0.5)
+    assert tuple(lat.xs) == (0.5,)
 
 
 def test_fine_lattice_validation():
@@ -236,39 +235,27 @@ def test_decay_table_is_read_only():
     assert _decay_table(sol.alpha, lam_u.tobytes(), t.tobytes()) is table
 
 
-def _locate_scalar(M, x, y):
-    """Point location one point at a time: floor division, gridline ties
-    shifted to the lower cell, diagonal ties to the lower triangle."""
-    sx, fx = divmod(x * M, 1.0)
-    sy, fy = divmod(y * M, 1.0)
-    sx, sy = int(sx), int(sy)
-    if fx == 0.0 and sx > 0:
-        sx, fx = sx - 1, 1.0
-    if fy == 0.0 and sy > 0:
-        sy, fy = sy - 1, 1.0
-    cell = sy * M + sx
-    if fx >= fy:
-        return 2 * cell, (1.0 - fx, fx - fy, fy)
-    return 2 * cell + 1, (1.0 - fy, fx, fy - fx)
-
-
-@pytest.mark.parametrize("M", [2, 3, 4, 8, 16, 32])
-def test_interpolator_matches_loop_construction(M):
-    """The vectorized build gives the rows, cols and vals of a point-by-point
-    loop; nested lattices put points on gridlines, vertices and diagonals."""
+@pytest.mark.parametrize("M, M_s", [pytest.param(M, 128, id=str(M))
+                                     for M in (2, 4, 8, 16, 32, 64, 128)]
+                         + [pytest.param(4, 16, id="4-on-16")])
+def test_interpolator_matches_loop_construction(M, M_s):
+    """Interpolated random fields match the point-by-point CSR oracle within
+    2 ulps of the field's scale (the cell-local product sums in another
+    order); nested lattices put points on gridlines, vertices and diagonals."""
     mesh = build_mesh(M)
-    lat = fine_lattice(128)
-    n = max(lat.n_nodes, mesh.n_interior)
-    rows, cols, vals = list(range(n)), [0] * n, [0.0] * n
-    for r, (x, y) in enumerate(lat.points()):
-        tri, lam = _locate_scalar(M, float(x), float(y))
-        for k, node in enumerate(mesh.triangles[tri]):
-            dof = mesh.interior_index[node]
-            if dof >= 0 and lam[k] != 0.0:
-                rows.append(r)
-                cols.append(dof)
-                vals.append(lam[k])
-    ref = csr_from_coo(n, rows, cols, vals)
-    P = LatticeInterpolator(mesh, lat)._P
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(P, name), getattr(ref, name)), name
+    lat = fine_lattice(M_s)
+    P = interpolation_matrix(mesh, M_s)
+    interp = LatticeInterpolator(mesh, lat)
+    rng = np.random.default_rng(M * M_s)
+    for values in (rng.random(mesh.n_interior), rng.standard_normal(mesh.n_interior)):
+        x = np.zeros(P.n)
+        x[: values.size] = values
+        ref = matvec(P, x)[: (M_s - 1) ** 2].reshape(M_s - 1, M_s - 1)
+        got = interp(FieldP1(mesh=mesh, values=values))
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 2 * np.finfo(float).eps * np.abs(values).max()
+
+
+def test_interpolator_rejects_non_nested_lattice():
+    with pytest.raises(ValueError, match="M_s=128 .* M=3"):
+        LatticeInterpolator(build_mesh(3), fine_lattice(128))

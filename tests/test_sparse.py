@@ -4,10 +4,9 @@ import pytest
 from subdiff.assembly import assemble_mass, assemble_stiffness
 from subdiff.exceptions import SolverFailureError
 from subdiff.mesh import build_mesh
-from subdiff.metrics import LatticeInterpolator, fine_lattice
 from subdiff.sparse import LinearSolver, cg_solve, csr_from_coo, matvec
 
-from oracles import add_scaled
+from oracles import add_scaled, interpolation_matrix
 
 
 def random_spd(n, rng):
@@ -68,7 +67,7 @@ def test_matvec_bitwise_matches_reduceat_on_fe_matrices():
 def test_matvec_bitwise_matches_reduceat_on_interpolator():
     rng = np.random.default_rng(12)
     for M in (3, 4, 32):
-        P = LatticeInterpolator(build_mesh(M), fine_lattice(128))._P
+        P = interpolation_matrix(build_mesh(M), 128)
         x = rng.standard_normal(P.n)
         assert np.array_equal(matvec(P, x), _reduceat_matvec(P, x))
 
