@@ -42,13 +42,18 @@ def _element_gradients(mesh: StructuredMesh) -> np.ndarray:
     return grads
 
 
-def _eval_on(g, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _eval_on(g, *args: np.ndarray) -> np.ndarray:
+    """g(*args) as floats over the arguments' broadcast shape, widened by any
+    leading axes of g's result. A g that takes scalars only is evaluated
+    point by point through np.vectorize."""
+    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
     try:
-        out = np.asarray(g(x, y), dtype=float)
-        if out.shape != x.shape:
-            out = np.broadcast_to(out, x.shape).astype(float)
+        out = np.asarray(g(*args), dtype=float)
+        shape = out.shape[:max(out.ndim - len(shape), 0)] + shape
+        if out.shape != shape:
+            out = np.broadcast_to(out, shape).astype(float)
     except (TypeError, ValueError):
-        out = np.vectorize(g, otypes=[float])(x, y)
+        out = np.vectorize(g, otypes=[float])(*args)
     return out
 
 
@@ -110,15 +115,32 @@ def load_vector(mesh: StructuredMesh, g) -> np.ndarray:
 
     g is evaluated once per distinct edge. Vertex k's basis function is 1/2
     at the midpoints of its two incident edges m_(k-1)k and m_k(k+1) and 0 at
-    the third, so each vertex gets area/3 * 0.5 * (g_a + g_b).
+    the third, so each vertex gets area/3 * 0.5 * (g_a + g_b); only interior
+    vertices are formed, and summed per dof in row-major triangle order.
+
+    g(x, y) may return values with a leading batch axis, shape (B, edges);
+    the load is then (B, n_interior), and each row equals the load of that
+    row's values alone, bit for bit.
     """
     points, index = mesh.edges
     gv = _eval_on(g, points[:, 0], points[:, 1])
     if not np.all(np.isfinite(gv)):
         raise EvaluationError("load function produced non-finite values")
-    gv = gv[index]  # (ntri, 3) at m01, m12, m20
-    contrib = mesh.triangle_area / 3.0 * (0.5 * (gv + np.roll(gv, 1, axis=1)))
-    return _sum_to_interior(mesh, contrib)
+    pos, dof = mesh.interior_scatter
+    # index columns are m01, m12, m20: vertex k's edges are columns k and k-1
+    a = index.ravel()[pos]
+    b = index[:, [2, 0, 1]].ravel()[pos]
+    scale = mesh.triangle_area / 3.0
+    rows = []
+    # one row at a time: a block's (B, positions) temporaries would cost
+    # fresh pages on every call
+    for row in gv.reshape(-1, gv.shape[-1]):
+        c = row[a]
+        c += row[b]
+        c *= 0.5
+        c *= scale
+        rows.append(np.bincount(dof, weights=c, minlength=mesh.n_interior))
+    return np.reshape(rows, (*gv.shape[:-1], mesh.n_interior))
 
 
 def l2_project(mesh: StructuredMesh, g, rtol: float = 1e-12) -> FieldP1:

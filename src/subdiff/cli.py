@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
@@ -67,6 +68,17 @@ def build_config(args, preset: str | None = None) -> ExperimentConfig:
     return cfg
 
 
+@contextmanager
+def _writing_outputs(outdir: Path):
+    """Report a failure to create outdir or write a file in it as a
+    ConfigError naming the path."""
+    try:
+        yield
+    except OSError as exc:
+        path = exc.filename or outdir
+        raise ConfigError(f"cannot write output to {path}: {exc.strerror}") from exc
+
+
 def cmd_solve(args) -> int:
     cfg = build_config(args)
     if len(cfg.M) != 1:
@@ -74,9 +86,10 @@ def cmd_solve(args) -> int:
     M = cfg.M[0]
     res = run_single(cfg, M)
     outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     steps = outdir / f"steps_{cfg.example}_M{M}_N{cfg.N}.csv"
-    res.report.write_steps_csv(steps)
+    with _writing_outputs(outdir):
+        outdir.mkdir(parents=True, exist_ok=True)
+        res.report.write_steps_csv(steps)
     summary = ", ".join(f"E_{mu:g} = {val:.5e}" for mu, val in res.E_mu.items())
     print(f"{cfg.example} M={M} N={cfg.N} gamma={cfg.gamma} alpha={cfg.alpha}: {summary}")
     print(f"wrote {steps}")
@@ -100,10 +113,11 @@ def cmd_table(args) -> int:
             raise ConfigError(f"M must double between table rows, got {cfg.M}")
     result = run_table(cfg)
     outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     name = args.preset if args.preset != "custom" else "table_custom"
     csv_path = outdir / f"{name}.csv"
-    csv_path.write_text(result.csv_text())
+    with _writing_outputs(outdir):
+        outdir.mkdir(parents=True, exist_ok=True)
+        csv_path.write_text(result.csv_text())
     print(result.text())
     print(f"wrote {csv_path}")
     return EXIT_OK
@@ -113,12 +127,7 @@ def cmd_figure(args) -> int:
     cfg = _study_config(args, args.preset)
     reports = [run_single(cfg, M).report for M in cfg.M]
     outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    files = []
-    for report in reports:
-        path = outdir / f"{args.preset}_M{report.M}.csv"
-        report.write_steps_csv(path)
-        files.append(path)
+    files = [outdir / f"{args.preset}_M{report.M}.csv" for report in reports]
     gp = outdir / f"{args.preset}.gp"
     lines = [
         "set logscale xy",
@@ -129,7 +138,11 @@ def cmd_figure(args) -> int:
             f"'{f.name}' using 2:3 with lines title 'M={r.M}'"
             for f, r in zip(files, reports)),
     ]
-    gp.write_text("\n".join(lines) + "\n")
+    with _writing_outputs(outdir):
+        outdir.mkdir(parents=True, exist_ok=True)
+        for path, report in zip(files, reports):
+            report.write_steps_csv(path)
+        gp.write_text("\n".join(lines) + "\n")
     print(f"wrote {len(files)} error-curve files and {gp}")
     return EXIT_OK
 

@@ -130,12 +130,18 @@ def _decay_table(alpha: float, lam_bytes: bytes, t_bytes: bytes) -> np.ndarray:
     """Read-only E_alpha(-lam t^alpha), shape (times, eigenvalues).
 
     Keyed by value, so every row of a study (same datum, alpha, modes and
-    time mesh, any M) reuses one evaluation.
+    time mesh, any M) reuses one evaluation. A non-finite value raises
+    EvaluationError: for alpha within about 3e-9 of 1, cos(alpha pi) rounds
+    to -1 and the quadrature's denominator vanishes at its split point.
     """
     lam = np.frombuffer(lam_bytes)
     t = np.frombuffer(t_bytes)
     args = (lam[None, :] * (t ** alpha)[:, None]).ravel()
-    table = MlfEvaluator(alpha)(args).reshape(t.size, lam.size)
+    with np.errstate(divide="ignore", invalid="ignore"):  # checked below
+        table = MlfEvaluator(alpha)(args).reshape(t.size, lam.size)
+    if not np.all(np.isfinite(table)):
+        raise EvaluationError(f"Mittag-Leffler decay E_alpha(-lambda t^alpha) is not finite "
+                              f"for alpha={alpha!r}; use an alpha farther from 1")
     table.setflags(write=False)
     return table
 

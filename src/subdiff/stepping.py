@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import FieldP1, assemble_mass, assemble_stiffness, load_vector
+from .assembly import FieldP1, _eval_on, assemble_mass, assemble_stiffness, load_vector
 from .exceptions import NumericalBlowupError
 from .mesh import StructuredMesh
 from .mittag_leffler import gamma
@@ -203,7 +203,11 @@ def run(mesh: StructuredMesh, time_mesh: GradedTimeMesh, alpha: float, a,
     Once per run: assembly, the weights and one solver for the pencil
     mass + s stiffness. Each step then does only per-step work.
     f, when given, is a space-time function f(x, y, t) sampled at interval
-    midpoints in time and assembled with the standard load quadrature.
+    midpoints in time and assembled with the standard load quadrature. It
+    is sampled once per block of HISTORY_BLOCK steps: x and y are the edge
+    midpoints, t is the (B, 1) column of the block's interval midpoints,
+    and f must broadcast over it. An f that takes scalars only (math.*)
+    still works, evaluated point by point, but slowly.
     observer(n, t_n, FieldP1) is called once per step in increasing n.
     """
     if u0_field.mesh is not mesh:
@@ -214,12 +218,14 @@ def run(mesh: StructuredMesh, time_mesh: GradedTimeMesh, alpha: float, a,
     solver = LinearSolver(mass, rtol=rtol, shift=stiffness)
     state = SchemeState.start(mesh, time_mesh, u0_field)
     t = time_mesh.t
+    loads = None
     for n in range(1, time_mesh.N + 1):
-        load = None
-        if f is not None:
-            t_mid = 0.5 * (t[n - 1] + t[n])
-            load = load_vector(mesh, lambda x, y: f(x, y, t_mid))
-        u_n = step(state, n, weights, solver, load=load)
+        i = (n - 1) % HISTORY_BLOCK
+        if f is not None and i == 0:  # steps n..stop share one sample of f
+            stop = min(n - 1 + HISTORY_BLOCK, time_mesh.N)
+            t_mid = (0.5 * (t[n - 1:stop] + t[n:stop + 1]))[:, None]
+            loads = load_vector(mesh, lambda x, y: _eval_on(f, x, y, t_mid))
+        u_n = step(state, n, weights, solver, load=None if loads is None else loads[i])
         if observer is not None:
             observer(n, t[n], u_n)
     return state

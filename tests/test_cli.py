@@ -111,6 +111,31 @@ def test_degenerate_time_mesh_exit_code(tmp_path, capsys, recwarn):
     assert len(recwarn) == 0
 
 
+def test_alpha_too_close_to_one_exit_code(tmp_path, capsys, recwarn):
+    # cos(alpha pi) rounds to -1: the Mittag-Leffler quadrature would give nan
+    code = main(["solve", "--M", "4", "--N", "10", "--modes", "4", "--fine-M", "8",
+                 "--alpha", "0.999999999", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration: Mittag-Leffler decay ")
+    assert "alpha=0.999999999;" in err
+    assert len(recwarn) == 0
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", [["solve", "--M", "4"], ["table", "custom", "--M", "2,4"],
+                                     ["figure", "figure1", "--M", "2,4"]],
+                         ids=["solve", "table", "figure"])
+def test_output_under_a_regular_file_exit_code(command, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out"
+    code = main(command + ["--N", "5", "--modes", "4", "--fine-M", "8", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid configuration: cannot write output to {out}: ")
+
+
 def test_solve_deterministic_output(tmp_path):
     args = ["solve", "--example", "example1", "--M", "4", "--N", "15",
             "--modes", "12", "--fine-M", "16"]

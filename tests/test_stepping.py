@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import subdiff.stepping as stepping
 from subdiff.assembly import (FieldP1, assemble_mass, assemble_stiffness, l2_project,
                               load_vector)
 from subdiff.exact import DATA
+from subdiff.exceptions import EvaluationError
 from subdiff.mesh import build_mesh
 from subdiff.mittag_leffler import MlfEvaluator, gamma
 from subdiff.sparse import LinearSolver, matvec
@@ -187,6 +189,58 @@ def test_run_matches_direct_sum_oracle():
     for n in range(1, tm.N + 1):
         scale = np.abs(ref[n]).max()
         assert np.abs(us[n] - ref[n]).max() <= 1e-12 * scale, f"step {n}"
+
+
+def _step_loads(monkeypatch, f, M=4, N=40):
+    """The load each step of a forced run receives, and the time mesh.
+    N = 40 ends in a partial history block."""
+    mesh = build_mesh(M)
+    tm = build_time_mesh(N, 1.6, 0.5)
+    loads = []
+    real = stepping.step
+
+    def recording(state, n, weights, solver, load=None):
+        loads.append(load)
+        return real(state, n, weights, solver, load=load)
+
+    monkeypatch.setattr(stepping, "step", recording)
+    u0 = FieldP1(mesh=mesh, values=np.zeros(mesh.n_interior))
+    run(mesh, tm, 0.75, None, u0, f=f)
+    monkeypatch.undo()
+    return mesh, tm, loads
+
+
+def test_block_loads_match_per_step_load_vector(monkeypatch):
+    # the time dependence adds t after the spatial factor, so sampling the
+    # block's (B, 1) column of times rounds exactly as one time at a time
+    assert 40 % stepping.HISTORY_BLOCK != 0
+    f = lambda x, y, t: np.sin(np.pi * x) * y + t
+    mesh, tm, loads = _step_loads(monkeypatch, f)
+    assert len(loads) == 40
+    for n, load in enumerate(loads, start=1):
+        t_mid = 0.5 * (tm.t[n - 1] + tm.t[n])
+        assert np.array_equal(load, load_vector(mesh, lambda x, y: f(x, y, t_mid))), f"step {n}"
+
+
+def test_scalar_only_forcing_matches_vectorised_twin(monkeypatch):
+    # math.* rejects arrays: f is evaluated point by point through np.vectorize
+    f_scalar = lambda x, y, t: math.exp(x) * math.sin(3.0 * y) + math.cos(3.0 * t) * x
+    f_vector = lambda x, y, t: np.exp(x) * np.sin(3.0 * y) + np.cos(3.0 * t) * x
+    _, _, slow = _step_loads(monkeypatch, f_scalar)
+    _, _, fast = _step_loads(monkeypatch, f_vector)
+    assert len(slow) == len(fast) == 40
+    for n, (a, b) in enumerate(zip(slow, fast), start=1):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), f"step {n}"
+
+
+def test_non_finite_forcing_raises():
+    # finite in the first block, nan at the last steps of the partial second one
+    mesh = build_mesh(4)
+    tm = build_time_mesh(40, 1.6, 0.5)
+    u0 = FieldP1(mesh=mesh, values=np.zeros(mesh.n_interior))
+    f = lambda x, y, t: np.where(t > tm.t[37], np.nan, 1.0) * x
+    with pytest.raises(EvaluationError, match="non-finite"):
+        run(mesh, tm, 0.75, None, u0, f=f)
 
 
 def test_run_builds_one_solver(monkeypatch):
