@@ -6,8 +6,7 @@ fractional-integral weights on graded time meshes, and an eigenfunction-
 series exact solution for convergence studies.
 """
 
-from .assembly import (FieldP1, assemble_mass, assemble_stiffness, l2_project,
-                       load_vector, ritz_project)
+from .assembly import FieldP1, assemble_mass, assemble_stiffness, l2_project, load_vector
 from .config import ConfigError, ExperimentConfig
 from .exact import DATA, InitialDatum, SeriesSolution, eval_grid, make_series
 from .exceptions import (CoefficientRangeError, EvaluationError,
@@ -19,7 +18,7 @@ from .metrics import (ErrorReport, FineLattice, LatticeInterpolator,
 from .mittag_leffler import MlfEvaluator, gamma, reciprocal_gamma
 from .sparse import LinearSolver, SparseMatrix, cg_solve, csr_from_coo, matvec
 from .stepping import (FracWeights, GradedTimeMesh, SchemeState, build_time_mesh,
-                       frac_integral_nodes, frac_weights, run, step)
+                       frac_weights, run, step)
 from .study import ErrorTracker, RunResult, TableResult, run_single, run_table
 
 __version__ = "0.1.0"
@@ -33,8 +32,8 @@ __all__ = [
     "SparseMatrix", "StructuredMesh", "TableResult",
     "assemble_mass", "assemble_stiffness", "build_mesh", "build_time_mesh",
     "cg_solve", "convergence_rates", "csr_from_coo", "eval_grid",
-    "fine_lattice", "frac_integral_nodes", "frac_weights", "gamma",
+    "fine_lattice", "frac_weights", "gamma",
     "l2_project", "load_vector", "locate_points", "make_series", "matvec",
-    "reciprocal_gamma", "ritz_project", "run", "run_single",
+    "reciprocal_gamma", "run", "run_single",
     "run_table", "step", "weighted_errors",
 ]

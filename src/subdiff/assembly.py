@@ -57,31 +57,25 @@ def _eval_on(g, *args: np.ndarray) -> np.ndarray:
     return out
 
 
-def _scatter(mesh: StructuredMesh, local: np.ndarray, include_boundary: bool) -> SparseMatrix:
-    """Sum (ntri, 3, 3) element matrices into CSR over the chosen dof set."""
-    if include_boundary:
-        dof = np.arange(mesh.nodes.shape[0])[mesh.triangles]
-        n = mesh.nodes.shape[0]
-    else:
-        dof = mesh.interior_index[mesh.triangles]
-        n = mesh.n_interior
+def _scatter(mesh: StructuredMesh, local: np.ndarray) -> SparseMatrix:
+    """Sum (ntri, 3, 3) element matrices into CSR over the interior dofs."""
+    dof = mesh.interior_index[mesh.triangles]
     rows = np.repeat(dof, 3, axis=1).ravel()
     cols = np.tile(dof, (1, 3)).ravel()
     vals = local.ravel()
     keep = (rows >= 0) & (cols >= 0)
-    return csr_from_coo(n, rows[keep], cols[keep], vals[keep])
+    return csr_from_coo(mesh.n_interior, rows[keep], cols[keep], vals[keep])
 
 
-def assemble_mass(mesh: StructuredMesh, include_boundary: bool = False) -> SparseMatrix:
+def assemble_mass(mesh: StructuredMesh) -> SparseMatrix:
     """Mass matrix M_ij = (phi_i, phi_j); exact for P1 elements."""
     area = mesh.triangle_area
     local_one = area / 12.0 * (np.ones((3, 3)) + np.eye(3))
     local = np.broadcast_to(local_one, (mesh.triangles.shape[0], 3, 3))
-    return _scatter(mesh, local, include_boundary)
+    return _scatter(mesh, local)
 
 
-def assemble_stiffness(mesh: StructuredMesh, a=None,
-                       include_boundary: bool = False) -> SparseMatrix:
+def assemble_stiffness(mesh: StructuredMesh, a=None) -> SparseMatrix:
     """Stiffness matrix S_ij = (a grad phi_i, grad phi_j).
 
     The diffusivity is sampled once per element at the centroid, which keeps
@@ -101,13 +95,7 @@ def assemble_stiffness(mesh: StructuredMesh, a=None,
                 f"({cent[i, 0]}, {cent[i, 1]})")
     grads = _element_gradients(mesh)
     local = mesh.triangle_area * np.einsum("t,tid,tjd->tij", a_c, grads, grads)
-    return _scatter(mesh, local, include_boundary)
-
-
-def _sum_to_interior(mesh: StructuredMesh, contrib: np.ndarray) -> np.ndarray:
-    """Sum (ntri, 3) per-vertex contributions into interior dofs, in row-major order."""
-    pos, dof = mesh.interior_scatter
-    return np.bincount(dof, weights=contrib.ravel()[pos], minlength=mesh.n_interior)
+    return _scatter(mesh, local)
 
 
 def load_vector(mesh: StructuredMesh, g) -> np.ndarray:
@@ -150,25 +138,3 @@ def l2_project(mesh: StructuredMesh, g, rtol: float = 1e-12) -> FieldP1:
     solver = LinearSolver(mass, rtol=rtol)
     return FieldP1(mesh=mesh, values=solver.solve(b))
 
-
-def ritz_project(mesh: StructuredMesh, a, g, grad_g, rtol: float = 1e-12) -> FieldP1:
-    """Ritz projection of g (with gradient grad_g and g = 0 on the boundary)."""
-    stiff = assemble_stiffness(mesh, a)
-    points, index = mesh.edges
-    px, py = points[:, 0], points[:, 1]
-    gx, gy = grad_g(px, py)
-    gx = np.broadcast_to(np.asarray(gx, dtype=float), px.shape)[index]
-    gy = np.broadcast_to(np.asarray(gy, dtype=float), px.shape)[index]
-    if a is None:
-        a_q = np.ones_like(gx)
-    else:
-        a_q = _eval_on(a, px, py)[index]
-    if not (np.all(np.isfinite(gx)) and np.all(np.isfinite(gy))):
-        raise EvaluationError("gradient function produced non-finite values")
-    grads = _element_gradients(mesh)
-    sx = (a_q * gx).sum(axis=1)
-    sy = (a_q * gy).sum(axis=1)
-    contrib = mesh.triangle_area / 3.0 * (
-        sx[:, None] * grads[:, :, 0] + sy[:, None] * grads[:, :, 1])
-    solver = LinearSolver(stiff, rtol=rtol)
-    return FieldP1(mesh=mesh, values=solver.solve(_sum_to_interior(mesh, contrib)))

@@ -1,4 +1,4 @@
-"""Command-line interface: solve, table, figure, verify.
+"""Command-line interface: solve, table, figure.
 
 Configuration starts from the defaults; a preset, an optional JSON file
 and flags of the same names each override what came before. Exit codes:
@@ -17,7 +17,6 @@ from .benchmarks import PRESETS
 from .config import ConfigError, ExperimentConfig
 from .exceptions import NumericalBlowupError, SolverFailureError
 from .study import run_single, run_table
-from .verify import run_all
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -79,16 +78,24 @@ def _writing_outputs(outdir: Path):
         raise ConfigError(f"cannot write output to {path}: {exc.strerror}") from exc
 
 
+def _output_dir(cfg: ExperimentConfig) -> Path:
+    """Create cfg.out before the run, so that an unusable path is reported
+    before any work is done."""
+    outdir = Path(cfg.out)
+    with _writing_outputs(outdir):
+        outdir.mkdir(parents=True, exist_ok=True)
+    return outdir
+
+
 def cmd_solve(args) -> int:
     cfg = build_config(args)
     if len(cfg.M) != 1:
         raise ConfigError(f"M must name one mesh size for solve, got {cfg.M}")
     M = cfg.M[0]
+    outdir = _output_dir(cfg)
     res = run_single(cfg, M)
-    outdir = Path(cfg.out)
     steps = outdir / f"steps_{cfg.example}_M{M}_N{cfg.N}.csv"
     with _writing_outputs(outdir):
-        outdir.mkdir(parents=True, exist_ok=True)
         res.report.write_steps_csv(steps)
     summary = ", ".join(f"E_{mu:g} = {val:.5e}" for mu, val in res.E_mu.items())
     print(f"{cfg.example} M={M} N={cfg.N} gamma={cfg.gamma} alpha={cfg.alpha}: {summary}")
@@ -111,12 +118,11 @@ def cmd_table(args) -> int:
     for a, b in zip(cfg.M, cfg.M[1:]):
         if b != 2 * a:
             raise ConfigError(f"M must double between table rows, got {cfg.M}")
+    outdir = _output_dir(cfg)
     result = run_table(cfg)
-    outdir = Path(cfg.out)
     name = args.preset if args.preset != "custom" else "table_custom"
     csv_path = outdir / f"{name}.csv"
     with _writing_outputs(outdir):
-        outdir.mkdir(parents=True, exist_ok=True)
         csv_path.write_text(result.csv_text())
     print(result.text())
     print(f"wrote {csv_path}")
@@ -125,8 +131,8 @@ def cmd_table(args) -> int:
 
 def cmd_figure(args) -> int:
     cfg = _study_config(args, args.preset)
+    outdir = _output_dir(cfg)
     reports = [run_single(cfg, M).report for M in cfg.M]
-    outdir = Path(cfg.out)
     files = [outdir / f"{args.preset}_M{report.M}.csv" for report in reports]
     gp = outdir / f"{args.preset}.gp"
     lines = [
@@ -139,18 +145,11 @@ def cmd_figure(args) -> int:
             for f, r in zip(files, reports)),
     ]
     with _writing_outputs(outdir):
-        outdir.mkdir(parents=True, exist_ok=True)
         for path, report in zip(files, reports):
             report.write_steps_csv(path)
         gp.write_text("\n".join(lines) + "\n")
     print(f"wrote {len(files)} error-curve files and {gp}")
     return EXIT_OK
-
-
-def cmd_verify(args) -> int:
-    ok, report = run_all()
-    print(report)
-    return EXIT_OK if ok else EXIT_NUMERICAL
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -174,9 +173,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("preset", choices=["figure1", "figure2", "figure3"])
     _add_config_flags(p)
     p.set_defaults(fn=cmd_figure)
-
-    p = sub.add_parser("verify", help="run the built-in verification suites")
-    p.set_defaults(fn=cmd_verify)
     return ap
 
 

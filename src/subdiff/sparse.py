@@ -65,12 +65,6 @@ class SparseMatrix:
             arr.setflags(write=False)
         return E, J
 
-    def to_dense(self) -> np.ndarray:
-        A = np.zeros((self.n, self.n))
-        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        A[rows, self.indices] = self.data
-        return A
-
     def max_asymmetry(self) -> float:
         """max |A_ij - A_ji| relative to max |A_ij|; inf when the pattern is not symmetric."""
         rows = np.repeat(np.arange(self.n), np.diff(self.indptr))

@@ -117,15 +117,6 @@ def frac_weights(mesh: GradedTimeMesh, alpha: float) -> FracWeights:
     return FracWeights(mesh=mesh, alpha=alpha)
 
 
-def frac_integral_nodes(weights: FracWeights, samples: np.ndarray) -> np.ndarray:
-    """I^alpha of the piecewise-constant history at all mesh nodes t_1..t_N."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.shape != (weights.mesh.N,):
-        raise ValueError("need one history sample per subinterval")
-    return np.array([weights.row(n) @ samples[:n]
-                     for n in range(1, weights.mesh.N + 1)])
-
-
 # steps per history block; one GEMM per block sums the history before it
 HISTORY_BLOCK = 32
 

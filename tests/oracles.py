@@ -3,6 +3,76 @@
 import numpy as np
 
 from subdiff.sparse import SparseMatrix, csr_from_coo
+from subdiff.stepping import FracWeights
+
+
+def to_dense(A: SparseMatrix) -> np.ndarray:
+    """The CSR matrix as a dense array."""
+    D = np.zeros((A.n, A.n))
+    rows = np.repeat(np.arange(A.n), np.diff(A.indptr))
+    D[rows, A.indices] = A.data
+    return D
+
+
+def frac_integral_nodes(weights: FracWeights, samples: np.ndarray) -> np.ndarray:
+    """I^alpha of the piecewise-constant history at all mesh nodes t_1..t_N."""
+    samples = np.asarray(samples, dtype=float)
+    if samples.shape != (weights.mesh.N,):
+        raise ValueError("need one history sample per subinterval")
+    return np.array([weights.row(n) @ samples[:n]
+                     for n in range(1, weights.mesh.N + 1)])
+
+
+def stencil_stiffness_dense(M: int) -> np.ndarray:
+    """Unit-coefficient P1 stiffness on interior nodes from the known
+    five-point stencil: 4 on the diagonal, -1 to axis neighbours."""
+    m = M - 1
+    A = np.zeros((m * m, m * m))
+    for j in range(m):
+        for i in range(m):
+            r = j * m + i
+            A[r, r] = 4.0
+            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                ii, jj = i + di, j + dj
+                if 0 <= ii < m and 0 <= jj < m:
+                    A[r, jj * m + ii] = -1.0
+    return A
+
+
+def stencil_mass_dense(M: int) -> np.ndarray:
+    """Consistent P1 mass on interior nodes from the known stencil."""
+    m = M - 1
+    area = 1.0 / (2.0 * M * M)
+    A = np.zeros((m * m, m * m))
+    for j in range(m):
+        for i in range(m):
+            r = j * m + i
+            A[r, r] = area
+            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)):
+                ii, jj = i + di, j + dj
+                if 0 <= ii < m and 0 <= jj < m:
+                    A[r, jj * m + ii] = area / 6.0
+    return A
+
+
+def heat_crank_nicolson_reference(M: int, u0: np.ndarray, tau: float,
+                                  nsteps: int) -> np.ndarray:
+    """Dense CN stepper for u' - div(grad u) = 0, first step fully implicit.
+
+    Built from the analytic interior stencils and dense solves, independent
+    of the sparse assembly and CG machinery. Returns all steps (nsteps, dof).
+    """
+    Md = stencil_mass_dense(M)
+    Sd = stencil_stiffness_dense(M)
+    out = np.empty((nsteps, u0.size))
+    u = u0.copy()
+    for n in range(1, nsteps + 1):
+        if n == 1:
+            u = np.linalg.solve(Md + tau * Sd, Md @ u)
+        else:
+            u = np.linalg.solve(Md + 0.5 * tau * Sd, (Md - 0.5 * tau * Sd) @ u)
+        out[n - 1] = u
+    return out
 
 
 def add_scaled(A: SparseMatrix, B: SparseMatrix, a: float, b: float) -> SparseMatrix:

@@ -5,6 +5,7 @@ from dataclasses import MISSING, fields
 import pytest
 
 import subdiff
+from subdiff.assembly import assemble_mass, assemble_stiffness
 from subdiff.config import ConfigError, ExperimentConfig
 from subdiff.exact import DATA, InitialDatum, SeriesSolution, make_series
 from subdiff.mesh import StructuredMesh, build_mesh
@@ -13,11 +14,11 @@ from subdiff.mittag_leffler import MlfEvaluator
 from subdiff.sparse import LinearSolver
 from subdiff.stepping import build_time_mesh
 from subdiff.study import ErrorTracker
-from subdiff.verify import run_all, suite_special_functions
 
 REMOVED = ("eval_points", "mlf", "write_debug_csv", "write_matrix_market",
            "initial_field", "step_error", "locate_point", "add_scaled",
-           "example1", "example2", "example3", "custom")
+           "example1", "example2", "example3", "custom", "ritz_project",
+           "frac_integral_nodes")
 
 # module.attribute or module.Class.attribute paths below subdiff
 REMOVED_MEMBERS = (
@@ -32,6 +33,8 @@ REMOVED_MEMBERS = (
     "study.MlfEvaluator", "sparse.LinearSolver.max_iter",
     "mittag_leffler.MlfEvaluator.x_lo", "mittag_leffler.MlfEvaluator.x_hi",
     "metrics.FineLattice.points", "metrics.FineLattice.n_nodes", "exact.sine_matrix",
+    "assembly.ritz_project", "sparse.SparseMatrix.to_dense", "stepping.frac_integral_nodes",
+    "benchmarks.TABLES", "cli.cmd_verify",
 )
 
 
@@ -60,8 +63,8 @@ def test_dataclass_fields_removed():
     assert [f.name for f in fields(LinearSolver) if f.init] == ["matrix", "rtol", "shift"]
     rule = next(f for f in fields(InitialDatum) if f.name == "coefficient_rule")
     assert rule.default is MISSING
-    for fn in (run_all, suite_special_functions):
-        assert not inspect.signature(fn).parameters
+    for fn in (assemble_mass, assemble_stiffness):
+        assert "include_boundary" not in inspect.signature(fn).parameters
 
 
 def test_error_tracker_attributes_removed():

@@ -3,43 +3,25 @@ import math
 import numpy as np
 import pytest
 
-from subdiff.assembly import (FieldP1, _element_gradients, assemble_mass, assemble_stiffness,
-                              l2_project, load_vector, ritz_project)
+from subdiff.assembly import FieldP1, assemble_mass, assemble_stiffness, l2_project, load_vector
 from subdiff.exceptions import CoefficientRangeError
 from subdiff.mesh import build_mesh, locate_points
 from subdiff.sparse import LinearSolver, matvec
 
-
-def stencil_stiffness(M):
-    """Independent dense oracle: 4 on the diagonal, -1 to axis neighbors."""
-    m = M - 1
-    A = np.zeros((m * m, m * m))
-    for j in range(m):
-        for i in range(m):
-            r = j * m + i
-            A[r, r] = 4.0
-            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                ii, jj = i + di, j + dj
-                if 0 <= ii < m and 0 <= jj < m:
-                    A[r, jj * m + ii] = -1.0
-    return A
+from oracles import stencil_mass_dense, stencil_stiffness_dense, to_dense
 
 
 def test_mass_single_interior_entry():
     # six incident triangles, each contributing area/6 on the diagonal
     M = assemble_mass(build_mesh(2))
-    assert np.allclose(M.to_dense(), [[1.0 / 8.0]], rtol=1e-15, atol=0.0)
+    assert np.allclose(to_dense(M), [[1.0 / 8.0]], rtol=1e-15, atol=0.0)
 
 
-def test_mass_row_sums_and_total():
-    mesh = build_mesh(5)
-    Mfull = assemble_mass(mesh, include_boundary=True).to_dense()
-    # row sum = integral of the hat function = patch area / 3
-    patch_cnt = np.zeros(mesh.nodes.shape[0])
-    np.add.at(patch_cnt, mesh.triangles.ravel(), 1.0)
-    expected = patch_cnt * mesh.triangle_area / 3.0
-    assert np.max(np.abs(Mfull.sum(axis=1) - expected)) <= 1e-15
-    assert Mfull.sum() == pytest.approx(1.0, abs=1e-14)
+def test_mass_matches_stencil():
+    # every interior entry: area on the diagonal, area/6 to the six neighbours
+    for M in (2, 4, 8):
+        Md = to_dense(assemble_mass(build_mesh(M)))
+        assert np.allclose(Md, stencil_mass_dense(M), rtol=1e-15, atol=0.0), M
 
 
 def test_mass_times_one_approximates_hat_integrals():
@@ -53,13 +35,13 @@ def test_mass_times_one_approximates_hat_integrals():
 @pytest.mark.parametrize("M", [2, 4, 8])
 def test_stiffness_stencil_exact(M):
     S = assemble_stiffness(build_mesh(M))
-    assert np.array_equal(S.to_dense(), stencil_stiffness(M))
+    assert np.array_equal(to_dense(S), stencil_stiffness_dense(M))
 
 
 def test_stiffness_constant_coefficient_scales():
     mesh = build_mesh(6)
-    S1 = assemble_stiffness(mesh).to_dense()
-    Sc = assemble_stiffness(mesh, lambda x, y: 2.5).to_dense()
+    S1 = to_dense(assemble_stiffness(mesh))
+    Sc = to_dense(assemble_stiffness(mesh, lambda x, y: 2.5))
     assert np.max(np.abs(Sc - 2.5 * S1)) <= 1e-14 * np.abs(Sc).max()
 
 
@@ -67,8 +49,8 @@ def test_stiffness_linearity_in_coefficient():
     mesh = build_mesh(8)
     a1 = lambda x, y: 1.0 + x * y
     a2 = lambda x, y: 2.0 + np.sin(np.pi * x)
-    S12 = assemble_stiffness(mesh, lambda x, y: a1(x, y) + a2(x, y)).to_dense()
-    Ssum = assemble_stiffness(mesh, a1).to_dense() + assemble_stiffness(mesh, a2).to_dense()
+    S12 = to_dense(assemble_stiffness(mesh, lambda x, y: a1(x, y) + a2(x, y)))
+    Ssum = to_dense(assemble_stiffness(mesh, a1)) + to_dense(assemble_stiffness(mesh, a2))
     assert np.max(np.abs(S12 - Ssum)) <= 1e-13 * np.abs(S12).max()
 
 
@@ -122,29 +104,6 @@ def test_load_vector_bitwise_matches_add_at_reference():
             ref = _scatter_add_at(mesh, contrib)
             assert np.array_equal(load_vector(mesh, fn), ref)
             assert np.array_equal(load_vector(mesh, fn), ref)  # cached geometry
-
-
-def test_ritz_project_bitwise_matches_all_midpoint_reference():
-    """a and grad g evaluated once per edge give the load of the per-triangle
-    evaluation at all 6 M^2 midpoints, so the projection is unchanged."""
-    a = lambda x, y: 1.0 + 0.5 * np.sin(np.pi * x) * np.sin(np.pi * y)
-    grad = lambda x, y: (np.pi * np.cos(np.pi * x) * np.sin(np.pi * y),
-                         np.pi * np.sin(np.pi * x) * np.cos(np.pi * y))
-    g = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
-    for M, coeff in ((5, None), (32, a)):
-        mesh = build_mesh(M)
-        mids = _triangle_midpoints(mesh)
-        mx, my = mids[..., 0], mids[..., 1]
-        gx, gy = grad(mx, my)
-        a_q = np.ones_like(mx) if coeff is None else coeff(mx, my)
-        grads = _element_gradients(mesh)
-        sx = (a_q * gx).sum(axis=1)
-        sy = (a_q * gy).sum(axis=1)
-        contrib = mesh.triangle_area / 3.0 * (
-            sx[:, None] * grads[:, :, 0] + sy[:, None] * grads[:, :, 1])
-        stiff = assemble_stiffness(mesh, coeff)
-        ref = LinearSolver(stiff).solve(_scatter_add_at(mesh, contrib))
-        assert np.array_equal(ritz_project(mesh, coeff, g, grad).values, ref)
 
 
 def test_load_vector_degree2_exact():
@@ -220,38 +179,5 @@ def test_ritz_projection_is_identity_on_members():
     S = assemble_stiffness(mesh)
     coeffs = np.linspace(0.1, 1.0, mesh.n_interior)
     b = matvec(S, coeffs)  # A(g, phi_i) for g in the P1 space
-    from subdiff.sparse import LinearSolver
     recovered = LinearSolver(S).solve(b)
     assert np.max(np.abs(recovered - coeffs)) <= 1e-10
-
-
-def test_ritz_project_sine_converges_second_order():
-    g = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
-    grad = lambda x, y: (np.pi * np.cos(np.pi * x) * np.sin(np.pi * y),
-                         np.pi * np.sin(np.pi * x) * np.cos(np.pi * y))
-    errs = []
-    for M in (8, 16, 32):
-        mesh = build_mesh(M)
-        proj = ritz_project(mesh, None, g, grad)
-        coords = mesh.nodes[~mesh.boundary_mask]
-        errs.append(np.max(np.abs(proj.values - g(coords[:, 0], coords[:, 1]))))
-    rate = np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])
-    assert min(rate) > 1.8
-
-
-def test_ritz_and_l2_projections_close():
-    mesh = build_mesh(8)
-    g = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
-    grad = lambda x, y: (np.pi * np.cos(np.pi * x) * np.sin(np.pi * y),
-                         np.pi * np.sin(np.pi * x) * np.cos(np.pi * y))
-    f_l2 = l2_project(mesh, g)
-    f_ritz = ritz_project(mesh, None, g, grad)
-    assert f_l2.values.shape == f_ritz.values.shape
-    assert 0.0 < np.max(np.abs(f_l2.values - f_ritz.values)) < 0.05
-
-
-def test_ritz_project_zero_gradient_gives_zero():
-    mesh = build_mesh(4)
-    proj = ritz_project(mesh, None, lambda x, y: np.zeros_like(x),
-                        lambda x, y: (np.zeros_like(x), np.zeros_like(x)))
-    assert np.max(np.abs(proj.values)) <= 1e-14

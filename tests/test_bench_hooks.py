@@ -1,13 +1,17 @@
-"""Guard for the benchmark's trace hooks.
+"""Guard for the benchmark's workloads and trace hooks.
 
-perfbench/spans.py wraps package callables by module attribute name; a
-rename would break `perfbench/run.py --trace 1` without failing any other
-test. This module loads spans.py (read only) and traces one tiny forced run
-and one tiny convergence study.
+perfbench/workloads.py and perfbench/spans.py reach package callables by
+module attribute name; a rename would break `perfbench/run.py` without
+failing any other test. This module loads both files (read only), checks
+every package name the workloads use, and traces one tiny forced run and
+one tiny convergence study.
 """
 
+import ast
 import importlib.util
+import json
 import math
+import types
 from pathlib import Path
 
 import numpy as np
@@ -20,18 +24,36 @@ from subdiff.config import ExperimentConfig
 from subdiff.exact import DATA, make_series
 from subdiff.mesh import build_mesh
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load_perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+def test_workloads_resolve_and_match_benchmark():
+    workloads = _load_perfbench("workloads")  # names imported from subdiff resolve here
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert set(workloads.WORKLOADS) == {w["name"] for w in spec["workloads"]}
+    # module attributes are looked up at call time: each one must exist
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    used = {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)}
+    checked = 0
+    for alias, attr in sorted(used):
+        owner = getattr(workloads, alias, None)
+        if isinstance(owner, types.ModuleType) and owner.__name__.startswith("subdiff."):
+            assert hasattr(owner, attr), f"{owner.__name__}.{attr} is gone"
+            checked += 1
+    assert checked  # the walk found the workloads' package calls
+
+
 def test_trace_hooks_resolve_and_count_one_run():
-    spans = _load_spans()
+    spans = _load_perfbench("spans")
     for owner, attr, _ in spans.WRAPPED:
         # Tracer.install reads methods from the class body, not inherited ones
         found = attr in owner.__dict__ if isinstance(owner, type) else hasattr(owner, attr)
@@ -63,7 +85,7 @@ def test_trace_counts_one_oracle_evaluation_per_study():
     # M: a two-row study evaluates the oracle once, on the distinct
     # eigenvalues, while each row interpolates and evaluates the series
     # once per step
-    spans = _load_spans()
+    spans = _load_perfbench("spans")
     cfg = ExperimentConfig(example="example1", M=[2, 4], N=20, modes=8, fine_M=8)
     cfg.validate()
     sol = make_series(DATA["example1"], cfg.alpha, cfg.modes)

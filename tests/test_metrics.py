@@ -2,9 +2,6 @@ import numpy as np
 import pytest
 
 from subdiff.assembly import FieldP1, l2_project
-from subdiff.benchmarks import (M_VALUES, TABLE1_ERRORS, TABLE1_RATES,
-                                TABLE2_ERRORS, TABLE2_RATES, TABLE3_ERRORS,
-                                TABLE3_RATES)
 from subdiff.exact import DATA, make_series
 from subdiff.mesh import build_mesh
 from subdiff.mittag_leffler import MlfEvaluator
@@ -13,6 +10,8 @@ from subdiff.metrics import (ErrorReport, FineLattice, LatticeInterpolator,
                              convergence_rates, fine_lattice, weighted_errors)
 
 from oracles import interpolation_matrix
+from published import (TABLE1_ERRORS, TABLE1_RATES, TABLE2_ERRORS, TABLE2_RATES,
+                       TABLE3_ERRORS, TABLE3_RATES)
 
 
 def test_fine_lattice_counts():

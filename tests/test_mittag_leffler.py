@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import subdiff.mittag_leffler as mittag_leffler
 from subdiff.mittag_leffler import MlfEvaluator, gamma, reciprocal_gamma
 
 # Frozen values of E_alpha(-x) from the extended-precision series oracle
@@ -233,6 +234,17 @@ def test_mlf_perturbed_threshold_breaks_continuity():
     ev = MlfEvaluator(0.3)
     v_series = float(ev.series_value(20.0)[0])
     v_quad = float(ev.quadrature_value(20.0)[0])
+    assert not abs(v_series - v_quad) / abs(v_quad) <= 1e-9
+
+
+def test_mlf_series_safe_bound_fault_injection(monkeypatch):
+    # a series-safe bound of 1e6 moves the alpha = 1/4 switch point to 5,
+    # where the series has lost all its digits: the two regimes must disagree
+    monkeypatch.setattr(mittag_leffler, "_SERIES_T_MAX", 1e6)
+    ev = MlfEvaluator(0.25)
+    assert ev.series_cut == 5.0
+    v_series = float(ev.series_value(ev.series_cut)[0])
+    v_quad = float(ev.quadrature_value(ev.series_cut)[0])
     assert not abs(v_series - v_quad) / abs(v_quad) <= 1e-9
 
 

@@ -13,9 +13,8 @@ from subdiff.mesh import build_mesh
 from subdiff.mittag_leffler import MlfEvaluator, gamma
 from subdiff.sparse import LinearSolver, matvec
 from subdiff.stepping import SchemeState, build_time_mesh, frac_weights, run, step
-from subdiff.verify import heat_crank_nicolson_reference
 
-from oracles import add_scaled
+from oracles import add_scaled, heat_crank_nicolson_reference, to_dense
 
 
 def test_zero_data_stays_zero():
@@ -66,8 +65,8 @@ def test_stepper_matches_exact_semidiscrete_solution():
     with no time discretization at all."""
     M, alpha, T, N = 8, 0.75, 0.5, 600
     mesh = build_mesh(M)
-    Md = assemble_mass(mesh).to_dense()
-    Sd = assemble_stiffness(mesh).to_dense()
+    Md = to_dense(assemble_mass(mesh))
+    Sd = to_dense(assemble_stiffness(mesh))
     u0 = l2_project(mesh, DATA["example3"].evaluate)
     L = np.linalg.cholesky(Md)
     Linv = np.linalg.inv(L)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from subdiff.mittag_leffler import gamma
-from subdiff.stepping import build_time_mesh, frac_integral_nodes, frac_weights
+from subdiff.stepping import build_time_mesh, frac_weights
+
+from oracles import frac_integral_nodes
 
 
 def test_uniform_mesh_nodes():
