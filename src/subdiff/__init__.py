@@ -10,9 +10,8 @@ from .assembly import FieldP1, assemble_mass, assemble_stiffness, l2_project, lo
 from .config import ConfigError, ExperimentConfig
 from .exact import DATA, InitialDatum, SeriesSolution, eval_grid, make_series
 from .exceptions import (CoefficientRangeError, EvaluationError,
-                         NumericalBlowupError, OutOfDomainError,
-                         SolverFailureError)
-from .mesh import StructuredMesh, build_mesh, locate_points
+                         NumericalBlowupError, SolverFailureError)
+from .mesh import StructuredMesh, build_mesh
 from .metrics import (ErrorReport, FineLattice, LatticeInterpolator,
                       convergence_rates, fine_lattice, weighted_errors)
 from .mittag_leffler import MlfEvaluator, gamma, reciprocal_gamma
@@ -27,13 +26,13 @@ __all__ = [
     "CoefficientRangeError", "ConfigError", "DATA", "ErrorReport", "ErrorTracker",
     "EvaluationError", "ExperimentConfig", "FieldP1", "FineLattice",
     "FracWeights", "GradedTimeMesh", "InitialDatum", "LatticeInterpolator",
-    "LinearSolver", "MlfEvaluator", "NumericalBlowupError", "OutOfDomainError",
+    "LinearSolver", "MlfEvaluator", "NumericalBlowupError",
     "RunResult", "SchemeState", "SeriesSolution", "SolverFailureError",
     "SparseMatrix", "StructuredMesh", "TableResult",
     "assemble_mass", "assemble_stiffness", "build_mesh", "build_time_mesh",
     "cg_solve", "convergence_rates", "csr_from_coo", "eval_grid",
     "fine_lattice", "frac_weights", "gamma",
-    "l2_project", "load_vector", "locate_points", "make_series", "matvec",
+    "l2_project", "load_vector", "make_series", "matvec",
     "reciprocal_gamma", "run", "run_single",
     "run_table", "step", "weighted_errors",
 ]

@@ -55,6 +55,8 @@ class ExperimentConfig:
             raise ConfigError(f"example must be one of {tuple(DATA)}, got {self.example!r}")
         if not self.M:
             raise ConfigError("M must list at least one mesh size")
+        if len(set(self.M)) != len(self.M):
+            raise ConfigError(f"M values must be distinct, got {self.M}")
         for m in self.M:
             if m < 2:
                 raise ConfigError(f"M entries must be integers >= 2, got {m!r}")
@@ -66,6 +68,8 @@ class ExperimentConfig:
             raise ConfigError(f"T must be > 0, got {self.T}")
         if self.modes < 1:
             raise ConfigError(f"modes must be an integer >= 1, got {self.modes!r}")
+        if not self.mu:
+            raise ConfigError("mu must list at least one weight exponent")
         for mu in self.mu:
             if mu < 0.0:
                 raise ConfigError(f"mu values must be >= 0, got {mu}")

@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class OutOfDomainError(ValueError):
-    """A query point lies outside the closed unit square."""
-
-
 class CoefficientRangeError(ValueError):
     """A diffusivity sample is non-finite or not strictly positive."""
 

@@ -14,8 +14,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .exceptions import OutOfDomainError
-
 
 @dataclass(frozen=True)
 class StructuredMesh:
@@ -105,36 +103,3 @@ def build_mesh(M: int) -> StructuredMesh:
 
     return StructuredMesh(M=M, nodes=nodes, triangles=triangles,
                           interior_index=interior_index, boundary_mask=boundary_mask)
-
-
-def locate_points(mesh: StructuredMesh, P) -> tuple[np.ndarray, np.ndarray]:
-    """Triangles containing the (k, 2) points P and their barycentric coordinates.
-
-    Returns (tri, lam) of shapes (k,) and (k, 3). Points on shared edges or
-    vertices resolve to the lowest containing triangle index. Cell indices
-    come from floor division, the diagonal test picks the triangle within
-    the cell.
-    """
-    P = np.asarray(P, dtype=float).reshape(-1, 2)
-    x, y = P[:, 0], P[:, 1]
-    inside = (0.0 <= x) & (x <= 1.0) & (0.0 <= y) & (y <= 1.0)
-    if not inside.all():
-        i = int(np.argmin(inside))
-        raise OutOfDomainError(
-            f"point ({float(x[i])}, {float(y[i])}) outside the closed unit square")
-    M = mesh.M
-    sx, fx = np.divmod(x * M, 1.0)
-    sy, fy = np.divmod(y * M, 1.0)
-    sx, sy = sx.astype(np.int64), sy.astype(np.int64)
-    # exact-gridline ties shift down so the lowest-index containing cell wins
-    for s, f in ((sx, fx), (sy, fy)):
-        tie = (f == 0.0) & (s > 0)
-        s[tie] -= 1
-        f[tie] = 1.0
-    lower = fx >= fy  # lower triangle (LL, LR, UR); diagonal ties land here
-    tri = 2 * (sy * M + sx) + ~lower
-    lam = np.where(lower[:, None],
-                   np.column_stack([1.0 - fx, fx - fy, fy]),
-                   np.column_stack([1.0 - fy, fx, fy - fx]))  # upper: (LL, UR, UL)
-    return tri, lam
-

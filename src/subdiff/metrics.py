@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import FieldP1
-from .mesh import StructuredMesh, locate_points
+from .mesh import StructuredMesh
 
 
 @dataclass(frozen=True)
@@ -37,12 +37,13 @@ def fine_lattice(M_s: int = 128) -> FineLattice:
 class LatticeInterpolator:
     """P1 interpolation from a coarse mesh onto a fine lattice that refines it.
 
-    With q = M_s / M, every coarse cell holds the same q x q lattice offsets,
-    and each offset has fixed barycentric weights on three of the cell's four
-    corners. The (4, q, q) weight table comes from locate_points on cell
-    (0, 0); a call forms one product of the table with the corner values of
-    every cell. Coarse node values are reproduced exactly (the weights are
-    exactly 1/0 there).
+    With q = M_s / M, every coarse cell holds the same q x q lattice offsets
+    (fx, fy) = (a / q, b / q), a, b = 1..q. On a cell split along its LL-UR
+    diagonal, the hat functions of its corners there are LL = 1 - max(fx, fy),
+    LR = max(fx - fy, 0), UL = max(fy - fx, 0) and UR = min(fx, fy); these
+    form the (4, q*q) weight table. A call forms one product of the table
+    with the corner values of every cell. Coarse node values are reproduced
+    exactly (the weights are exactly 1/0 there).
     """
 
     def __init__(self, mesh: StructuredMesh, lattice: FineLattice):
@@ -51,14 +52,11 @@ class LatticeInterpolator:
             raise ValueError(f"lattice M_s={lattice.M_s} is not a multiple of mesh M={mesh.M}")
         self.mesh = mesh
         self.lattice = lattice
-        X, Y = np.meshgrid(lattice.xs[:q], lattice.xs[:q], indexing="ij")
-        tri, lam = locate_points(mesh, np.column_stack([X.ravel(), Y.ravel()]))
-        # cell (0, 0)'s corners LL, LR, UL, UR are nodes 0, 1, M+1, M+2
-        nodes = mesh.triangles[tri]
-        corner = nodes % (mesh.M + 1) + 2 * (nodes // (mesh.M + 1))
-        W = np.zeros((q * q, 4))
-        np.put_along_axis(W, corner, lam, axis=1)
-        self._W = W.T.copy()  # (4, q*q): corner, then offset (x, y) with y fastest
+        f = np.arange(1, q + 1) / q
+        fx, fy = (g.ravel() for g in np.meshgrid(f, f, indexing="ij"))
+        # rows: corners LL, LR, UL, UR; columns: offset (a, b) with b fastest
+        self._W = np.stack([1.0 - np.maximum(fx, fy), np.maximum(fx - fy, 0.0),
+                            np.maximum(fy - fx, 0.0), np.minimum(fx, fy)])
 
     def __call__(self, field: FieldP1) -> np.ndarray:
         """Values on the lattice as an (M_s-1, M_s-1) array indexed [ix, iy]."""

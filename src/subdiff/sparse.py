@@ -166,15 +166,20 @@ def cg_solve(ell: tuple[np.ndarray, np.ndarray], b: np.ndarray, dinv: np.ndarray
 
     ell is the (E, J) pair of A's ELL form and dinv the inverse of A's
     diagonal. Stops when the true residual satisfies ||Ax-b|| <= rtol ||b||;
-    raises SolverFailureError past max_iter.
+    raises SolverFailureError past max_iter, or when ||b|| or a residual
+    norm is not finite (or ||b|| underflows to 0 for a nonzero b).
     """
     E, J = ell
     b = np.asarray(b, dtype=float)
     if b.shape != (E.shape[1],):
         raise ValueError(f"dimension mismatch: matrix {E.shape[1]}, vector {b.shape}")
-    bnorm = math.sqrt(float(b @ b))
-    if bnorm == 0.0:
+    if not b.any():
         return np.zeros_like(b), [0.0]
+    with np.errstate(over="ignore"):  # an overflow fails the check below
+        bnorm = math.sqrt(float(b @ b))
+    if not 0.0 < bnorm < math.inf:
+        raise SolverFailureError(f"norm of b is not finite and nonzero: {bnorm}",
+                                 residual=math.nan)
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
     r = b - _ell_matvec(E, J, x)
     residuals = [math.sqrt(float(r @ r))]
@@ -192,6 +197,9 @@ def cg_solve(ell: tuple[np.ndarray, np.ndarray], b: np.ndarray, dinv: np.ndarray
                 return x, residuals
             r = true_r
             residuals[-1] = tn
+        if not math.isfinite(residuals[-1]):
+            raise SolverFailureError(f"CG residual norm is not finite at iteration {it}",
+                                     residual=residuals[-1] / bnorm)
         np.multiply(dinv, r, out=z)
         rz = float(r @ z)
         if p is None:

@@ -18,7 +18,7 @@ from subdiff.study import ErrorTracker
 REMOVED = ("eval_points", "mlf", "write_debug_csv", "write_matrix_market",
            "initial_field", "step_error", "locate_point", "add_scaled",
            "example1", "example2", "example3", "custom", "ritz_project",
-           "frac_integral_nodes")
+           "frac_integral_nodes", "locate_points", "OutOfDomainError")
 
 # module.attribute or module.Class.attribute paths below subdiff
 REMOVED_MEMBERS = (
@@ -34,7 +34,8 @@ REMOVED_MEMBERS = (
     "mittag_leffler.MlfEvaluator.x_lo", "mittag_leffler.MlfEvaluator.x_hi",
     "metrics.FineLattice.points", "metrics.FineLattice.n_nodes", "exact.sine_matrix",
     "assembly.ritz_project", "sparse.SparseMatrix.to_dense", "stepping.frac_integral_nodes",
-    "benchmarks.TABLES", "cli.cmd_verify",
+    "benchmarks.TABLES", "cli.cmd_verify", "mesh.locate_points",
+    "exceptions.OutOfDomainError", "assembly._element_gradients",
 )
 
 

@@ -28,6 +28,7 @@ def test_config_rejects_unknown_fields():
     dict(alpha=1.5), dict(alpha=0.0), dict(example="example9"),
     dict(M=[1]), dict(N=0), dict(gamma=0.5), dict(T=0.0),
     dict(modes=0), dict(mu=[-1.0]), dict(fine_M=100, M=[8]),
+    dict(M=[4, 4]), dict(mu=[]),
 ])
 def test_config_validation(overrides):
     cfg = ExperimentConfig().replace(**overrides)
@@ -70,6 +71,16 @@ def test_invalid_alpha_exit_code(capsys, tmp_path):
                  "--fine-M", "16", "--out", str(tmp_path)])
     assert code == 2
     assert "alpha" in capsys.readouterr().err
+
+
+def test_repeated_M_figure_exit_code(tmp_path, capsys):
+    # one error-curve file per M: a repeated M would solve twice for one file
+    code = main(["figure", "figure1", "--M", "4,4", "--N", "20", "--modes", "4",
+                 "--fine-M", "16", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == ("error: invalid configuration: "
+                                       "M values must be distinct, got [4, 4]\n")
+    assert not any(tmp_path.iterdir())
 
 
 def test_zero_datum_solve(tmp_path, capsys):

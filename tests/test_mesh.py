@@ -3,8 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from subdiff.exceptions import OutOfDomainError
-from subdiff.mesh import build_mesh, locate_points
+from subdiff.mesh import build_mesh
 
 
 def test_counts_M2():
@@ -62,67 +61,6 @@ def test_build_mesh_rejects_small_M():
         build_mesh(1)
 
 
-def _locate_one(mesh, p):
-    """locate_points for the single point p: (triangle index, barycentrics)."""
-    (tri,), (lam,) = locate_points(mesh, [p])
-    return int(tri), lam
-
-
-def test_locate_corner():
-    mesh = build_mesh(4)
-    tri, lam = _locate_one(mesh, (0.0, 0.0))
-    assert tri == 0
-    assert np.allclose(sorted(lam), [0, 0, 1])
-    assert lam[0] == 1.0  # the corner is the triangle's first vertex
-
-
-def test_locate_centroid():
-    mesh = build_mesh(4)
-    for tri_id in (0, 1, 17, 31):
-        verts = mesh.nodes[mesh.triangles[tri_id]]
-        cent = verts.mean(axis=0)
-        tri, lam = _locate_one(mesh, cent)
-        assert tri == tri_id
-        assert np.allclose(lam, 1 / 3)
-
-
-def test_locate_reconstructs_points():
-    mesh = build_mesh(6)
-    rng = np.random.default_rng(42)
-    for p in rng.uniform(0.0, 1.0, size=(500, 2)):
-        tri, lam = _locate_one(mesh, p)
-        assert np.all(lam >= -1e-14)
-        assert abs(lam.sum() - 1.0) <= 1e-14
-        rec = lam @ mesh.nodes[mesh.triangles[tri]]
-        assert np.max(np.abs(rec - p)) <= 1e-13
-
-
-def test_locate_edge_ties_take_lowest_triangle():
-    mesh = build_mesh(4)
-    # diagonal midpoint of cell (0,0): lower triangle (index 0) wins over 1
-    tri, _ = _locate_one(mesh, (0.125, 0.125))
-    assert tri == 0
-    # vertical gridline between cells 0 and 1: left cell wins
-    tri, _ = _locate_one(mesh, (0.25, 0.1))
-    verts = mesh.nodes[mesh.triangles[tri]]
-    assert tri == 0 and np.max(verts[:, 0]) == 0.25
-    # shared lattice vertex: the lowest-indexed containing triangle
-    tri, lam = _locate_one(mesh, (0.25, 0.25))
-    assert tri == 0
-    rec = lam @ mesh.nodes[mesh.triangles[tri]]
-    assert np.allclose(rec, (0.25, 0.25))
-    # top-right corner of the domain
-    tri, _ = _locate_one(mesh, (1.0, 1.0))
-    assert tri == 2 * 16 - 2
-
-
-def test_locate_rejects_outside():
-    mesh = build_mesh(4)
-    for p in [(-0.01, 0.5), (0.5, 1.01), (2.0, 2.0)]:
-        with pytest.raises(OutOfDomainError):
-            _locate_one(mesh, p)
-
-
 @pytest.mark.parametrize("M", [2, 3, 8, 32])
 def test_edge_points_once_per_edge(M):
     mesh = build_mesh(M)
@@ -134,11 +72,3 @@ def test_edge_points_once_per_edge(M):
     mids = 0.5 * (P + np.roll(P, -1, axis=1))
     assert np.array_equal(points[index], mids)  # every triangle's own bits
 
-
-def test_locate_points_rejects_any_point_outside():
-    mesh = build_mesh(6)
-    P = np.array([[0.5, 0.5], [1.0, 1.0], [0.5, np.nan], [0.25, 0.75]])
-    with pytest.raises(OutOfDomainError, match="nan"):
-        locate_points(mesh, P)
-    tri, lam = locate_points(mesh, P[[0, 1, 3]])
-    assert tri.shape == (3,) and lam.shape == (3, 3)

@@ -236,7 +236,9 @@ def test_decay_table_is_read_only():
 
 @pytest.mark.parametrize("M, M_s", [pytest.param(M, 128, id=str(M))
                                      for M in (2, 4, 8, 16, 32, 64, 128)]
-                         + [pytest.param(4, 16, id="4-on-16")])
+                         + [pytest.param(4, 16, id="4-on-16"),
+                            pytest.param(3, 96, id="3-on-96"),
+                            pytest.param(12, 96, id="12-on-96")])
 def test_interpolator_matches_loop_construction(M, M_s):
     """Interpolated random fields match the point-by-point CSR oracle within
     2 ulps of the field's scale (the cell-local product sums in another

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,25 @@ def test_solver_failure_carries_residual():
     with pytest.raises(SolverFailureError) as info:
         cg_solve(A.ell, rng.standard_normal(50), 1.0 / A.diagonal(), max_iter=2)
     assert 0.0 < info.value.residual
+
+
+@pytest.mark.parametrize("value", [1e160, 1e-170])
+def test_solver_rejects_unrepresentable_rhs_norm(value):
+    # ||b||^2 overflows to inf or underflows to 0 for a finite, nonzero b
+    solver = LinearSolver(assemble_mass(build_mesh(4)))
+    with pytest.raises(SolverFailureError, match="norm of b is not finite"):
+        solver.solve(np.full(9, value))
+    assert np.array_equal(solver.solve(np.zeros(9)), np.zeros(9))
+
+
+def test_cg_raises_at_first_nonfinite_residual():
+    # the max_iter failure would come 10^4 iterations later, with another message
+    A = assemble_mass(build_mesh(4))
+    E, J = A.ell
+    with pytest.raises(SolverFailureError,
+                       match="residual norm is not finite at iteration 0") as info:
+        cg_solve((np.full_like(E, np.nan), J), np.ones(A.n), 1.0 / A.diagonal())
+    assert math.isnan(info.value.residual)
 
 
 def test_cg_residual_monotone_on_fe_system():
