@@ -15,7 +15,7 @@ from .mesh import StructuredMesh, build_mesh
 from .metrics import (ErrorReport, FineLattice, LatticeInterpolator,
                       convergence_rates, fine_lattice, weighted_errors)
 from .mittag_leffler import MlfEvaluator, gamma, reciprocal_gamma
-from .sparse import LinearSolver, SparseMatrix, cg_solve, csr_from_coo, matvec
+from .sparse import LinearSolver, SparseMatrix, cg_solve, matvec
 from .stepping import (FracWeights, GradedTimeMesh, SchemeState, build_time_mesh,
                        frac_weights, run, step)
 from .study import ErrorTracker, RunResult, TableResult, run_single, run_table
@@ -30,7 +30,7 @@ __all__ = [
     "RunResult", "SchemeState", "SeriesSolution", "SolverFailureError",
     "SparseMatrix", "StructuredMesh", "TableResult",
     "assemble_mass", "assemble_stiffness", "build_mesh", "build_time_mesh",
-    "cg_solve", "convergence_rates", "csr_from_coo", "eval_grid",
+    "cg_solve", "convergence_rates", "eval_grid",
     "fine_lattice", "frac_weights", "gamma",
     "l2_project", "load_vector", "make_series", "matvec",
     "reciprocal_gamma", "run", "run_single",

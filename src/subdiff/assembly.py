@@ -13,13 +13,19 @@ import numpy as np
 
 from .exceptions import CoefficientRangeError, EvaluationError
 from .mesh import StructuredMesh
-from .sparse import LinearSolver, SparseMatrix, csr_from_coo
+from .sparse import LinearSolver, SparseMatrix
 
 # Element stiffness (grad phi_i, grad phi_j) of a cell's lower (LL, LR, UR) and
 # upper (LL, UR, UL) triangle, in build_mesh's vertex and triangle order: the
 # gradients are +-M and area * M^2 = 1/2, so each is 1/2 of an integer matrix.
 _STIFFNESS = 0.5 * np.array([[[1, -1, 0], [-1, 2, -1], [0, -1, 1]],
                              [[1, 0, -1], [0, 1, -1], [-1, -1, 2]]], dtype=float)
+
+# Stencil slot of local entry (i, j) of the same two triangles: the lattice
+# offset of vertex j from vertex i as one of the dof offsets
+# (-m-1, -m, -1, 0, 1, m, m+1), m = M - 1, which is each row's column order.
+_SLOT = np.array([[[3, 4, 6], [2, 3, 5], [0, 1, 3]],
+                  [[3, 6, 5], [0, 3, 2], [1, 4, 3]]])
 
 
 @dataclass(frozen=True)
@@ -30,9 +36,11 @@ class FieldP1:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.values.shape != (self.mesh.n_interior,):
+        values = np.array(self.values, dtype=float)  # a copy: the caller's array stays writable
+        if values.shape != (self.mesh.n_interior,):
             raise ValueError("values length must equal the interior node count")
-        self.values.setflags(write=False)
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
 
 def _eval_on(g, *args: np.ndarray) -> np.ndarray:
@@ -51,13 +59,33 @@ def _eval_on(g, *args: np.ndarray) -> np.ndarray:
 
 
 def _scatter(mesh: StructuredMesh, local: np.ndarray) -> SparseMatrix:
-    """Sum (ntri, 3, 3) element matrices into CSR over the interior dofs."""
+    """Sum (ntri, 3, 3) element matrices into the ELL pair over the interior dofs.
+
+    Contributions are summed into the 7 stencil slots of each row, in
+    triangle order as v0 + (v1 + v2 + ...): the first is assigned and the
+    rest are added after. Each row's stored slots then move to the front,
+    and the rest pad with 0 and the row's first column.
+    """
+    n, m = mesh.n_interior, mesh.M - 1
     dof = mesh.interior_index[mesh.triangles]
     rows = np.repeat(dof, 3, axis=1).ravel()
-    cols = np.tile(dof, (1, 3)).ravel()
-    vals = local.ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    return csr_from_coo(mesh.n_interior, rows[keep], cols[keep], vals[keep])
+    keep = (rows >= 0) & (np.tile(dof, (1, 3)).ravel() >= 0)
+    key = np.broadcast_to(_SLOT, (mesh.M ** 2, 2, 3, 3)).ravel()[keep] * n + rows[keep]
+    vals = local.ravel()[keep]
+    first = np.full(7 * n, key.size)
+    np.minimum.at(first, key, np.arange(key.size))
+    lead = first[key] == np.arange(key.size)
+    E = np.zeros(7 * n)
+    E[key[lead]] = vals[lead]
+    rest = np.zeros(7 * n)
+    np.add.at(rest, key[~lead], vals[~lead])
+    E = (E + rest).reshape(7, n)
+    stored = (first < key.size).reshape(7, n)
+    J = np.add.outer([-m - 1, -m, -1, 0, 1, m, m + 1], np.arange(n))
+    J = np.where(stored, J, J[stored.argmax(axis=0), np.arange(n)])
+    order = np.argsort(~stored, axis=0, kind="stable")[:stored.sum(axis=0).max()]
+    return SparseMatrix(E=np.take_along_axis(E, order, axis=0),
+                        J=np.take_along_axis(J, order, axis=0))
 
 
 def assemble_mass(mesh: StructuredMesh) -> SparseMatrix:

@@ -2,16 +2,44 @@
 
 import numpy as np
 
-from subdiff.sparse import SparseMatrix, csr_from_coo
+from subdiff.sparse import SparseMatrix
 from subdiff.stepping import FracWeights
 
 
 def to_dense(A: SparseMatrix) -> np.ndarray:
-    """The CSR matrix as a dense array."""
+    """The ELL matrix as a dense array (padding adds zeros)."""
     D = np.zeros((A.n, A.n))
-    rows = np.repeat(np.arange(A.n), np.diff(A.indptr))
-    D[rows, A.indices] = A.data
+    np.add.at(D, (np.broadcast_to(np.arange(A.n), A.J.shape), A.J), A.E)
     return D
+
+
+def ell_reference(mesh, local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(E, J) of the (ntri, 3, 3) element matrices summed over the interior
+    dofs the general way: COO triplets in triangle order, lexsorted into
+    CSR with each duplicate group summed by np.add.reduceat, then laid out
+    as padded column-major ELL."""
+    dof = mesh.interior_index[mesh.triangles]
+    rows = np.repeat(dof, 3, axis=1).ravel()
+    cols = np.tile(dof, (1, 3)).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    rows, cols, vals = rows[keep], cols[keep], local.ravel()[keep]
+    order = np.lexsort((cols, rows))  # stable: ties keep input order
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    new = np.ones(rows.size, dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    starts = np.nonzero(new)[0]
+    data, r, c = np.add.reduceat(vals, starts), rows[starts], cols[starts]
+    n = mesh.n_interior
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(indptr, r + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    counts = np.diff(indptr)
+    k = np.arange(r.size) - indptr[r]
+    E = np.zeros((int(counts.max()), n))
+    E[k, r] = data
+    J = np.tile(c[indptr[:-1]], (E.shape[0], 1))
+    J[k, r] = c
+    return E, J
 
 
 def frac_integral_nodes(weights: FracWeights, samples: np.ndarray) -> np.ndarray:
@@ -77,10 +105,9 @@ def heat_crank_nicolson_reference(M: int, u0: np.ndarray, tau: float,
 
 def add_scaled(A: SparseMatrix, B: SparseMatrix, a: float, b: float) -> SparseMatrix:
     """a*A + b*B for matrices sharing one sparsity pattern."""
-    if not (np.array_equal(A.indptr, B.indptr) and np.array_equal(A.indices, B.indices)):
+    if not np.array_equal(A.J, B.J):
         raise ValueError("add_scaled requires identical sparsity patterns")
-    return SparseMatrix(n=A.n, indptr=A.indptr, indices=A.indices,
-                        data=a * A.data + b * B.data)
+    return SparseMatrix(E=a * A.E + b * B.E, J=A.J)
 
 
 def _locate_scalar(M, x, y):
@@ -99,14 +126,13 @@ def _locate_scalar(M, x, y):
     return 2 * cell + 1, (1.0 - fy, fx, fy - fx)
 
 
-def interpolation_matrix(mesh, M_s: int) -> SparseMatrix:
+def interpolation_matrix(mesh, M_s: int):
     """P1 interpolation onto the interior nodes of the M_s x M_s lattice,
-    built point by point as an n x n CSR matrix, n = max(lattice nodes,
-    dofs). Row ix * (M_s - 1) + iy holds the lattice point ((ix + 1) / M_s,
-    (iy + 1) / M_s); a zero in column 0 keeps every row populated."""
+    built point by point as COO triplets (rows, cols, vals): row
+    ix * (M_s - 1) + iy holds the lattice point ((ix + 1) / M_s,
+    (iy + 1) / M_s), and each column a dof."""
     xs = np.arange(1, M_s) / M_s
-    n = max(xs.size ** 2, mesh.n_interior)
-    rows, cols, vals = list(range(n)), [0] * n, [0.0] * n
+    rows, cols, vals = [], [], []
     for r, (x, y) in enumerate((x, y) for x in xs for y in xs):
         tri, lam = _locate_scalar(mesh.M, float(x), float(y))
         for k, node in enumerate(mesh.triangles[tri]):
@@ -115,4 +141,4 @@ def interpolation_matrix(mesh, M_s: int) -> SparseMatrix:
                 rows.append(r)
                 cols.append(dof)
                 vals.append(lam[k])
-    return csr_from_coo(n, rows, cols, vals)
+    return np.array(rows), np.array(cols), np.array(vals)

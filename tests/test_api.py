@@ -18,7 +18,7 @@ from subdiff.study import ErrorTracker
 REMOVED = ("eval_points", "mlf", "write_debug_csv", "write_matrix_market",
            "initial_field", "step_error", "locate_point", "add_scaled",
            "example1", "example2", "example3", "custom", "ritz_project",
-           "frac_integral_nodes", "locate_points", "OutOfDomainError")
+           "frac_integral_nodes", "locate_points", "OutOfDomainError", "csr_from_coo")
 
 # module.attribute or module.Class.attribute paths below subdiff
 REMOVED_MEMBERS = (
@@ -36,6 +36,8 @@ REMOVED_MEMBERS = (
     "assembly.ritz_project", "sparse.SparseMatrix.to_dense", "stepping.frac_integral_nodes",
     "benchmarks.TABLES", "cli.cmd_verify", "mesh.locate_points",
     "exceptions.OutOfDomainError", "assembly._element_gradients",
+    "sparse.csr_from_coo", "sparse.SparseMatrix.indptr", "sparse.SparseMatrix.indices",
+    "sparse.SparseMatrix.data", "sparse.SparseMatrix.ell",
 )
 
 

@@ -128,6 +128,20 @@ def test_load_vector_degree2_exact():
     assert np.max(np.abs(b - ref)) <= 1e-15
 
 
+def test_field_stores_a_read_only_float_copy():
+    mesh = build_mesh(4)
+    v = np.zeros(9)
+    field = FieldP1(mesh, v)
+    v[0] = 1.0  # the caller's array stays writable and does not alias the field
+    assert field.values[0] == 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        field.values[0] = 1.0
+    field = FieldP1(mesh, [1, 2, 3, 4, 5, 6, 7, 8, 9])
+    assert field.values.dtype == float and field.values[8] == 9.0
+    with pytest.raises(ValueError, match="interior node count"):
+        FieldP1(mesh, np.zeros(8))
+
+
 def test_l2_project_reproduces_hat():
     mesh = build_mesh(5)
     coeffs = np.zeros(mesh.n_interior)

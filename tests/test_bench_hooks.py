@@ -74,7 +74,7 @@ def test_trace_hooks_resolve_and_count_one_run():
     assert layers["sparse.cg_calls"] == 40
     # the forcing is sampled once per history block of steps
     assert layers["assembly.load_vector_calls"] == math.ceil(40 / stepping.HISTORY_BLOCK) == 2
-    # recorded on the reduceat CSR path; the CG iterates must not move
+    # first recorded with CSR matrices; the ELL assembly must not move the CG iterates
     assert layers["sparse.cg_iters"] == 360
     for owner, attr, _ in spans.WRAPPED:  # uninstall restored the originals
         assert not hasattr(getattr(owner, attr), "__wrapped__")

@@ -154,6 +154,14 @@ def test_output_under_a_regular_file_exit_code(command, tmp_path, capsys, monkey
     assert err.startswith(f"error: invalid configuration: cannot write output to {out}: ")
 
 
+def test_residual_overflow_exit_code(tmp_path, capsys):
+    # ||r||^2 overflows at T = 1e300; pytest turns a RuntimeWarning into an error
+    code = main(["solve", "--M", "4", "--N", "20", "--modes", "4", "--fine-M", "16",
+                 "--T", "1e300", "--out", str(tmp_path)])
+    assert code == 1
+    assert "residual norm is not finite" in capsys.readouterr().err
+
+
 def test_solve_deterministic_output(tmp_path):
     args = ["solve", "--example", "example1", "--M", "4", "--N", "15",
             "--modes", "12", "--fine-M", "16"]

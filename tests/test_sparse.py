@@ -3,53 +3,43 @@ import math
 import numpy as np
 import pytest
 
-from subdiff.assembly import assemble_mass, assemble_stiffness
+from subdiff.assembly import _STIFFNESS, assemble_mass, assemble_stiffness
 from subdiff.exceptions import SolverFailureError
 from subdiff.mesh import build_mesh
-from subdiff.sparse import LinearSolver, cg_solve, csr_from_coo, matvec
+from subdiff.sparse import LinearSolver, SparseMatrix, cg_solve, matvec
 
-from oracles import add_scaled, interpolation_matrix, to_dense
-
-
-def random_spd(n, rng):
-    B = rng.standard_normal((n, n))
-    A = B @ B.T + n * np.eye(n)
-    rows, cols = np.nonzero(A)
-    return csr_from_coo(n, rows, cols, A[rows, cols]), A
+from oracles import add_scaled, ell_reference, to_dense
 
 
-def test_csr_from_coo_sums_duplicates():
-    A = csr_from_coo(2, [0, 0, 1, 0], [0, 1, 1, 0], [1.0, 2.0, 3.0, 4.0])
-    assert np.allclose(to_dense(A), [[5.0, 2.0], [0.0, 3.0]])
+def ell(E, J):
+    return SparseMatrix(E=np.array(E, dtype=float), J=np.array(J))
+
+
+def identity(n):
+    return ell(np.ones((1, n)), np.arange(n)[None])
+
+
+def fe_pencil(M, s, a=None):
+    """mass + s * stiffness on the mesh with M subdivisions, and its dense form."""
+    mesh = build_mesh(M)
+    A = add_scaled(assemble_mass(mesh), assemble_stiffness(mesh, a), 1.0, s)
+    return A, to_dense(A)
 
 
 def test_matvec_zero_and_identity():
-    I = csr_from_coo(3, [0, 1, 2], [0, 1, 2], [1.0, 1.0, 1.0])
+    I = identity(3)
     x = np.array([3.0, -1.0, 2.0])
     assert np.array_equal(matvec(I, np.zeros(3)), np.zeros(3))
     assert np.array_equal(matvec(I, x), x)
 
 
-def test_matvec_matches_dense():
-    # random patterns; rows of 9 or more entries sum in another order than
-    # the CSR reduceat did, so these compare with the dense product
-    rng = np.random.default_rng(0)
-    longest = 0
-    for n, cut in ((20, 0.7), (20, 0.3), (60, 1.0), (200, 1.8), (1, 0.0)):
-        B = rng.standard_normal((n, n))
-        B[np.abs(B) < cut] = 0.0
-        np.fill_diagonal(B, 1.0)
-        rows, cols = np.nonzero(B)
-        A = csr_from_coo(n, rows, cols, B[rows, cols])
-        longest = max(longest, int(np.diff(A.indptr).max()))
-        x = rng.standard_normal(n)
-        assert np.max(np.abs(matvec(A, x) - B @ x)) <= 1e-13
-    assert longest >= 9
-
-
 def _reduceat_matvec(A, x):
-    """The CSR product: each row's products summed by np.add.reduceat."""
-    return np.add.reduceat(A.data * x[A.indices], A.indptr[:-1])
+    """The CSR product: each row's stored products, in column order, summed
+    by np.add.reduceat (padding repeats the row's first column)."""
+    stored = A.J != A.J[0]
+    stored[0] = True
+    starts = np.concatenate([[0], np.cumsum(stored.sum(axis=0))[:-1]])
+    return np.add.reduceat((A.E * x[A.J]).T[stored.T], starts)
 
 
 def test_matvec_bitwise_matches_reduceat_on_fe_matrices():
@@ -65,32 +55,48 @@ def test_matvec_bitwise_matches_reduceat_on_fe_matrices():
             assert np.array_equal(matvec(A, x), _reduceat_matvec(A, x)), M
 
 
-def test_matvec_bitwise_matches_reduceat_on_interpolator():
-    rng = np.random.default_rng(12)
-    for M in (3, 4, 32):
-        P = interpolation_matrix(build_mesh(M), 128)
-        x = rng.standard_normal(P.n)
-        assert np.array_equal(matvec(P, x), _reduceat_matvec(P, x))
+@pytest.mark.parametrize("M", [*range(2, 65), 128])
+def test_assembly_bitwise_matches_coo_csr_reference(M):
+    mesh = build_mesh(M)
+    area = mesh.triangle_area
+    ntri = mesh.triangles.shape[0]
+    cent = mesh.nodes[mesh.triangles].mean(axis=1)
+    a = lambda x, y: 1.0 + 0.5 * np.sin(np.pi * x) * np.sin(np.pi * y) + x * y
+    cases = [
+        (assemble_mass(mesh), np.broadcast_to(area / 12.0 * (np.ones((3, 3)) + np.eye(3)),
+                                              (ntri, 3, 3))),
+        (assemble_stiffness(mesh), np.ones((ntri // 2, 2, 1, 1)) * _STIFFNESS),
+        (assemble_stiffness(mesh, a),
+         a(cent[:, 0], cent[:, 1]).reshape(-1, 2, 1, 1) * _STIFFNESS),
+    ]
+    for A, local in cases:
+        E, J = ell_reference(mesh, local)
+        assert A.E.shape == E.shape and A.J.dtype == J.dtype
+        assert np.array_equal(A.E, E) and np.array_equal(A.J, J)
 
 
 def test_ell_form_layout():
-    A = csr_from_coo(3, [0, 0, 0, 1, 2, 2], [0, 1, 2, 1, 0, 2],
-                     [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-    E, J = A.ell
-    assert np.array_equal(E, [[1.0, 4.0, 5.0], [2.0, 0.0, 6.0], [3.0, 0.0, 0.0]])
-    assert np.array_equal(J, [[0, 1, 0], [1, 1, 2], [2, 1, 0]])  # padding reads the row's own columns
-    assert A.ell is A.ell
+    # M = 4: dofs on a 3 x 3 grid; a row stores its columns in increasing
+    # order, padded with 0 and the row's first column
+    A = assemble_mass(build_mesh(4))
+    assert np.array_equal(A.J[:, 0], [0, 1, 3, 4, 0, 0, 0])  # corner: 4 entries
+    assert np.array_equal(A.J[:, 4], [0, 1, 3, 4, 5, 7, 8])  # centre: full stencil
+    assert np.array_equal(A.J[:, 8], [4, 5, 7, 8, 4, 4, 4])
+    area = 1.0 / 32.0
+    assert np.allclose(A.E[:, 0], [area, area / 6, area / 6, area / 6, 0, 0, 0],
+                       rtol=1e-15, atol=0.0)
 
 
 def test_matvec_dimension_mismatch():
-    I = csr_from_coo(3, [0, 1, 2], [0, 1, 2], [1.0, 1.0, 1.0])
     with pytest.raises(ValueError):
-        matvec(I, np.ones(4))
+        matvec(identity(3), np.ones(4))
+    with pytest.raises(ValueError, match="E and J must be"):
+        ell(np.ones((1, 3)), np.zeros((1, 2), dtype=int))
 
 
 def test_add_scaled_requires_same_pattern():
-    A = csr_from_coo(2, [0, 1], [0, 1], [1.0, 1.0])
-    B = csr_from_coo(2, [0, 1, 1], [0, 0, 1], [1.0, 2.0, 1.0])
+    A = identity(2)
+    B = ell([[1.0, 1.0], [0.0, 2.0]], [[0, 1], [0, 0]])
     with pytest.raises(ValueError):
         add_scaled(A, B, 1.0, 1.0)
     C = add_scaled(A, A, 2.0, 3.0)
@@ -98,7 +104,7 @@ def test_add_scaled_requires_same_pattern():
 
 
 def test_solver_diagonal():
-    A = csr_from_coo(3, [0, 1, 2], [0, 1, 2], [2.0, 4.0, 8.0])
+    A = ell([[2.0, 4.0, 8.0]], [[0, 1, 2]])
     x = LinearSolver(A).solve(np.array([1.0, 0.0, 0.0]))
     assert np.allclose(x, [0.5, 0.0, 0.0], atol=1e-14)
 
@@ -111,41 +117,50 @@ def test_solver_single_dof_stiffness():
     assert x == pytest.approx([0.25])
 
 
-def test_solver_random_spd_residual():
+def test_solver_fe_pencil_residual():
     rng = np.random.default_rng(1)
-    A, Ad = random_spd(50, rng)
-    b = rng.standard_normal(50)
-    x = LinearSolver(A).solve(b)
-    assert np.linalg.norm(Ad @ x - b) <= 1e-12 * np.linalg.norm(b)
+    for s in (0.0, 0.003, 0.5):
+        A, Ad = fe_pencil(8, s, lambda x, y: 1.0 + x * y)
+        b = rng.standard_normal(A.n)
+        x = LinearSolver(A).solve(b)
+        assert np.linalg.norm(Ad @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
 def test_solver_roundtrip():
     rng = np.random.default_rng(2)
-    A, Ad = random_spd(40, rng)
-    x_true = rng.standard_normal(40)
+    A, Ad = fe_pencil(12, 0.01)
+    x_true = rng.standard_normal(A.n)
     x = LinearSolver(A).solve(Ad @ x_true)
     assert np.linalg.norm(x - x_true) <= 1e-10 * np.linalg.norm(x_true)
 
 
 def test_solver_rejects_nonsymmetric():
-    A = csr_from_coo(2, [0, 0, 1], [0, 1, 1], [1.0, 0.5, 1.0])  # pattern not symmetric
-    B = csr_from_coo(2, [0, 0, 1, 1], [0, 1, 0, 1], [1.0, 0.5, 0.4, 1.0])
+    A = ell([[1.0, 1.0], [0.5, 0.0]], [[0, 1], [1, 1]])  # pattern not symmetric
+    B = ell([[1.0, 0.4], [0.5, 1.0]], [[0, 0], [1, 1]])
+    assert A.max_asymmetry() == math.inf
+    assert B.max_asymmetry() == pytest.approx(0.1)
     for C in (A, B):
         with pytest.raises(ValueError):
             LinearSolver(C)
 
 
 def test_solver_rejects_nonfinite_rhs():
-    A = csr_from_coo(2, [0, 1], [0, 1], [1.0, 1.0])
     with pytest.raises(ValueError):
-        LinearSolver(A).solve(np.array([1.0, np.nan]))
+        LinearSolver(identity(2)).solve(np.array([1.0, np.nan]))
+
+
+@pytest.mark.parametrize("shape", [(8,), (), (10,)])
+def test_solver_rejects_x0_of_wrong_shape(shape):
+    solver = LinearSolver(assemble_mass(build_mesh(4)))
+    with pytest.raises(ValueError, match="x0 length does not match matrix dimension"):
+        solver.solve(np.ones(9), x0=np.zeros(shape))
 
 
 def test_solver_failure_carries_residual():
     rng = np.random.default_rng(3)
-    A, _ = random_spd(50, rng)
+    A, _ = fe_pencil(8, 0.5)
     with pytest.raises(SolverFailureError) as info:
-        cg_solve(A.ell, rng.standard_normal(50), 1.0 / A.diagonal(), max_iter=2)
+        cg_solve((A.E, A.J), rng.standard_normal(A.n), 1.0 / A.diagonal(), max_iter=2)
     assert 0.0 < info.value.residual
 
 
@@ -161,10 +176,9 @@ def test_solver_rejects_unrepresentable_rhs_norm(value):
 def test_cg_raises_at_first_nonfinite_residual():
     # the max_iter failure would come 10^4 iterations later, with another message
     A = assemble_mass(build_mesh(4))
-    E, J = A.ell
     with pytest.raises(SolverFailureError,
                        match="residual norm is not finite at iteration 0") as info:
-        cg_solve((np.full_like(E, np.nan), J), np.ones(A.n), 1.0 / A.diagonal())
+        cg_solve((np.full_like(A.E, np.nan), A.J), np.ones(A.n), 1.0 / A.diagonal())
     assert math.isnan(info.value.residual)
 
 
@@ -173,7 +187,7 @@ def test_cg_residual_monotone_on_fe_system():
     A = add_scaled(assemble_mass(mesh), assemble_stiffness(mesh), 1.0, 0.003)
     rng = np.random.default_rng(4)
     for _ in range(5):
-        _, res = cg_solve(A.ell, rng.standard_normal(A.n), 1.0 / A.diagonal())
+        _, res = cg_solve((A.E, A.J), rng.standard_normal(A.n), 1.0 / A.diagonal())
         r = np.array(res)
         assert np.all(r[1:] <= r[:-1] * (1.0 + 1e-12))
 
@@ -194,17 +208,17 @@ def test_cg_solve_on_ell_pair_matches_matrix():
     mesh = build_mesh(8)
     A = add_scaled(assemble_mass(mesh), assemble_stiffness(mesh), 1.0, 0.01)
     b = np.random.default_rng(8).standard_normal(A.n)
-    x, res = cg_solve(A.ell, b, 1.0 / A.diagonal())
+    x, res = cg_solve((A.E, A.J), b, 1.0 / A.diagonal())
     assert np.array_equal(x, LinearSolver(A).solve(b))
     assert np.linalg.norm(matvec(A, x) - b) <= 1e-12 * np.linalg.norm(b)
     assert res[-1] <= 1e-12 * np.linalg.norm(b)
     with pytest.raises(ValueError):
-        cg_solve(A.ell, np.ones(A.n + 1), 1.0 / A.diagonal())
+        cg_solve((A.E, A.J), np.ones(A.n + 1), 1.0 / A.diagonal())
 
 
 def test_shifted_solver_validation():
-    A = csr_from_coo(2, [0, 1], [0, 1], [1.0, 1.0])
-    B = csr_from_coo(2, [0, 0, 1, 1], [0, 1, 0, 1], [2.0, 1.0, 1.0, 2.0])
+    A = identity(2)
+    B = ell([[2.0, 2.0], [1.0, 1.0]], [[0, 1], [1, 0]])
     with pytest.raises(ValueError):
         LinearSolver(A, shift=B)                  # pattern differs
     with pytest.raises(ValueError):
@@ -227,7 +241,7 @@ def test_warm_start_converges_fast():
     rng = np.random.default_rng(6)
     b = rng.standard_normal(A.n)
     dinv = 1.0 / A.diagonal()
-    x, res_cold = cg_solve(A.ell, b, dinv)
-    _, res_warm = cg_solve(A.ell, b, dinv, x0=x + 1e-8 * rng.standard_normal(A.n))
+    x, res_cold = cg_solve((A.E, A.J), b, dinv)
+    _, res_warm = cg_solve((A.E, A.J), b, dinv, x0=x + 1e-8 * rng.standard_normal(A.n))
     assert len(res_warm) < len(res_cold)
 
