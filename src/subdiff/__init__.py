@@ -9,8 +9,7 @@ series exact solution for convergence studies.
 from .assembly import FieldP1, assemble_mass, assemble_stiffness, l2_project, load_vector
 from .config import ConfigError, ExperimentConfig
 from .exact import DATA, InitialDatum, SeriesSolution, eval_grid, make_series
-from .exceptions import (CoefficientRangeError, EvaluationError,
-                         NumericalBlowupError, SolverFailureError)
+from .exceptions import CoefficientRangeError, EvaluationError, SolverFailureError
 from .mesh import StructuredMesh, build_mesh
 from .metrics import (ErrorReport, FineLattice, LatticeInterpolator,
                       convergence_rates, fine_lattice, weighted_errors)
@@ -26,8 +25,7 @@ __all__ = [
     "CoefficientRangeError", "ConfigError", "DATA", "ErrorReport", "ErrorTracker",
     "EvaluationError", "ExperimentConfig", "FieldP1", "FineLattice",
     "FracWeights", "GradedTimeMesh", "InitialDatum", "LatticeInterpolator",
-    "LinearSolver", "MlfEvaluator", "NumericalBlowupError",
-    "RunResult", "SchemeState", "SeriesSolution", "SolverFailureError",
+    "LinearSolver", "MlfEvaluator", "RunResult", "SchemeState", "SeriesSolution", "SolverFailureError",
     "SparseMatrix", "StructuredMesh", "TableResult",
     "assemble_mass", "assemble_stiffness", "build_mesh", "build_time_mesh",
     "cg_solve", "convergence_rates", "eval_grid",

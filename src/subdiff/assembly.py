@@ -120,34 +120,40 @@ def assemble_stiffness(mesh: StructuredMesh, a=None) -> SparseMatrix:
 def load_vector(mesh: StructuredMesh, g) -> np.ndarray:
     """Interior load b_i = (g, phi_i) by the 3-point edge-midpoint rule.
 
-    g is evaluated once per distinct edge. Vertex k's basis function is 1/2
-    at the midpoints of its two incident edges m_(k-1)k and m_k(k+1) and 0 at
-    the third, so each vertex gets area/3 * 0.5 * (g_a + g_b); only interior
-    vertices are formed, and summed per dof in row-major triangle order.
+    The edge midpoints are three lattices, of the horizontal (H), vertical
+    (V) and diagonal (D) edges; g is evaluated once on the 3 M^2 - 2 M of
+    them that can touch an interior vertex. A vertex's basis function is
+    1/2 at the midpoints of a triangle's two edges through it, so each of
+    its 6 triangles adds area/3 * 0.5 * (g_a + g_b), in triangle order.
 
-    g(x, y) may return values with a leading batch axis, shape (B, edges);
+    g(x, y) may return values with a leading batch axis, shape (B, points);
     the load is then (B, n_interior), and each row equals the load of that
     row's values alone, bit for bit.
     """
-    points, index = mesh.edges
-    gv = _eval_on(g, points[:, 0], points[:, 1])
+    M, m = mesh.M, mesh.M - 1
+    x = np.arange(M + 1) / M
+    h = 0.5 * (x[:-1] + x[1:])
+    lattices = ((h, x[1:-1]), (x[1:-1], h), (h, h))  # (x, y) axes of H, V, D
+    gv = _eval_on(g, np.concatenate([np.tile(px, py.size) for px, py in lattices]),
+                  np.concatenate([np.repeat(py, px.size) for px, py in lattices]))
     if not np.all(np.isfinite(gv)):
         raise EvaluationError("load function produced non-finite values")
-    pos, dof = mesh.interior_scatter
-    # index columns are m01, m12, m20: vertex k's edges are columns k and k-1
-    a = index.ravel()[pos]
-    b = index[:, [2, 0, 1]].ravel()[pos]
+    lead = gv.shape[:-1]
+    H, V, D = np.split(gv, [M * m, 2 * M * m], axis=-1)
+    H = H.reshape(*lead, m, M)  # [j - 1, i]: edge (i, j)-(i + 1, j)
+    V = V.reshape(*lead, M, m)  # [j, i - 1]: edge (i, j)-(i, j + 1)
+    D = D.reshape(*lead, M, M)  # [j, i]: edge (i, j)-(i + 1, j + 1)
+    # at interior vertex (i, j), rows j and columns i: the edges through it
+    left, right = H[..., :-1], H[..., 1:]
+    below, above = V[..., :-1, :], V[..., 1:, :]
+    below_left, above_right = D[..., :-1, :-1], D[..., 1:, 1:]
     scale = mesh.triangle_area / 3.0
-    rows = []
-    # one row at a time: a block's (B, positions) temporaries would cost
-    # fresh pages on every call
-    for row in gv.reshape(-1, gv.shape[-1]):
-        c = row[a]
-        c += row[b]
-        c *= 0.5
-        c *= scale
-        rows.append(np.bincount(dof, weights=c, minlength=mesh.n_interior))
-    return np.reshape(rows, (*gv.shape[:-1], mesh.n_interior))
+    b = np.zeros((*lead, m, m))
+    # cells (i-1, j-1) lower and upper, (i, j-1) upper, (i-1, j) lower, (i, j) lower and upper
+    for ga, gb in ((below, below_left), (below_left, left), (right, below),
+                   (left, above), (right, above_right), (above_right, above)):
+        b += ((ga + gb) * 0.5) * scale
+    return b.reshape(*lead, mesh.n_interior)
 
 
 def l2_project(mesh: StructuredMesh, g, rtol: float = 1e-12) -> FieldP1:

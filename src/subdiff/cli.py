@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .benchmarks import PRESETS
 from .config import ConfigError, ExperimentConfig
-from .exceptions import NumericalBlowupError, SolverFailureError
+from .exceptions import SolverFailureError
 from .study import run_single, run_table
 
 EXIT_OK = 0
@@ -184,7 +184,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericalBlowupError, SolverFailureError) as exc:
+    except SolverFailureError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -18,14 +18,3 @@ class SolverFailureError(RuntimeError):
     def __init__(self, message: str, residual: float):
         super().__init__(message)
         self.residual = residual
-
-
-class NumericalBlowupError(RuntimeError):
-    """Time stepping produced non-finite values.
-
-    Carries the offending step index in ``step``.
-    """
-
-    def __init__(self, message: str, step: int):
-        super().__init__(message)
-        self.step = step

@@ -10,7 +10,6 @@ deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -23,10 +22,9 @@ class StructuredMesh:
     nodes: np.ndarray           # ((M+1)^2, 2) lattice coordinates
     triangles: np.ndarray       # (2 M^2, 3) node indices, CCW
     interior_index: np.ndarray  # ((M+1)^2,) dof index or -1 for boundary nodes
-    boundary_mask: np.ndarray   # ((M+1)^2,) bool
 
     def __post_init__(self):
-        for arr in (self.nodes, self.triangles, self.interior_index, self.boundary_mask):
+        for arr in (self.nodes, self.triangles, self.interior_index):
             arr.setflags(write=False)
 
     @property
@@ -36,43 +34,6 @@ class StructuredMesh:
     @property
     def triangle_area(self) -> float:
         return 1.0 / (2.0 * self.M * self.M)
-
-    @cached_property
-    def edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """(points, index): the 3 M^2 + 2 M distinct edge midpoints, as an
-        (n_edges, 2) array ordered by (y, x), and the (ntri, 3) index of the
-        midpoints of each triangle's edges v0v1, v1v2, v2v0 in it.
-
-        Each point's coordinates are 0.5 * (p_a + p_b) of its edge's end
-        nodes, as every triangle sharing the edge computes them. Midpoints
-        lie on the lattice of spacing 1 / (2 M); its integer coordinates
-        identify each edge.
-        """
-        P = self.nodes[self.triangles]
-        mids = (0.5 * (P + np.roll(P, -1, axis=1))).reshape(-1, 2)
-        side = 2 * self.M + 1
-        ij = np.rint(2 * self.M * mids).astype(np.int64)
-        key = ij[:, 1] * side + ij[:, 0]
-        present = np.zeros(side * side, dtype=bool)
-        present[key] = True
-        slot = np.cumsum(present) - 1
-        index = slot[key].reshape(self.triangles.shape)
-        points = np.empty((int(slot[-1]) + 1, 2))
-        points[index.ravel()] = mids
-        for arr in (points, index):
-            arr.setflags(write=False)
-        return points, index
-
-    @cached_property
-    def interior_scatter(self) -> tuple[np.ndarray, np.ndarray]:
-        """(positions, dofs) of the interior vertices in the flattened (ntri, 3)
-        triangle-vertex array, in row-major order."""
-        dof = self.interior_index[self.triangles].ravel()
-        pos = np.flatnonzero(dof >= 0)
-        dof = dof[pos]
-        for arr in (pos, dof):
-            arr.setflags(write=False)
-        return pos, dof
 
 
 def build_mesh(M: int) -> StructuredMesh:
@@ -95,11 +56,8 @@ def build_mesh(M: int) -> StructuredMesh:
     triangles[0::2] = np.column_stack([ll, lr, ur])  # lower: below the diagonal
     triangles[1::2] = np.column_stack([ll, ur, ul])  # upper: above the diagonal
 
-    gx, gy = np.meshgrid(np.arange(M + 1), np.arange(M + 1), indexing="xy")
-    boundary = (gx == 0) | (gx == M) | (gy == 0) | (gy == M)
-    boundary_mask = boundary.ravel()
-    interior_index = np.full((M + 1) ** 2, -1, dtype=np.int64)
-    interior_index[~boundary_mask] = np.arange((M - 1) ** 2)
+    interior_index = np.full((M + 1, M + 1), -1, dtype=np.int64)
+    interior_index[1:-1, 1:-1] = np.arange((M - 1) ** 2).reshape(M - 1, M - 1)
 
     return StructuredMesh(M=M, nodes=nodes, triangles=triangles,
-                          interior_index=interior_index, boundary_mask=boundary_mask)
+                          interior_index=interior_index.ravel())

@@ -52,7 +52,8 @@ class SparseMatrix:
         Et = E[match.argmax(axis=0), J]  # A[J[k, i], i]: the first match, never padding
         padding = J == J[0]  # a row's columns are distinct; padding repeats the first
         padding[0] = False
-        return float(np.abs(np.where(padding, 0.0, E - Et)).max() / np.abs(E).max())
+        scale = np.abs(E).max()
+        return float(np.abs(np.where(padding, 0.0, E - Et)).max() / scale) if scale else 0.0
 
 
 def matvec(A: SparseMatrix, x: np.ndarray) -> np.ndarray:
@@ -73,11 +74,11 @@ class LinearSolver:
     """Jacobi-CG solver bound to one SPD matrix, or to the pencil matrix + s * shift.
 
     With ``shift`` (same sparsity pattern as ``matrix``) each solve picks
-    its own s. Symmetry is checked and diagonals are taken once, here, so a
-    time stepper needs one solver per run. A solve with shift s applies
-    E_matrix + s * E_shift (the two share J), with the preconditioner
-    1 / (diag(matrix) + s * diag(shift)): what a solver built on that
-    summed matrix would use.
+    its own s. Symmetry, finite entries and a positive diagonal are checked
+    and diagonals are taken once, here, so a time stepper needs one solver
+    per run. A solve with shift s applies E_matrix + s * E_shift (the two
+    share J), with the preconditioner 1 / (diag(matrix) + s * diag(shift)):
+    what a solver built on that summed matrix would use.
     """
 
     matrix: SparseMatrix
@@ -88,14 +89,18 @@ class LinearSolver:
                                            compare=False)
 
     def __post_init__(self):
-        for A in (self.matrix, self.shift):
-            if A is not None and (asym := A.max_asymmetry()) > 1e-12:
+        if self.shift is not None and not np.array_equal(self.matrix.J, self.shift.J):
+            raise ValueError("shift must share the sparsity pattern of the matrix")
+        for name, A in (("_diag", self.matrix), ("_shift_diag", self.shift)):
+            if A is None:
+                continue
+            diag = A.diagonal()
+            if not (np.isfinite(A.E).all() and np.all(diag > 0.0)):
+                raise ValueError("matrix is not SPD: an entry is not finite or a diagonal "
+                                 "entry is not positive")
+            if (asym := A.max_asymmetry()) > 1e-12:
                 raise ValueError(f"matrix is not symmetric (relative asymmetry {asym:.2e})")
-        if self.shift is not None:
-            if not np.array_equal(self.matrix.J, self.shift.J):
-                raise ValueError("shift must share the sparsity pattern of the matrix")
-            object.__setattr__(self, "_shift_diag", self.shift.diagonal())
-        object.__setattr__(self, "_diag", self.matrix.diagonal())
+            object.__setattr__(self, name, diag)
 
     def solve(self, rhs: np.ndarray, x0: np.ndarray | None = None,
               s: float = 0.0) -> np.ndarray:
@@ -125,9 +130,12 @@ def cg_solve(ell: tuple[np.ndarray, np.ndarray], b: np.ndarray, dinv: np.ndarray
     """Jacobi-preconditioned CG. Returns (x, per-iteration residual norms).
 
     ell is the (E, J) pair of A's ELL form and dinv the inverse of A's
-    diagonal. Stops when the true residual satisfies ||Ax-b|| <= rtol ||b||;
-    raises SolverFailureError past max_iter, or when ||b|| or a residual
-    norm is not finite (or ||b|| underflows to 0 for a nonzero b).
+    diagonal. Stops when the true residual satisfies ||Ax-b|| <= rtol ||b||.
+    When only the recursive residual does, CG restarts from the true one;
+    raises SolverFailureError when such a restart's true residual is not
+    below the last restart's (CG has stalled), past max_iter, or when ||b||
+    or a residual norm is not finite (or ||b|| underflows to 0 for a
+    nonzero b).
     """
     E, J = ell
     b = np.asarray(b, dtype=float)
@@ -148,6 +156,7 @@ def cg_solve(ell: tuple[np.ndarray, np.ndarray], b: np.ndarray, dinv: np.ndarray
         z = np.empty_like(b)
         tmp = np.empty_like(b)
         p = None
+        restarted_at = math.inf
         it = 0
         while it < max_iter:
             if residuals[-1] <= tol_abs:
@@ -156,7 +165,12 @@ def cg_solve(ell: tuple[np.ndarray, np.ndarray], b: np.ndarray, dinv: np.ndarray
                 tn = math.sqrt(float(true_r @ true_r))
                 if tn <= tol_abs:
                     return x, residuals
-                r = true_r
+                if tn >= restarted_at:
+                    raise SolverFailureError(
+                        f"CG stalled at relative residual {tn / bnorm:.3e} after {it} "
+                        f"iterations", residual=tn / bnorm)
+                # the old direction is not conjugate to the replaced residual
+                r, p, restarted_at = true_r, None, tn
                 residuals[-1] = tn
             if not math.isfinite(residuals[-1]):
                 raise SolverFailureError(f"CG residual norm is not finite at iteration {it}",

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import FieldP1, _eval_on, assemble_mass, assemble_stiffness, load_vector
-from .exceptions import NumericalBlowupError
 from .mesh import StructuredMesh
 from .mittag_leffler import gamma
 from .sparse import LinearSolver, matvec
@@ -177,8 +176,6 @@ def step(state: SchemeState, n: int, weights: FracWeights, solver: LinearSolver,
     if load is not None:
         rhs += tau_n * load
     u_n = solver.solve(rhs, x0=u_prev, s=theta * c[n - 1])
-    if not np.all(np.isfinite(u_n)):
-        raise NumericalBlowupError(f"non-finite solution at step {n}", step=n)
 
     # ubar_n: u^1 on the first interval, the midpoint average after
     state.Z[n - 1] = matvec(stiffness, u_n if n == 1 else 0.5 * (u_n + u_prev))

@@ -88,22 +88,32 @@ def _scatter_add_at(mesh, contrib):
     return out
 
 
+def _load_reference(mesh, gv):
+    """The einsum rule on (ntri, 3) midpoint values, scattered with add.at."""
+    phi_mid = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+    return _scatter_add_at(mesh, mesh.triangle_area / 3.0 * np.einsum("tq,qi->ti", gv, phi_mid))
+
+
 def test_load_vector_bitwise_matches_add_at_reference():
-    """Once-per-edge evaluation and bincount reproduce g at every triangle's
-    own midpoints, the einsum rule and the direct scatter, bit for bit."""
-    _PHI_MID = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+    """The closed-form load reproduces g at every triangle's own midpoints,
+    the einsum rule and the direct scatter, bit for bit."""
     g = lambda x, y: np.exp(x) * np.sin(3.0 * y) + x * y
     # math.* rejects arrays, so this g takes the np.vectorize fallback
     g_scalar = lambda x, y: math.exp(x) * math.sin(3.0 * y) + x * y
-    for M in (2, 5, 16, 32):
+    # a block of forcing rows: (B, 1) times broadcast against the points
+    f = lambda x, y, t: np.cos(np.pi * t) * np.sin(np.pi * x) * y + t * x
+    t = np.linspace(0.0, 0.5, 7)[:, None]
+    for M in (2, 3, 5, 16, 32, 64):
         mesh = build_mesh(M)
         mids = _triangle_midpoints(mesh)
-        for fn, gv in ((g, g(mids[..., 0], mids[..., 1])),
-                       (g_scalar, np.vectorize(g_scalar)(mids[..., 0], mids[..., 1]))):
-            contrib = mesh.triangle_area / 3.0 * np.einsum("tq,qi->ti", gv, _PHI_MID)
-            ref = _scatter_add_at(mesh, contrib)
-            assert np.array_equal(load_vector(mesh, fn), ref)
-            assert np.array_equal(load_vector(mesh, fn), ref)  # cached geometry
+        x, y = mids[..., 0], mids[..., 1]
+        for fn, gv in ((g, g(x, y)), (g_scalar, np.vectorize(g_scalar)(x, y)),
+                       (lambda x, y: 0.3, np.full(x.shape, 0.3))):  # a Python scalar
+            assert np.array_equal(load_vector(mesh, fn), _load_reference(mesh, gv)), M
+        block = load_vector(mesh, lambda x, y: f(x, y, t))
+        assert block.shape == (7, mesh.n_interior)
+        for row, tb in zip(block, t[:, 0]):
+            assert np.array_equal(row, _load_reference(mesh, f(x, y, tb))), M
 
 
 def test_load_vector_degree2_exact():
@@ -148,7 +158,7 @@ def test_l2_project_reproduces_hat():
     coeffs[7] = 1.0
     hat = FieldP1(mesh=mesh, values=coeffs)
     full = np.zeros(mesh.nodes.shape[0])
-    full[~mesh.boundary_mask] = hat.values
+    full[mesh.interior_index >= 0] = hat.values
 
     def hat_fn(x, y):
         # P1 interpolation of the stored nodal values
@@ -169,7 +179,7 @@ def test_l2_project_close_to_interpolant():
     mesh = build_mesh(16)
     g = lambda x, y: x * y * (1 - x) * (1 - y)
     proj = l2_project(mesh, g)
-    coords = mesh.nodes[~mesh.boundary_mask]
+    coords = mesh.nodes[mesh.interior_index >= 0]
     interp = g(coords[:, 0], coords[:, 1])
     h = 1.0 / 16
     assert np.max(np.abs(proj.values - interp)) <= h * h

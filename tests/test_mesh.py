@@ -11,7 +11,7 @@ def test_counts_M2():
     assert mesh.triangles.shape[0] == 8
     assert mesh.nodes.shape[0] == 9
     assert mesh.n_interior == 1
-    (interior,) = mesh.nodes[~mesh.boundary_mask]
+    (interior,) = mesh.nodes[mesh.interior_index >= 0]
     assert tuple(interior) == (0.5, 0.5)
 
 
@@ -46,8 +46,8 @@ def test_boundary_classification(M):
     mesh = build_mesh(M)
     on_edge = (mesh.nodes[:, 0] == 0) | (mesh.nodes[:, 0] == 1) | \
               (mesh.nodes[:, 1] == 0) | (mesh.nodes[:, 1] == 1)
-    assert np.array_equal(mesh.boundary_mask, on_edge)
-    assert mesh.boundary_mask.sum() == 4 * M
+    assert np.array_equal(mesh.interior_index < 0, on_edge)
+    assert np.count_nonzero(mesh.interior_index < 0) == 4 * M
 
 
 def test_interior_index_bijection():
@@ -59,16 +59,4 @@ def test_interior_index_bijection():
 def test_build_mesh_rejects_small_M():
     with pytest.raises(ValueError):
         build_mesh(1)
-
-
-@pytest.mark.parametrize("M", [2, 3, 8, 32])
-def test_edge_points_once_per_edge(M):
-    mesh = build_mesh(M)
-    points, index = mesh.edges
-    assert points.shape == (3 * M * M + 2 * M, 2)
-    assert index.shape == mesh.triangles.shape
-    assert np.unique(points, axis=0).shape == points.shape
-    P = mesh.nodes[mesh.triangles]
-    mids = 0.5 * (P + np.roll(P, -1, axis=1))
-    assert np.array_equal(points[index], mids)  # every triangle's own bits
 

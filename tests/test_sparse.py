@@ -245,3 +245,37 @@ def test_warm_start_converges_fast():
     _, res_warm = cg_solve((A.E, A.J), b, dinv, x0=x + 1e-8 * rng.standard_normal(A.n))
     assert len(res_warm) < len(res_cold)
 
+
+
+def test_cg_restarts_after_residual_replacement():
+    # at rtol 1e-15 the recursive residual passes before the true one; CG that
+    # kept its old direction after replacing r drifted to 1e-5 in 10,610 iterations
+    A, _ = fe_pencil(32, 0.1)
+    b = np.random.default_rng(0).standard_normal(A.n)
+    try:
+        x = LinearSolver(A, rtol=1e-15).solve(b)
+    except SolverFailureError as exc:  # a stop at the rounding floor is an honest answer
+        assert "stalled" in str(exc) and exc.residual <= 1e-12
+    else:
+        assert np.linalg.norm(matvec(A, x) - b) <= 1e-15 * np.linalg.norm(b)
+
+
+def test_cg_stops_when_replacements_stall():
+    A, _ = fe_pencil(16, 0.1)
+    b = np.random.default_rng(1).standard_normal(A.n)
+    with pytest.raises(SolverFailureError, match="CG stalled at relative residual") as info:
+        cg_solve((A.E, A.J), b, 1.0 / A.diagonal(), rtol=1e-20)
+    assert 0.0 < info.value.residual <= 1e-12
+
+
+def test_solver_rejects_matrix_that_cannot_be_spd():
+    Z = SparseMatrix(E=np.zeros((1, 2)), J=np.array([[0, 1]]))
+    assert Z.max_asymmetry() == 0.0  # no 0 / 0
+    for E, J in (([[1.0, 0.0]], [[0, 1]]), ([[1.0, -2.0]], [[0, 1]]),
+                 ([[1.0, np.inf]], [[0, 1]]), ([[np.nan, 1.0]], [[0, 1]]),
+                 ([[1.0, 1.0], [np.inf, np.inf]], [[0, 1], [1, 0]]),   # off the diagonal
+                 ([[1.0, 1.0], [np.nan, np.nan]], [[0, 1], [1, 0]])):
+        with pytest.raises(ValueError, match="matrix is not SPD"):
+            LinearSolver(ell(E, J))
+    with pytest.raises(ValueError, match="matrix is not SPD"):
+        LinearSolver(identity(2), shift=Z)
