@@ -1,8 +1,11 @@
-"""P1 finite-element assembly on structured meshes.
+"""P1 finite-element assembly on the structured mesh.
 
-Boundary degrees of freedom are eliminated: assembled operators act on
-interior nodes only, matching the homogeneous Dirichlet condition, and
-the resulting systems stay symmetric positive definite.
+Operators and loads are formed in closed form on lattices, without a
+triangle list: each interior vertex's matrix row sums the element matrices
+of the six triangles around it, and its load sums the edge-midpoint terms
+of the same six. Boundary degrees of freedom are eliminated: assembled
+operators act on interior nodes only, matching the homogeneous Dirichlet
+condition, and the resulting systems stay symmetric positive definite.
 """
 
 from __future__ import annotations
@@ -15,17 +18,24 @@ from .exceptions import CoefficientRangeError, EvaluationError
 from .mesh import StructuredMesh
 from .sparse import LinearSolver, SparseMatrix
 
-# Element stiffness (grad phi_i, grad phi_j) of a cell's lower (LL, LR, UR) and
-# upper (LL, UR, UL) triangle, in build_mesh's vertex and triangle order: the
-# gradients are +-M and area * M^2 = 1/2, so each is 1/2 of an integer matrix.
+# Corners of a cell's lower (LL, LR, UR) and upper (LL, UR, UL) triangle, as
+# (x, y) offsets from the cell's lower-left vertex.
+_CORNERS = (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1)))
+
+# The six triangles around a vertex in triangle order: the offset (cx, cy) of
+# their cell's lower-left vertex from the vertex, and the triangle (0 lower, 1 upper).
+_AROUND = [((cx, cy), s) for cy in (-1, 0) for cx in (-1, 0) for s in (0, 1)
+           if (-cx, -cy) in _CORNERS[s]]
+
+# Lattice offsets (dx, dy) of a row's 7 stencil columns, in column order: the
+# dof offsets (-m-1, -m, -1, 0, 1, m, m+1), m = M - 1.
+_STENCIL = ((-1, -1), (0, -1), (-1, 0), (0, 0), (1, 0), (0, 1), (1, 1))
+
+# Element stiffness (grad phi_i, grad phi_j) of the two triangles, with i and j
+# in _CORNERS order: the gradients are +-M and area * M^2 = 1/2, so each is
+# 1/2 of an integer matrix.
 _STIFFNESS = 0.5 * np.array([[[1, -1, 0], [-1, 2, -1], [0, -1, 1]],
                              [[1, 0, -1], [0, 1, -1], [-1, -1, 2]]], dtype=float)
-
-# Stencil slot of local entry (i, j) of the same two triangles: the lattice
-# offset of vertex j from vertex i as one of the dof offsets
-# (-m-1, -m, -1, 0, 1, m, m+1), m = M - 1, which is each row's column order.
-_SLOT = np.array([[[3, 4, 6], [2, 3, 5], [0, 1, 3]],
-                  [[3, 6, 5], [0, 3, 2], [1, 4, 3]]])
 
 
 @dataclass(frozen=True)
@@ -58,31 +68,30 @@ def _eval_on(g, *args: np.ndarray) -> np.ndarray:
     return out
 
 
-def _scatter(mesh: StructuredMesh, local: np.ndarray) -> SparseMatrix:
-    """Sum (ntri, 3, 3) element matrices into the ELL pair over the interior dofs.
+def _assemble(M: int, coef: np.ndarray, local: np.ndarray) -> SparseMatrix:
+    """Sum the element matrices coef[cy, cx, s] * local[s] of every triangle
+    into the ELL pair over the interior dofs.
 
-    Contributions are summed into the 7 stencil slots of each row, in
-    triangle order as v0 + (v1 + v2 + ...): the first is assigned and the
-    rest are added after. Each row's stored slots then move to the front,
-    and the rest pad with 0 and the row's first column.
+    Each interior vertex's row sums, in each of its 7 stencil slots, the
+    entries of its 6 triangles in triangle order as v0 + (v1 + v2 + ...),
+    the order of the COO build. Slots whose column is a boundary vertex
+    are dropped; each row's stored slots then move to the front, and the
+    rest pad with 0 and the row's first column.
     """
-    n, m = mesh.n_interior, mesh.M - 1
-    dof = mesh.interior_index[mesh.triangles]
-    rows = np.repeat(dof, 3, axis=1).ravel()
-    keep = (rows >= 0) & (np.tile(dof, (1, 3)).ravel() >= 0)
-    key = np.broadcast_to(_SLOT, (mesh.M ** 2, 2, 3, 3)).ravel()[keep] * n + rows[keep]
-    vals = local.ravel()[keep]
-    first = np.full(7 * n, key.size)
-    np.minimum.at(first, key, np.arange(key.size))
-    lead = first[key] == np.arange(key.size)
-    E = np.zeros(7 * n)
-    E[key[lead]] = vals[lead]
-    rest = np.zeros(7 * n)
-    np.add.at(rest, key[~lead], vals[~lead])
-    E = (E + rest).reshape(7, n)
-    stored = (first < key.size).reshape(7, n)
-    J = np.add.outer([-m - 1, -m, -1, 0, 1, m, m + 1], np.arange(n))
-    J = np.where(stored, J, J[stored.argmax(axis=0), np.arange(n)])
+    m = M - 1
+    terms = {d: [] for d in _STENCIL}
+    for (cx, cy), s in _AROUND:
+        c = coef[1 + cy:M + cy, 1 + cx:M + cx, s]  # [j - 1, i - 1] at vertex (i, j)
+        i = _CORNERS[s].index((-cx, -cy))
+        for j, (px, py) in enumerate(_CORNERS[s]):
+            terms[cx + px, cy + py].append(c * local[s, i, j])
+    dof = np.full((M + 1, M + 1), -1)
+    dof[1:-1, 1:-1] = np.arange(m * m).reshape(m, m)
+    J = np.stack([dof[1 + dy:M + dy, 1 + dx:M + dx].ravel() for dx, dy in _STENCIL])
+    stored = J >= 0
+    E = np.stack([(v[0] + sum(v[2:], v[1])).ravel() for v in terms.values()])
+    E = np.where(stored, E, 0.0)
+    J = np.where(stored, J, J[stored.argmax(axis=0), np.arange(m * m)])
     order = np.argsort(~stored, axis=0, kind="stable")[:stored.sum(axis=0).max()]
     return SparseMatrix(E=np.take_along_axis(E, order, axis=0),
                         J=np.take_along_axis(J, order, axis=0))
@@ -90,10 +99,8 @@ def _scatter(mesh: StructuredMesh, local: np.ndarray) -> SparseMatrix:
 
 def assemble_mass(mesh: StructuredMesh) -> SparseMatrix:
     """Mass matrix M_ij = (phi_i, phi_j); exact for P1 elements."""
-    area = mesh.triangle_area
-    local_one = area / 12.0 * (np.ones((3, 3)) + np.eye(3))
-    local = np.broadcast_to(local_one, (mesh.triangles.shape[0], 3, 3))
-    return _scatter(mesh, local)
+    local = mesh.triangle_area / 12.0 * (np.ones((3, 3)) + np.eye(3))
+    return _assemble(mesh.M, np.ones((mesh.M, mesh.M, 2)), np.stack([local, local]))
 
 
 def assemble_stiffness(mesh: StructuredMesh, a=None) -> SparseMatrix:
@@ -101,20 +108,28 @@ def assemble_stiffness(mesh: StructuredMesh, a=None) -> SparseMatrix:
 
     The diffusivity is sampled once per element at the centroid, which keeps
     the O(h^2) spatial accuracy of the discretization, and scales the fixed
-    element matrix of its triangle (_STIFFNESS).
+    element matrix of its triangle (_STIFFNESS). Centroids are evaluated in
+    triangle order, so an error names the first bad triangle.
     """
+    M = mesh.M
     if a is None:
-        a_c = np.ones(mesh.triangles.shape[0])
+        a_c = np.ones((M, M, 2))
     else:
-        cent = mesh.nodes[mesh.triangles].mean(axis=1)
-        a_c = _eval_on(a, cent[:, 0], cent[:, 1])
+        x = np.arange(M + 1) / M
+        # centroid of triangle s in cell column (row) i: its corners' x (y) summed, / 3
+        cx = np.stack([sum(x[px:M + px] for px, _ in c) for c in _CORNERS], axis=-1) / 3.0
+        cy = np.stack([sum(x[py:M + py] for _, py in c) for c in _CORNERS], axis=-1) / 3.0
+        X = np.broadcast_to(cx, (M, M, 2)).ravel()
+        Y = np.broadcast_to(cy[:, None], (M, M, 2)).ravel()
+        a_c = _eval_on(a, X, Y)
         bad = ~np.isfinite(a_c) | (a_c <= 0.0)
         if bad.any():
             i = int(np.nonzero(bad)[0][0])
             raise CoefficientRangeError(
-                f"diffusivity must be finite and > 0; got {a_c[i]!r} at centroid "
-                f"({cent[i, 0]}, {cent[i, 1]})")
-    return _scatter(mesh, a_c.reshape(-1, 2, 1, 1) * _STIFFNESS)
+                f"diffusivity must be finite and > 0; got {float(a_c[i])!r} at centroid "
+                f"({X[i]}, {Y[i]})")
+        a_c = a_c.reshape(M, M, 2)
+    return _assemble(M, a_c, _STIFFNESS)
 
 
 def load_vector(mesh: StructuredMesh, g) -> np.ndarray:

@@ -60,6 +60,8 @@ class LatticeInterpolator:
 
     def __call__(self, field: FieldP1) -> np.ndarray:
         """Values on the lattice as an (M_s-1, M_s-1) array indexed [ix, iy]."""
+        if field.mesh != self.mesh:
+            raise ValueError("field is attached to a different mesh")
         M = self.mesh.M
         q = self.lattice.M_s // M
         G = np.zeros((M + 1, M + 1))  # nodal values indexed [y, x]

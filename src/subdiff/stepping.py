@@ -198,7 +198,7 @@ def run(mesh: StructuredMesh, time_mesh: GradedTimeMesh, alpha: float, a,
     still works, evaluated point by point, but slowly.
     observer(n, t_n, FieldP1) is called once per step in increasing n.
     """
-    if u0_field.mesh is not mesh:
+    if u0_field.mesh != mesh:
         raise ValueError("initial field is attached to a different mesh")
     mass = assemble_mass(mesh)
     stiffness = assemble_stiffness(mesh, a)

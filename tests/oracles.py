@@ -1,5 +1,7 @@
 """Reference helpers shared by the tests; the package itself never needs them."""
 
+from typing import NamedTuple
+
 import numpy as np
 
 from subdiff.sparse import SparseMatrix
@@ -13,12 +15,38 @@ def to_dense(A: SparseMatrix) -> np.ndarray:
     return D
 
 
+class Triangulation(NamedTuple):
+    nodes: np.ndarray           # ((M+1)^2, 2) lattice coordinates
+    triangles: np.ndarray       # (2 M^2, 3) node indices, CCW
+    interior_index: np.ndarray  # ((M+1)^2,) dof index or -1 for boundary nodes
+
+
+def triangulation(M: int) -> Triangulation:
+    """The mesh with M subdivisions as explicit arrays: nodes and cells row
+    by row (x fastest), each cell's lower (LL, LR, UR) triangle before its
+    upper (LL, UR, UL) one, and the interior nodes numbered row by row."""
+    side = np.arange(M + 1) / M
+    X, Y = np.meshgrid(side, side, indexing="xy")
+    nodes = np.column_stack([X.ravel(), Y.ravel()])
+    ix, iy = np.meshgrid(np.arange(M), np.arange(M), indexing="xy")
+    ll = (iy * (M + 1) + ix).ravel()
+    lr, ul = ll + 1, ll + (M + 1)
+    ur = ul + 1
+    triangles = np.empty((2 * M * M, 3), dtype=np.int64)
+    triangles[0::2] = np.column_stack([ll, lr, ur])  # lower: below the diagonal
+    triangles[1::2] = np.column_stack([ll, ur, ul])  # upper: above the diagonal
+    interior_index = np.full((M + 1, M + 1), -1, dtype=np.int64)
+    interior_index[1:-1, 1:-1] = np.arange((M - 1) ** 2).reshape(M - 1, M - 1)
+    return Triangulation(nodes, triangles, interior_index.ravel())
+
+
 def ell_reference(mesh, local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(E, J) of the (ntri, 3, 3) element matrices summed over the interior
-    dofs the general way: COO triplets in triangle order, lexsorted into
-    CSR with each duplicate group summed by np.add.reduceat, then laid out
-    as padded column-major ELL."""
-    dof = mesh.interior_index[mesh.triangles]
+    """(E, J) of the (ntri, 3, 3) element matrices of triangulation(mesh.M)
+    summed over the interior dofs the general way: COO triplets in triangle
+    order, lexsorted into CSR with each duplicate group summed by
+    np.add.reduceat, then laid out as padded column-major ELL."""
+    tri = triangulation(mesh.M)
+    dof = tri.interior_index[tri.triangles]
     rows = np.repeat(dof, 3, axis=1).ravel()
     cols = np.tile(dof, (1, 3)).ravel()
     keep = (rows >= 0) & (cols >= 0)
@@ -132,11 +160,12 @@ def interpolation_matrix(mesh, M_s: int):
     ix * (M_s - 1) + iy holds the lattice point ((ix + 1) / M_s,
     (iy + 1) / M_s), and each column a dof."""
     xs = np.arange(1, M_s) / M_s
+    mesh_tri = triangulation(mesh.M)
     rows, cols, vals = [], [], []
     for r, (x, y) in enumerate((x, y) for x in xs for y in xs):
         tri, lam = _locate_scalar(mesh.M, float(x), float(y))
-        for k, node in enumerate(mesh.triangles[tri]):
-            dof = mesh.interior_index[node]
+        for k, node in enumerate(mesh_tri.triangles[tri]):
+            dof = mesh_tri.interior_index[node]
             if dof >= 0 and lam[k] != 0.0:
                 rows.append(r)
                 cols.append(dof)

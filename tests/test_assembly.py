@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from subdiff.exceptions import CoefficientRangeError
 from subdiff.mesh import build_mesh
 from subdiff.sparse import LinearSolver, matvec
 
-from oracles import _locate_scalar, stencil_mass_dense, stencil_stiffness_dense, to_dense
+from oracles import (_locate_scalar, stencil_mass_dense, stencil_stiffness_dense, to_dense,
+                     triangulation)
 
 
 def test_mass_single_interior_entry():
@@ -69,7 +71,11 @@ def test_matrices_symmetric_and_positive_definite():
 
 def test_stiffness_rejects_bad_coefficient():
     mesh = build_mesh(4)
-    with pytest.raises(CoefficientRangeError):
+    tri = triangulation(4)
+    x0, y0 = map(float, tri.nodes[tri.triangles[0]].mean(axis=0))  # the first bad triangle
+    msg = f"got {x0 - 0.5!r} at centroid ({x0!r}, {y0!r})"
+    assert msg == "got -0.33333333333333337 at centroid (0.16666666666666666, 0.08333333333333333)"
+    with pytest.raises(CoefficientRangeError, match=re.escape(msg)):
         assemble_stiffness(mesh, lambda x, y: x - 0.5)  # nonpositive samples
     with pytest.raises(CoefficientRangeError):
         assemble_stiffness(mesh, lambda x, y: np.full_like(x, np.nan))
@@ -77,13 +83,15 @@ def test_stiffness_rejects_bad_coefficient():
 
 def _triangle_midpoints(mesh):
     """(ntri, 3, 2) midpoints of each triangle's edges v0v1, v1v2, v2v0."""
-    P = mesh.nodes[mesh.triangles]
+    tri = triangulation(mesh.M)
+    P = tri.nodes[tri.triangles]
     return 0.5 * (P + np.roll(P, -1, axis=1))
 
 
 def _scatter_add_at(mesh, contrib):
     out = np.zeros(mesh.n_interior)
-    dof = mesh.interior_index[mesh.triangles]
+    tri = triangulation(mesh.M)
+    dof = tri.interior_index[tri.triangles]
     np.add.at(out, dof[dof >= 0], contrib[dof >= 0])
     return out
 
@@ -127,12 +135,13 @@ def test_load_vector_degree2_exact():
                     [a2, b2, b2], [b2, a2, b2], [b2, b2, a2]])
     w = np.array([0.109951743655322] * 3 + [0.223381589678011] * 3)
     ref = np.zeros(mesh.n_interior)
-    for tri in mesh.triangles:
-        P = mesh.nodes[tri]
+    nodes, triangles, interior_index = triangulation(4)
+    for tri in triangles:
+        P = nodes[tri]
         q = pts @ P
         g = 1.0 + 2.0 * q[:, 0] - q[:, 1]
         for k, node in enumerate(tri):
-            dof = mesh.interior_index[node]
+            dof = interior_index[node]
             if dof >= 0:
                 ref[dof] += mesh.triangle_area * np.sum(w * pts[:, k] * g)
     assert np.max(np.abs(b - ref)) <= 1e-15
@@ -157,8 +166,9 @@ def test_l2_project_reproduces_hat():
     coeffs = np.zeros(mesh.n_interior)
     coeffs[7] = 1.0
     hat = FieldP1(mesh=mesh, values=coeffs)
-    full = np.zeros(mesh.nodes.shape[0])
-    full[mesh.interior_index >= 0] = hat.values
+    nodes, triangles, interior_index = triangulation(5)
+    full = np.zeros(nodes.shape[0])
+    full[interior_index >= 0] = hat.values
 
     def hat_fn(x, y):
         # P1 interpolation of the stored nodal values
@@ -168,7 +178,7 @@ def test_l2_project_reproduces_hat():
         vals = np.empty_like(flat_x)
         for i in range(flat_x.size):
             tri, lam = _locate_scalar(mesh.M, flat_x[i], flat_y[i])
-            vals[i] = np.dot(lam, full[mesh.triangles[tri]])
+            vals[i] = np.dot(lam, full[triangles[tri]])
         return vals.reshape(np.shape(out))
 
     proj = l2_project(mesh, hat_fn)
@@ -179,7 +189,8 @@ def test_l2_project_close_to_interpolant():
     mesh = build_mesh(16)
     g = lambda x, y: x * y * (1 - x) * (1 - y)
     proj = l2_project(mesh, g)
-    coords = mesh.nodes[mesh.interior_index >= 0]
+    tri = triangulation(16)
+    coords = tri.nodes[tri.interior_index >= 0]
     interp = g(coords[:, 0], coords[:, 1])
     h = 1.0 / 16
     assert np.max(np.abs(proj.values - interp)) <= h * h

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 
 import pytest
 
@@ -160,6 +161,16 @@ def test_residual_overflow_exit_code(tmp_path, capsys):
                  "--T", "1e300", "--out", str(tmp_path)])
     assert code == 1
     assert "residual norm is not finite" in capsys.readouterr().err
+
+
+def test_large_final_time_solves(tmp_path, capsys):
+    # CG restarts after a residual replacement; without it T = 1e30 ends in
+    # "CG did not converge" after 1,090 iterations
+    code = main(["solve", "--M", "4", "--N", "20", "--modes", "4", "--fine-M", "16",
+                 "--T", "1e30", "--out", str(tmp_path)])
+    assert code == 0
+    e0 = float(capsys.readouterr().out.split("E_0 = ")[1].split()[0])
+    assert math.isfinite(e0)
 
 
 def test_solve_deterministic_output(tmp_path):

@@ -45,6 +45,14 @@ def test_interpolator_reproduces_coarse_nodes():
                 field.values[(cj - 1) * 3 + ci - 1], abs=1e-15)
 
 
+def test_interpolator_compares_the_field_mesh_by_value():
+    interp = LatticeInterpolator(build_mesh(4), fine_lattice(16))
+    with pytest.raises(ValueError, match="field is attached to a different mesh"):
+        interp(FieldP1(mesh=build_mesh(8), values=np.zeros(49)))
+    field = FieldP1(mesh=build_mesh(4), values=np.arange(9.0))  # an equal mesh built separately
+    assert interp(field)[3, 3] == 0.0 and interp(field)[7, 3] == 1.0
+
+
 def test_step_error_symmetric_fields():
     mesh = build_mesh(8)
     lat = fine_lattice(32)

@@ -8,7 +8,7 @@ from subdiff.exceptions import SolverFailureError
 from subdiff.mesh import build_mesh
 from subdiff.sparse import LinearSolver, SparseMatrix, cg_solve, matvec
 
-from oracles import add_scaled, ell_reference, to_dense
+from oracles import add_scaled, ell_reference, to_dense, triangulation
 
 
 def ell(E, J):
@@ -59,15 +59,20 @@ def test_matvec_bitwise_matches_reduceat_on_fe_matrices():
 def test_assembly_bitwise_matches_coo_csr_reference(M):
     mesh = build_mesh(M)
     area = mesh.triangle_area
-    ntri = mesh.triangles.shape[0]
-    cent = mesh.nodes[mesh.triangles].mean(axis=1)
+    tri = triangulation(M)
+    ntri = tri.triangles.shape[0]
+    cent = tri.nodes[tri.triangles].mean(axis=1)
     a = lambda x, y: 1.0 + 0.5 * np.sin(np.pi * x) * np.sin(np.pi * y) + x * y
+    # math.* rejects arrays, so this a takes the np.vectorize fallback
+    a_scalar = lambda x, y: 1.0 + math.exp(-x) * math.cos(y)
     cases = [
         (assemble_mass(mesh), np.broadcast_to(area / 12.0 * (np.ones((3, 3)) + np.eye(3)),
                                               (ntri, 3, 3))),
         (assemble_stiffness(mesh), np.ones((ntri // 2, 2, 1, 1)) * _STIFFNESS),
         (assemble_stiffness(mesh, a),
          a(cent[:, 0], cent[:, 1]).reshape(-1, 2, 1, 1) * _STIFFNESS),
+        (assemble_stiffness(mesh, a_scalar),
+         np.vectorize(a_scalar)(cent[:, 0], cent[:, 1]).reshape(-1, 2, 1, 1) * _STIFFNESS),
     ]
     for A, local in cases:
         E, J = ell_reference(mesh, local)

@@ -26,6 +26,14 @@ def test_zero_data_stays_zero():
     assert all(np.max(np.abs(u)) == 0.0 for u in us)
 
 
+def test_run_compares_the_field_mesh_by_value():
+    tm = build_time_mesh(3, 1.6, 0.5)
+    u0 = FieldP1(mesh=build_mesh(4), values=np.zeros(9))
+    with pytest.raises(ValueError, match="attached to a different mesh"):
+        run(build_mesh(8), tm, 0.75, None, u0)
+    run(build_mesh(4), tm, 0.75, None, u0)  # an equal mesh built separately
+
+
 def test_single_dof_first_step_closed_form():
     # M=2: mass = 1/8, stiffness = 4; step 1 solves (m + c11 s) u1 = m u0
     mesh = build_mesh(2)
