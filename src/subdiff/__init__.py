@@ -13,7 +13,7 @@ from .exceptions import CoefficientRangeError, EvaluationError, SolverFailureErr
 from .mesh import StructuredMesh, build_mesh
 from .metrics import (ErrorReport, FineLattice, LatticeInterpolator,
                       convergence_rates, fine_lattice, weighted_errors)
-from .mittag_leffler import MlfEvaluator, gamma, reciprocal_gamma
+from .mittag_leffler import MlfEvaluator, gamma
 from .sparse import LinearSolver, SparseMatrix, cg_solve, matvec
 from .stepping import (FracWeights, GradedTimeMesh, SchemeState, build_time_mesh,
                        frac_weights, run, step)
@@ -31,6 +31,6 @@ __all__ = [
     "cg_solve", "convergence_rates", "eval_grid",
     "fine_lattice", "frac_weights", "gamma",
     "l2_project", "load_vector", "make_series", "matvec",
-    "reciprocal_gamma", "run", "run_single",
+    "run", "run_single",
     "run_table", "step", "weighted_errors",
 ]

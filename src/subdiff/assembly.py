@@ -122,6 +122,9 @@ def assemble_stiffness(mesh: StructuredMesh, a=None) -> SparseMatrix:
         X = np.broadcast_to(cx, (M, M, 2)).ravel()
         Y = np.broadcast_to(cy[:, None], (M, M, 2)).ravel()
         a_c = _eval_on(a, X, Y)
+        if a_c.shape != X.shape:
+            raise ValueError(f"diffusivity must give one value per centroid, shape {X.shape}; "
+                             f"got shape {a_c.shape}")
         bad = ~np.isfinite(a_c) | (a_c <= 0.0)
         if bad.any():
             i = int(np.nonzero(bad)[0][0])
@@ -158,15 +161,13 @@ def load_vector(mesh: StructuredMesh, g) -> np.ndarray:
     H = H.reshape(*lead, m, M)  # [j - 1, i]: edge (i, j)-(i + 1, j)
     V = V.reshape(*lead, M, m)  # [j, i - 1]: edge (i, j)-(i, j + 1)
     D = D.reshape(*lead, M, M)  # [j, i]: edge (i, j)-(i + 1, j + 1)
-    # at interior vertex (i, j), rows j and columns i: the edges through it
-    left, right = H[..., :-1], H[..., 1:]
-    below, above = V[..., :-1, :], V[..., 1:, :]
-    below_left, above_right = D[..., :-1, :-1], D[..., 1:, 1:]
+    # at interior vertex (i, j), rows j and columns i: the edge to vertex (i + dx, j + dy)
+    edge = {(-1, 0): H[..., :-1], (1, 0): H[..., 1:], (0, -1): V[..., :-1, :],
+            (0, 1): V[..., 1:, :], (-1, -1): D[..., :-1, :-1], (1, 1): D[..., 1:, 1:]}
     scale = mesh.triangle_area / 3.0
     b = np.zeros((*lead, m, m))
-    # cells (i-1, j-1) lower and upper, (i, j-1) upper, (i-1, j) lower, (i, j) lower and upper
-    for ga, gb in ((below, below_left), (below_left, left), (right, below),
-                   (left, above), (right, above_right), (above_right, above)):
+    for (cx, cy), s in _AROUND:
+        ga, gb = (edge[cx + px, cy + py] for px, py in _CORNERS[s] if (cx + px, cy + py) != (0, 0))
         b += ((ga + gb) * 0.5) * scale
     return b.reshape(*lead, mesh.n_interior)
 

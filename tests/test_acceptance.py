@@ -20,7 +20,8 @@ from subdiff.mittag_leffler import MlfEvaluator, gamma
 from subdiff.stepping import build_time_mesh, frac_weights, run
 from subdiff.study import run_table
 
-from oracles import frac_integral_nodes, heat_crank_nicolson_reference
+from oracles import (MLF_SERIES_REFERENCE, _asymptotic_all_terms, frac_integral_nodes,
+                     heat_crank_nicolson_reference)
 from published import (TABLE1_ERRORS, TABLE1_RATES, TABLE2_ERRORS, TABLE2_RATES,
                        TABLE3_ERRORS, TABLE3_RATES, TABLES)
 from test_weights import _leibniz_residuals
@@ -208,26 +209,26 @@ def test_criterion_8_mittag_leffler_suite():
     rel = abs(ev_half(1.0) - ref) / ref
     if rel > 1e-10:
         failures.append(f"E_1/2(-1) off by {rel:.2e}")
-    worst_cont = 0.0
+    gaps = []
+    x_large = np.geomspace(50.0, 1e8, 4001)
     for alpha in (0.25, 0.5, 0.75, 0.95):
-        ev = MlfEvaluator(alpha)
-        pairs = ((ev.series_value(ev.series_cut)[0],
-                  ev.quadrature_value(ev.series_cut)[0]),
-                 (ev.quadrature_value(ev.asym_cut)[0],
-                  ev.asymptotic_value(ev.asym_cut)[0]))
-        for a, b in pairs:
-            gap = abs(a - b) / max(abs(a), abs(b))
-            # max() would skip a nan gap: count it as an infinite one
-            worst_cont = max(worst_cont, gap if math.isfinite(gap) else math.inf)
-    if worst_cont > 1e-9:
-        failures.append(f"regime continuity off by {worst_cont:.2e}")
+        ref = _asymptotic_all_terms(alpha, x_large)
+        gaps.append(np.abs(MlfEvaluator(alpha)(x_large) - ref) / ref)
+    for alpha, pairs in MLF_SERIES_REFERENCE.items():
+        x, ref = np.array(pairs).T
+        gaps.append(np.abs(MlfEvaluator(alpha)(x) - ref) / ref)
+    gaps = np.concatenate(gaps)
+    # a nan gap counts as an infinite one
+    worst_ref = float(np.max(np.where(np.isnan(gaps), np.inf, gaps)))
+    if worst_ref > 1e-11:
+        failures.append(f"oracle agreement off by {worst_ref:.2e}")
     for alpha in (0.25, 0.5, 0.75, 0.95):
         vals = MlfEvaluator(alpha)(np.concatenate([[0.0], np.logspace(-3, 5, 300)]))
         if not np.all(np.diff(vals) < 0.0):
             failures.append(f"monotonicity violated at alpha={alpha}")
     ok = not failures
     _report("criterion 8", ok,
-            f"exp identity {worst:.1e}, continuity {worst_cont:.1e}, "
+            f"exp identity {worst:.1e}, oracle agreement {worst_ref:.1e}, "
             "monotone on [0, 1e5]" if ok else "; ".join(failures))
     assert ok, "; ".join(failures)
 

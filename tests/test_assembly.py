@@ -81,6 +81,13 @@ def test_stiffness_rejects_bad_coefficient():
         assemble_stiffness(mesh, lambda x, y: np.full_like(x, np.nan))
 
 
+def test_stiffness_rejects_a_leading_axis():
+    # a load may carry a batch axis; a diffusivity gives one value per centroid
+    msg = "diffusivity must give one value per centroid, shape (32,); got shape (2, 32)"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        assemble_stiffness(build_mesh(4), lambda x, y: np.stack([1 + x, 1 + y]))
+
+
 def _triangle_midpoints(mesh):
     """(ntri, 3, 2) midpoints of each triangle's edges v0v1, v1v2, v2v0."""
     tri = triangulation(mesh.M)

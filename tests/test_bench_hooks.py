@@ -100,6 +100,8 @@ def test_trace_counts_one_oracle_evaluation_per_study():
     assert len(table.reports) == 2
     layers = tracer.layer_metrics()
     assert layers["mittag_leffler.args"] == cfg.N * n_lam
+    # every step time is > 0, so every argument takes the contour
+    assert layers["mittag_leffler.quadrature_args"] == cfg.N * n_lam
     assert layers["metrics.interp_calls"] == 2 * cfg.N
     assert sum(span[1] == "study.exact_eval" for span in tracer.spans) == 2 * cfg.N
     assert layers["sparse.solver_builds"] == 2

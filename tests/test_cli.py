@@ -2,12 +2,15 @@ import importlib.util
 import json
 import math
 
+import numpy as np
 import pytest
 
 import subdiff.cli as cli
+import subdiff.exact as exact
 import subdiff.study as study
 from subdiff.cli import build_config, main, make_parser
 from subdiff.config import ConfigError, ExperimentConfig
+from subdiff.mittag_leffler import MlfEvaluator
 
 
 def test_config_roundtrip():
@@ -124,15 +127,24 @@ def test_degenerate_time_mesh_exit_code(tmp_path, capsys, recwarn):
     assert len(recwarn) == 0
 
 
-def test_alpha_too_close_to_one_exit_code(tmp_path, capsys, recwarn):
-    # cos(alpha pi) rounds to -1: the Mittag-Leffler quadrature would give nan
+def test_alpha_near_one_solves(tmp_path, capsys, recwarn):
     code = main(["solve", "--M", "4", "--N", "10", "--modes", "4", "--fine-M", "8",
                  "--alpha", "0.999999999", "--out", str(tmp_path)])
+    assert code == 0
+    e0 = float(capsys.readouterr().out.split("E_0 = ")[1].split()[0])
+    assert math.isfinite(e0)
+    assert len(recwarn) == 0
+
+
+def test_non_finite_decay_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(MlfEvaluator, "__call__", lambda self, x: np.full(np.shape(x), np.nan))
+    exact._decay_table.cache_clear()  # a table cached by an earlier test would skip the call
+    code = main(["solve", "--M", "4", "--N", "10", "--modes", "4", "--fine-M", "8",
+                 "--alpha", "0.6", "--out", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: invalid configuration: Mittag-Leffler decay ")
-    assert "alpha=0.999999999;" in err
-    assert len(recwarn) == 0
+    assert err == ("error: invalid configuration: Mittag-Leffler decay "
+                   "E_alpha(-lambda t^alpha) is not finite for alpha=0.6\n")
     assert not any(tmp_path.iterdir())
 
 

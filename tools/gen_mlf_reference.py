@@ -43,6 +43,8 @@ def mlf_half_identity(x: float) -> float:
 
 
 GRIDS = {
+    0.01: [0.5, 1.04],
+    0.02: [0.5, 1.04],
     0.25: [0.05, 0.3, 0.9, 1.5, 1.77, 1.9, 2.6, 4.0, 5.5, 7.0],
     0.5: [0.05, 0.3, 1.0, 2.5, 3.1, 3.3, 6.0, 12.0, 25.0, 49.5],
     0.75: [0.05, 0.5, 1.5, 3.0, 4.9, 5.1, 9.0, 17.0, 33.0, 49.5],
