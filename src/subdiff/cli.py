@@ -165,12 +165,12 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("table", help="convergence table over an M sweep")
-    p.add_argument("preset", choices=["table1", "table2", "table3", "custom"])
+    p.add_argument("preset", choices=[k for k in PRESETS if k.startswith("table")] + ["custom"])
     _add_config_flags(p)
     p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("figure", help="per-step error curves for an M sweep")
-    p.add_argument("preset", choices=["figure1", "figure2", "figure3"])
+    p.add_argument("preset", choices=[k for k in PRESETS if k.startswith("figure")])
     _add_config_flags(p)
     p.set_defaults(fn=cmd_figure)
     return ap
@@ -181,8 +181,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: invalid configuration: {exc}", file=sys.stderr)
+    except (ConfigError, ValueError, MemoryError) as exc:
+        # a MemoryError is a run too large for this host; numpy names the refused allocation
+        print(f"error: invalid configuration: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverFailureError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)

@@ -3,10 +3,11 @@
 Eigenpairs of the Dirichlet Laplacian are phi_mn = 2 sin(m pi x) sin(n pi y)
 with lambda_mn = (m^2 + n^2) pi^2; the solution for initial datum u0 is the
 eigenfunction expansion with modal decay E_alpha(-lambda_mn t^alpha). Each
-named initial datum carries its closed-form sine coefficients. The decay
-is evaluated in one place (decay_rows), once per distinct eigenvalue and
-time, and series_on_grid sums the expansion on a tensor grid from one row,
-over the rows and columns of the coefficients that hold a nonzero entry.
+named initial datum carries its closed-form sine coefficients. The series
+lives on its active block, the rows and columns of C that hold a nonzero
+entry. decay_table evaluates the decay once per distinct eigenvalue and
+time into one shared read-only table, and series_on_grid sums the
+expansion on a tensor grid from the block's gather of one table row.
 """
 
 from __future__ import annotations
@@ -96,22 +97,12 @@ class SeriesSolution:
         self.lam.setflags(write=False)
 
     @functools.cached_property
-    def active_mask(self) -> np.ndarray:
-        return self.C != 0.0
-
-    @functools.cached_property
-    def c2_active(self) -> np.ndarray:
-        """2 C on the active modes, in active_mask order."""
-        return 2.0 * self.C[self.active_mask]
-
-    @functools.cached_property
     def active_block(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, cols, mask): the indices of the rows and columns of C that
-        hold a nonzero coefficient, and active_mask on that block, whose True
-        entries are the active modes in active_mask order."""
-        rows = np.flatnonzero(self.active_mask.any(axis=1))
-        cols = np.flatnonzero(self.active_mask.any(axis=0))
-        return rows, cols, self.active_mask[np.ix_(rows, cols)]
+        """(rows, cols, C2): the indices of the rows and columns of C that
+        hold a nonzero coefficient, and 2 C on that block."""
+        rows = np.flatnonzero(self.C.any(axis=1))
+        cols = np.flatnonzero(self.C.any(axis=0))
+        return rows, cols, 2.0 * self.C[np.ix_(rows, cols)]
 
 
 def make_series(datum: InitialDatum, alpha: float, K: int = 60) -> SeriesSolution:
@@ -144,24 +135,24 @@ def _decay_table(alpha: float, lam_bytes: bytes, t_bytes: bytes) -> np.ndarray:
     return table
 
 
-def decay_rows(sol: SeriesSolution, t) -> np.ndarray:
-    """E_alpha(-lambda_mn t^alpha) on the active modes, shape (times, active modes),
-    from one oracle run per distinct eigenvalue ((m, n) and (n, m) share one)."""
+def decay_table(sol: SeriesSolution, t) -> tuple[np.ndarray, np.ndarray]:
+    """(table, index): the shared read-only E_alpha(-lambda t^alpha), shape (times,
+    distinct eigenvalues of the active block; (m, n) and (n, m) share one), and the
+    block's index into its columns, so that table[k][index] is the block's decay at t[k]."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("time must be >= 0")
-    lam_u, mode_of = np.unique(sol.lam[sol.active_mask], return_inverse=True)
-    return _decay_table(sol.alpha, lam_u.tobytes(), t.tobytes())[:, mode_of]
+    rows, cols, _ = sol.active_block
+    lam_u, index = np.unique(sol.lam[np.ix_(rows, cols)], return_inverse=True)
+    return (_decay_table(sol.alpha, lam_u.tobytes(), t.tobytes()),
+            index.reshape(rows.size, cols.size))
 
 
-def series_on_grid(sol: SeriesSolution, row: np.ndarray, Sx: np.ndarray,
+def series_on_grid(sol: SeriesSolution, E: np.ndarray, Sx: np.ndarray,
                    Sy: np.ndarray) -> np.ndarray:
-    """Sx (2 C E) Sy^T for one decay row E of decay_rows, over the active
-    block of C; Sx and Sy are the sine_matrices of the grid's axes."""
-    mask = sol.active_block[2]
-    D = np.zeros(mask.shape)
-    D[mask] = sol.c2_active * row
-    return Sx @ D @ Sy.T
+    """Sx (2 C E) Sy^T for the decay E on the active block of C; Sx and Sy
+    are the sine_matrices of the grid's axes."""
+    return Sx @ (sol.active_block[2] * E) @ Sy.T
 
 
 def sine_matrices(sol: SeriesSolution, xs, ys) -> tuple[np.ndarray, np.ndarray]:
@@ -173,8 +164,8 @@ def sine_matrices(sol: SeriesSolution, xs, ys) -> tuple[np.ndarray, np.ndarray]:
 
 def eval_grid(sol: SeriesSolution, t: float, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """u(x_i, y_j, t) on the tensor grid xs x ys."""
-    row = decay_rows(sol, [t])[0]
-    out = series_on_grid(sol, row, *sine_matrices(sol, xs, ys))
+    table, index = decay_table(sol, [t])
+    out = series_on_grid(sol, table[0][index], *sine_matrices(sol, xs, ys))
     if not np.all(np.isfinite(out)):
         raise EvaluationError(f"series evaluation produced non-finite values at t={t}")
     return out

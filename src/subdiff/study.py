@@ -8,7 +8,7 @@ import numpy as np
 
 from .assembly import FieldP1, l2_project
 from .config import ExperimentConfig
-from .exact import DATA, SeriesSolution, decay_rows, make_series, series_on_grid, sine_matrices
+from .exact import DATA, SeriesSolution, decay_table, make_series, series_on_grid, sine_matrices
 from .mesh import StructuredMesh, build_mesh
 from .metrics import (ErrorReport, FineLattice, LatticeInterpolator, convergence_rates,
                       fine_lattice, weighted_errors)
@@ -18,9 +18,10 @@ from .stepping import build_time_mesh, run
 class ErrorTracker:
     """Observer recording |||u_h^n - u(t_n)||| at every step.
 
-    Modal decay factors for all steps come upfront from exact.decay_rows,
-    shared with the next tracker on the same series and time mesh; each
-    step then costs two small matrix products over the active modes.
+    The modal decay table for all steps comes upfront from exact.decay_table
+    and is the same object for every tracker on the same series and time
+    mesh; each step gathers its row onto the active block and costs two
+    small matrix products.
     """
 
     def __init__(self, sol: SeriesSolution, lattice: FineLattice,
@@ -28,11 +29,11 @@ class ErrorTracker:
         self.sol = sol
         self.interp = LatticeInterpolator(mesh, lattice)
         self.Sx, self.Sy = sine_matrices(sol, lattice.xs, lattice.xs)
-        self.decay = decay_rows(sol, time_mesh.t[1:])
+        self.decay, self.index = decay_table(sol, time_mesh.t[1:])
         self.errors = np.zeros(time_mesh.N)
 
     def exact_on_lattice(self, n: int) -> np.ndarray:
-        return series_on_grid(self.sol, self.decay[n - 1], self.Sx, self.Sy)
+        return series_on_grid(self.sol, self.decay[n - 1][self.index], self.Sx, self.Sy)
 
     def __call__(self, n: int, t_n: float, u_n: FieldP1) -> None:
         err = float(np.abs(self.interp(u_n) - self.exact_on_lattice(n)).max())

@@ -5,6 +5,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from subdiff.exact import InitialDatum
 from subdiff.sparse import SparseMatrix
 from subdiff.stepping import FracWeights
 
@@ -275,3 +276,10 @@ def _asymptotic_all_terms(alpha, x):
         s[active] += term[active]
         np.minimum(smallest, np.where(mag > 0.0, mag, smallest), out=smallest)
     return s
+
+
+# coefficients on m < n with n not a multiple of 3: the active rows and
+# columns differ and the active set is not their tensor product
+TRIANGLE = InitialDatum(
+    "triangle", lambda x, y: np.zeros_like(x * y),
+    lambda m, n: np.where((m < n) & (n % 3 != 0), 1.0 / (m * n), 0.0))

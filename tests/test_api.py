@@ -47,6 +47,7 @@ REMOVED_MEMBERS = (
     "mittag_leffler.MlfEvaluator.quadrature_value", "mittag_leffler.MlfEvaluator.asymptotic_value",
     "mittag_leffler._tanh_sinh_unit", "mittag_leffler._TS_XI", "mittag_leffler._TS_W",
     "mittag_leffler._QUAD_CUTOFF", "mittag_leffler._SERIES_T_MAX", "mittag_leffler._SERIES_P_CAP",
+    "exact.decay_rows", "exact.SeriesSolution.active_mask", "exact.SeriesSolution.c2_active",
 )
 
 

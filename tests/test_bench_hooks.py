@@ -89,7 +89,8 @@ def test_trace_counts_one_oracle_evaluation_per_study():
     cfg = ExperimentConfig(example="example1", M=[2, 4], N=20, modes=8, fine_M=8)
     cfg.validate()
     sol = make_series(DATA["example1"], cfg.alpha, cfg.modes)
-    n_lam = np.unique(sol.lam[sol.active_mask]).size
+    rows, cols, _ = sol.active_block
+    n_lam = np.unique(sol.lam[np.ix_(rows, cols)]).size
     exact._decay_table.cache_clear()
     tracer = spans.Tracer("test")
     tracer.install()

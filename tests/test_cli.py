@@ -8,6 +8,7 @@ import pytest
 import subdiff.cli as cli
 import subdiff.exact as exact
 import subdiff.study as study
+from subdiff.benchmarks import PRESETS
 from subdiff.cli import build_config, main, make_parser
 from subdiff.config import ConfigError, ExperimentConfig
 from subdiff.mittag_leffler import MlfEvaluator
@@ -165,6 +166,33 @@ def test_output_under_a_regular_file_exit_code(command, tmp_path, capsys, monkey
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: invalid configuration: cannot write output to {out}: ")
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 74.5 GiB for an array with shape (100000, 100000) "
+                 "and data type float64"),
+     "Unable to allocate 74.5 GiB for an array with shape (100000, 100000) "
+     "and data type float64"),
+    (MemoryError(), "out of memory")], ids=["numpy", "bare"])
+def test_out_of_memory_exit_code(exc, message, tmp_path, capsys, monkeypatch):
+    # raised, never allocated: a host with memory overcommit could start a real one
+    def too_large(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "run_single", too_large)
+    code = main(["solve", "--M", "4", "--N", "10", "--modes", "100000", "--fine-M", "16",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: invalid configuration: {message}\n"
+
+
+def test_preset_choices_are_the_presets():
+    commands = next(a for a in make_parser()._actions if a.dest == "command").choices
+    table = next(a for a in commands["table"]._actions if a.dest == "preset").choices
+    figure = next(a for a in commands["figure"]._actions if a.dest == "preset").choices
+    assert table == ["table1", "table2", "table3", "custom"]
+    assert figure == ["figure1", "figure2", "figure3"]
+    assert set(table) - {"custom"} | set(figure) == set(PRESETS)
 
 
 def test_residual_overflow_exit_code(tmp_path, capsys):

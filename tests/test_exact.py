@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from subdiff.exact import (DATA, InitialDatum, decay_rows, eval_grid, make_series,
+from subdiff.exact import (DATA, decay_table, eval_grid, make_series,
                            series_on_grid, sine_matrices)
 from subdiff.metrics import fine_lattice
+
+from oracles import TRIANGLE
 
 
 def test_example1_leading_coefficient():
@@ -106,13 +108,21 @@ def test_solution_symmetries(datum):
         assert np.abs(vals - vals[::-1, :]).max() <= 1e-13   # x <-> 1 - x
 
 
+def _full_decay(sol, t):
+    """The decay of every mode in the active block at time t, zero elsewhere."""
+    table, index = decay_table(sol, [t])
+    rows, cols, _ = sol.active_block
+    E = np.zeros_like(sol.C)
+    E[np.ix_(rows, cols)] = table[0][index]
+    return E
+
+
 def test_separable_matches_naive_sum():
     sol = make_series(DATA["example1"], 0.6, K=10)
     xs = np.linspace(0.1, 0.9, 9)
     t = 0.05
     vals = eval_grid(sol, t, xs, xs)
-    E = np.zeros_like(sol.C)
-    E[sol.active_mask] = decay_rows(sol, [t])[0]
+    E = _full_decay(sol, t)
     naive = np.zeros((9, 9))
     for i, x in enumerate(xs):
         for j, y in enumerate(xs):
@@ -128,7 +138,8 @@ def test_separable_matches_naive_sum():
 def test_first_mode_amplitude_decreases_in_time():
     sol = make_series(DATA["example1"], 0.75, K=4)
     ts = np.linspace(0.0, 0.5, 21)
-    amps = decay_rows(sol, ts)[:, 0]  # the first active mode is (1, 1)
+    table, index = decay_table(sol, ts)
+    amps = table[:, index[0, 0]]  # the first active mode is (1, 1)
     assert np.all(np.diff(amps) < 0.0)
 
 
@@ -153,29 +164,20 @@ def test_mode_cutoff_validation():
         make_series(DATA["example1"], 0.75, K=0)
 
 
-# coefficients on m < n with n not a multiple of 3: the active rows and
-# columns differ and the active set is not their tensor product
-_TRIANGLE = InitialDatum(
-    "triangle", lambda x, y: np.zeros_like(x * y),
-    lambda m, n: np.where((m < n) & (n % 3 != 0), 1.0 / (m * n), 0.0))
-
-
 @pytest.mark.parametrize("datum", ["example1", "example2", "example3", "triangle"])
 def test_active_block_product_matches_full_product(datum):
-    sol = make_series(_TRIANGLE if datum == "triangle" else DATA[datum], 0.75, K=60)
-    rows, cols, mask = sol.active_block
-    assert mask.sum() == sol.active_mask.sum()
+    sol = make_series(TRIANGLE if datum == "triangle" else DATA[datum], 0.75, K=60)
+    rows, cols, C2 = sol.active_block
+    assert np.count_nonzero(C2) == np.count_nonzero(sol.C)
     if datum == "triangle":
         assert rows.size < sol.K and cols.size < sol.K and not np.array_equal(rows, cols)
-        assert not mask.all()
+        assert not C2.all()
     lat = fine_lattice(128)
     S = np.sin(np.pi * np.outer(lat.xs, np.arange(1, sol.K + 1)))
     for t in (0.0, 1e-4, 0.5):
-        row = decay_rows(sol, [t])[0]
-        E = np.zeros_like(sol.C)
-        E[sol.active_mask] = row
+        E = _full_decay(sol, t)
         full = S @ (2.0 * sol.C * E) @ S.T
-        got = series_on_grid(sol, row, *sine_matrices(sol, lat.xs, lat.xs))
+        got = series_on_grid(sol, E[np.ix_(rows, cols)], *sine_matrices(sol, lat.xs, lat.xs))
         assert np.abs(got - full).max() <= 1e-15 * np.abs(full).max(), (datum, t)
 
 

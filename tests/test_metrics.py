@@ -8,7 +8,7 @@ from subdiff.mittag_leffler import MlfEvaluator
 from subdiff.metrics import (ErrorReport, FineLattice, LatticeInterpolator,
                              convergence_rates, fine_lattice, weighted_errors)
 
-from oracles import interpolation_matrix
+from oracles import TRIANGLE, interpolation_matrix
 from published import (TABLE1_ERRORS, TABLE1_RATES, TABLE2_ERRORS, TABLE2_RATES,
                        TABLE3_ERRORS, TABLE3_RATES)
 
@@ -133,13 +133,15 @@ def test_streaming_max_equals_posthoc():
     assert res.E_mu[0.5] == posthoc[1]
 
 
-def test_error_tracker_decay_matches_public_evaluator():
-    # the tracker and eval_grid share one modal-decay path
+@pytest.mark.parametrize("datum", ["example1", "example2", "example3", "triangle"])
+def test_error_tracker_decay_matches_public_evaluator(datum):
+    # the tracker and eval_grid share one modal-decay path, also on a
+    # support that is not a full block
     from subdiff.exact import DATA, make_series, eval_grid
     from subdiff.stepping import build_time_mesh
     from subdiff.study import ErrorTracker
     from subdiff.mesh import build_mesh
-    sol = make_series(DATA["example1"], 0.75, K=16)
+    sol = make_series(TRIANGLE if datum == "triangle" else DATA[datum], 0.75, K=16)
     tm = build_time_mesh(40, 1.6, 0.5)
     mesh = build_mesh(4)
     lat = fine_lattice(16)
@@ -157,11 +159,9 @@ def test_error_tracker_decay_bitwise_per_mode():
     sol = make_series(DATA["example1"], 0.75, K=30)
     tm = build_time_mesh(50, 1.6, 0.5)
     tracker = ErrorTracker(sol, fine_lattice(16), tm, build_mesh(4))
-    lam_act = sol.lam[sol.active_mask]
+    lam_act = _block_eigenvalues(sol)
     assert np.unique(lam_act).size < lam_act.size
-    args = (lam_act[None, :] * (tm.t[1:] ** sol.alpha)[:, None]).ravel()
-    per_mode = MlfEvaluator(sol.alpha)(args).reshape(tm.N, lam_act.size)
-    assert np.array_equal(tracker.decay, per_mode)
+    assert np.array_equal(tracker.decay[:, tracker.index], _fresh_decay(sol, tm))
 
 
 def _count_mlf_calls(monkeypatch):
@@ -176,10 +176,17 @@ def _count_mlf_calls(monkeypatch):
     return calls
 
 
+def _block_eigenvalues(sol):
+    rows, cols, _ = sol.active_block
+    return sol.lam[np.ix_(rows, cols)]
+
+
 def _fresh_decay(sol, tm):
-    lam_act = sol.lam[sol.active_mask]
-    args = (lam_act[None, :] * (tm.t[1:] ** sol.alpha)[:, None]).ravel()
-    return MlfEvaluator(sol.alpha)(args).reshape(tm.N, lam_act.size)
+    """The decay of every mode of the active block at every step, one
+    oracle argument per mode, shape (N, rows, cols)."""
+    lam_act = _block_eigenvalues(sol)
+    args = (lam_act.ravel()[None, :] * (tm.t[1:] ** sol.alpha)[:, None]).ravel()
+    return MlfEvaluator(sol.alpha)(args).reshape(tm.N, *lam_act.shape)
 
 
 def test_error_tracker_shares_decay_table_across_meshes(monkeypatch):
@@ -195,11 +202,23 @@ def test_error_tracker_shares_decay_table_across_meshes(monkeypatch):
     calls = _count_mlf_calls(monkeypatch)
     trackers = [ErrorTracker(sol, lat, tm, build_mesh(M)) for M in (2, 4, 8)]
     assert len(calls) == 1
-    assert calls[0] == tm.N * np.unique(sol.lam[sol.active_mask]).size
+    assert calls[0] == tm.N * np.unique(_block_eigenvalues(sol)).size
     monkeypatch.undo()
     fresh = _fresh_decay(sol, tm)
     for tracker in trackers:
-        assert np.array_equal(tracker.decay, fresh)
+        assert np.array_equal(tracker.decay[:, tracker.index], fresh)
+
+
+def test_error_trackers_hold_one_decay_table():
+    # trackers on the same series and time mesh share the cached table
+    # itself, not a per-tracker copy of it
+    from subdiff.stepping import build_time_mesh
+    from subdiff.study import ErrorTracker
+    sol = make_series(DATA["example2"], 0.75, K=12)
+    tm = build_time_mesh(30, 1.6, 0.5)
+    lat = fine_lattice(16)
+    a, b = (ErrorTracker(sol, lat, tm, build_mesh(M)) for M in (2, 4))
+    assert a.decay is b.decay
 
 
 @pytest.mark.parametrize("change", ["alpha", "K", "N", "T"])
@@ -224,14 +243,14 @@ def test_error_tracker_decay_table_keyed_by_value(change, monkeypatch):
     tracker = ErrorTracker(sol, lat, tm, mesh)
     assert len(calls) == 1
     monkeypatch.undo()
-    assert np.array_equal(tracker.decay, _fresh_decay(sol, tm))
+    assert np.array_equal(tracker.decay[:, tracker.index], _fresh_decay(sol, tm))
 
 
 def test_decay_table_is_read_only():
     from subdiff.exact import _decay_table
     from subdiff.stepping import build_time_mesh
     sol = make_series(DATA["example1"], 0.75, K=8)
-    lam_u = np.unique(sol.lam[sol.active_mask])
+    lam_u = np.unique(_block_eigenvalues(sol))
     t = build_time_mesh(20, 1.6, 0.5).t[1:]
     table = _decay_table(sol.alpha, lam_u.tobytes(), t.tobytes())
     assert table.shape == (20, lam_u.size)
