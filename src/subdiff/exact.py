@@ -163,9 +163,14 @@ def sine_matrices(sol: SeriesSolution, xs, ys) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eval_grid(sol: SeriesSolution, t: float, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """u(x_i, y_j, t) on the tensor grid xs x ys."""
-    table, index = decay_table(sol, [t])
-    out = series_on_grid(sol, table[0][index], *sine_matrices(sol, xs, ys))
+    """u(x_i, y_j, t) on the tensor grid xs x ys. Its decay row bypasses the
+    cache, so it never evicts the table a study shares."""
+    if t < 0.0:
+        raise ValueError("time must be >= 0")
+    rows, cols, _ = sol.active_block
+    lam = sol.lam[np.ix_(rows, cols)]
+    E = _decay_table.__wrapped__(sol.alpha, lam.tobytes(), np.array([t], dtype=float).tobytes())
+    out = series_on_grid(sol, E.reshape(lam.shape), *sine_matrices(sol, xs, ys))
     if not np.all(np.isfinite(out)):
         raise EvaluationError(f"series evaluation produced non-finite values at t={t}")
     return out

@@ -37,8 +37,9 @@ class GradedTimeMesh:
     tau: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ValueError(f"N must be >= 1, got {self.N!r}")
+        if not isinstance(self.N, (int, np.integer)) or isinstance(self.N, bool) or self.N < 1:
+            raise ValueError(f"N must be an integer >= 1, got {self.N!r}")
+        object.__setattr__(self, "N", int(self.N))
         if self.gamma < 1.0:
             raise ValueError(f"gamma must be >= 1, got {self.gamma!r}")
         if not (self.T > 0.0):
@@ -56,7 +57,7 @@ class GradedTimeMesh:
 
 def build_time_mesh(N: int, gamma_exp: float, T: float) -> GradedTimeMesh:
     """Graded mesh with N subintervals, grading exponent gamma_exp, final time T."""
-    return GradedTimeMesh(N=int(N), gamma=float(gamma_exp), T=float(T))
+    return GradedTimeMesh(N=N, gamma=float(gamma_exp), T=float(T))
 
 
 @dataclass(frozen=True)
@@ -77,6 +78,8 @@ class FracWeights:
     inv_gamma: float = field(init=False)  # 1 / Gamma(alpha + 1)
 
     def __post_init__(self):
+        if not (0.0 < self.alpha < 1.0):
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         object.__setattr__(self, "inv_gamma", 1.0 / gamma(self.alpha + 1.0))
 
     def row(self, n: int) -> np.ndarray:
@@ -111,8 +114,6 @@ class FracWeights:
 
 def frac_weights(mesh: GradedTimeMesh, alpha: float) -> FracWeights:
     """Quadrature weights of I^alpha on the mesh (rows come on demand)."""
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     return FracWeights(mesh=mesh, alpha=alpha)
 
 
@@ -122,7 +123,7 @@ HISTORY_BLOCK = 32
 
 @dataclass
 class SchemeState:
-    """Time-stepping state: the latest solution and cached history products.
+    """Time-stepping state: the latest solution and the history vectors.
 
     A step reads only u^(n-1), so us holds u^n alone (us[-1]); an observer
     passed to run collects the solutions it needs.
@@ -133,9 +134,6 @@ class SchemeState:
     us: deque           # (u^n,): the latest accepted coefficient vector
     Z: np.ndarray       # Z[j-1] = S ubar_j for accepted steps
     n: int = 0
-    # current history block of steps k+1..k+B: rows c_nj, and sum_{j<=k} c_nj Z_j
-    block_c: np.ndarray | None = field(default=None, repr=False)
-    block_hist: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def start(cls, mesh: StructuredMesh, time_mesh: GradedTimeMesh,
@@ -145,37 +143,28 @@ class SchemeState:
                    Z=Z)
 
 
-def step(state: SchemeState, n: int, weights: FracWeights, solver: LinearSolver,
+def step(state: SchemeState, n: int, c_nn: float, memory: np.ndarray, solver: LinearSolver,
          load: np.ndarray | None = None) -> FieldP1:
     """Advance the scheme from u^(n-1) to u^n and make u^n the state's solution.
 
-    solver is the run's LinearSolver for the pencil mass + s stiffness
-    (matrix=mass, shift=stiffness), and the step takes both matrices from
-    it. The history sum over j < n is split at the start k of the step's
-    block of HISTORY_BLOCK steps: the part over j <= k comes from one GEMM
-    per block, the tail k < j < n from the step itself.
+    c_nn is the step's own weight increment and memory the history sum
+    sum_{j<n} c_nj Z_j (unused at n = 1). solver is the run's LinearSolver
+    for the pencil mass + s stiffness (matrix=mass, shift=stiffness), and
+    the step takes both matrices from it.
     """
     if n != state.n + 1:
         raise ValueError(f"expected step {state.n + 1}, got {n}")
-    i = (n - 1) % HISTORY_BLOCK
-    k = n - 1 - i
-    if i == 0:
-        stop = min(k + HISTORY_BLOCK, state.time_mesh.N)
-        state.block_c = weights.increment_rows(k + 1, stop + 1)
-        state.block_hist = state.block_c[:, :k] @ state.Z[:k]
-    tau_n = state.time_mesh.tau[n - 1]
-    c = state.block_c[i]
     theta = 1.0 if n == 1 else 0.5
     u_prev = state.us[-1]
     mass, stiffness = solver.matrix, solver.shift
 
     rhs = matvec(mass, u_prev)
     if n >= 2:
-        rhs -= state.block_hist[i] + c[k:n - 1] @ state.Z[k:n - 1]
-        rhs -= (1.0 - theta) * c[n - 1] * matvec(stiffness, u_prev)
+        rhs -= memory
+        rhs -= (1.0 - theta) * c_nn * matvec(stiffness, u_prev)
     if load is not None:
-        rhs += tau_n * load
-    u_n = solver.solve(rhs, x0=u_prev, s=theta * c[n - 1])
+        rhs += state.time_mesh.tau[n - 1] * load
+    u_n = solver.solve(rhs, x0=u_prev, s=theta * c_nn)
 
     # ubar_n: u^1 on the first interval, the midpoint average after
     state.Z[n - 1] = matvec(stiffness, u_n if n == 1 else 0.5 * (u_n + u_prev))
@@ -189,13 +178,15 @@ def run(mesh: StructuredMesh, time_mesh: GradedTimeMesh, alpha: float, a,
     """Run the scheme over the whole time mesh.
 
     Once per run: assembly, the weights and one solver for the pencil
-    mass + s stiffness. Each step then does only per-step work.
+    mass + s stiffness. Once per block of HISTORY_BLOCK steps k+1..stop:
+    the weight rows c_nj, one GEMM for the history over j <= k, and the
+    forcing; each step adds its in-block tail k < j < n to its memory sum.
     f, when given, is a space-time function f(x, y, t) sampled at interval
     midpoints in time and assembled with the standard load quadrature. It
-    is sampled once per block of HISTORY_BLOCK steps: x and y are the edge
-    midpoints, t is the (B, 1) column of the block's interval midpoints,
-    and f must broadcast over it. An f that takes scalars only (math.*)
-    still works, evaluated point by point, but slowly.
+    is sampled once per block: x and y are the edge midpoints, t is the
+    (B, 1) column of the block's interval midpoints, and f must broadcast
+    over it. An f that takes scalars only (math.*) still works, evaluated
+    point by point, but slowly.
     observer(n, t_n, FieldP1) is called once per step in increasing n.
     """
     if u0_field.mesh != mesh:
@@ -205,16 +196,19 @@ def run(mesh: StructuredMesh, time_mesh: GradedTimeMesh, alpha: float, a,
     weights = frac_weights(time_mesh, alpha)
     solver = LinearSolver(mass, rtol=rtol, shift=stiffness)
     state = SchemeState.start(mesh, time_mesh, u0_field)
-    t = time_mesh.t
-    loads = None
-    for n in range(1, time_mesh.N + 1):
-        i = (n - 1) % HISTORY_BLOCK
-        if f is not None and i == 0:  # steps n..stop share one sample of f
-            stop = min(n - 1 + HISTORY_BLOCK, time_mesh.N)
-            t_mid = (0.5 * (t[n - 1:stop] + t[n:stop + 1]))[:, None]
+    t, N = time_mesh.t, time_mesh.N
+    for k in range(0, N, HISTORY_BLOCK):
+        stop = min(k + HISTORY_BLOCK, N)
+        C = weights.increment_rows(k + 1, stop + 1)
+        hist = C[:, :k] @ state.Z[:k]
+        loads = None
+        if f is not None:
+            t_mid = (0.5 * (t[k:stop] + t[k + 1:stop + 1]))[:, None]
             loads = load_vector(mesh, lambda x, y: _eval_on(f, x, y, t_mid))
-        u_n = step(state, n, weights, solver, load=None if loads is None else loads[i])
-        if observer is not None:
-            observer(n, t[n], u_n)
+        for i, n in enumerate(range(k + 1, stop + 1)):
+            memory = hist[i] + C[i, k:n - 1] @ state.Z[k:n - 1]
+            u_n = step(state, n, C[i, n - 1], memory, solver,
+                       load=None if loads is None else loads[i])
+            if observer is not None:
+                observer(n, t[n], u_n)
     return state
-

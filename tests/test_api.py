@@ -12,7 +12,7 @@ from subdiff.mesh import StructuredMesh, build_mesh
 from subdiff.metrics import ErrorReport, fine_lattice
 from subdiff.mittag_leffler import MlfEvaluator
 from subdiff.sparse import LinearSolver
-from subdiff.stepping import build_time_mesh
+from subdiff.stepping import SchemeState, build_time_mesh
 from subdiff.study import ErrorTracker
 
 REMOVED = ("eval_points", "mlf", "write_debug_csv", "write_matrix_market",
@@ -48,6 +48,7 @@ REMOVED_MEMBERS = (
     "mittag_leffler._tanh_sinh_unit", "mittag_leffler._TS_XI", "mittag_leffler._TS_W",
     "mittag_leffler._QUAD_CUTOFF", "mittag_leffler._SERIES_T_MAX", "mittag_leffler._SERIES_P_CAP",
     "exact.decay_rows", "exact.SeriesSolution.active_mask", "exact.SeriesSolution.c2_active",
+    "stepping.SchemeState.block_c", "stepping.SchemeState.block_hist",
 )
 
 
@@ -73,6 +74,7 @@ def test_dataclass_fields_removed():
     assert [f.name for f in fields(ErrorReport)] == ["M", "t", "errors"]
     assert [f.name for f in fields(MlfEvaluator)] == ["alpha"]
     assert [f.name for f in fields(SeriesSolution)] == ["alpha", "K", "C", "lam"]
+    assert [f.name for f in fields(SchemeState)] == ["mesh", "time_mesh", "us", "Z", "n"]
     assert [f.name for f in fields(LinearSolver) if f.init] == ["matrix", "rtol", "shift"]
     rule = next(f for f in fields(InitialDatum) if f.name == "coefficient_rule")
     assert rule.default is MISSING

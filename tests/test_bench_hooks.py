@@ -76,6 +76,9 @@ def test_trace_hooks_resolve_and_count_one_run():
     assert layers["assembly.load_vector_calls"] == math.ceil(40 / stepping.HISTORY_BLOCK) == 2
     # first recorded with CSR matrices; the ELL assembly must not move the CG iterates
     assert layers["sparse.cg_iters"] == 360
+    # one stepping.step span per step, each counting its (n-1) history rows of 9 dofs
+    assert sum(span[1] == "stepping.step" for span in tracer.spans) == 40
+    assert layers["stepping.history_bytes"] == 9 * 8 * sum(range(40)) == 56_160
     for owner, attr, _ in spans.WRAPPED:  # uninstall restored the originals
         assert not hasattr(getattr(owner, attr), "__wrapped__")
 

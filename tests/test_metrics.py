@@ -221,6 +221,26 @@ def test_error_trackers_hold_one_decay_table():
     assert a.decay is b.decay
 
 
+def test_eval_grid_keeps_the_study_decay_table():
+    # eval_grid between two rows of a study must not evict the study's table
+    from subdiff.exact import _decay_table, decay_table, eval_grid, series_on_grid, sine_matrices
+    from subdiff.stepping import build_time_mesh
+    from subdiff.study import ErrorTracker
+    sol = make_series(DATA["example2"], 0.75, K=12)
+    tm = build_time_mesh(30, 1.6, 0.5)
+    lat = fine_lattice(16)
+    _decay_table.cache_clear()
+    a = ErrorTracker(sol, lat, tm, build_mesh(2))
+    vals = eval_grid(sol, 0.1, lat.xs, lat.xs)
+    b = ErrorTracker(sol, lat, tm, build_mesh(4))
+    assert a.decay is b.decay
+    assert _decay_table.cache_info().misses == 1
+    # the same values as a row of the cached table, bit for bit
+    table, index = decay_table(sol, [0.1])
+    ref = series_on_grid(sol, table[0][index], *sine_matrices(sol, lat.xs, lat.xs))
+    assert np.array_equal(vals, ref)
+
+
 @pytest.mark.parametrize("change", ["alpha", "K", "N", "T"])
 def test_error_tracker_decay_table_keyed_by_value(change, monkeypatch):
     from subdiff.exact import _decay_table

@@ -44,7 +44,7 @@ def test_single_dof_first_step_closed_form():
     w = frac_weights(tm, alpha)
     u0 = FieldP1(mesh=mesh, values=np.array([0.3]))
     state = SchemeState.start(mesh, tm, u0)
-    u1 = step(state, 1, w, LinearSolver(mass, shift=stiff))
+    u1 = step(state, 1, w.row(1)[0], np.zeros(1), LinearSolver(mass, shift=stiff))
     c11 = 0.5 ** alpha / gamma(1.0 + alpha)
     expected = 0.3 * (1.0 / 8.0) / (1.0 / 8.0 + c11 * 4.0)
     assert u1.values[0] == pytest.approx(expected, rel=1e-12)
@@ -118,7 +118,8 @@ def test_step_index_enforced():
     state = SchemeState.start(mesh, tm, FieldP1(mesh=mesh, values=np.zeros(1)))
     with pytest.raises(ValueError):
         mass, stiff = assemble_mass(mesh), assemble_stiffness(mesh)
-        step(state, 2, w, LinearSolver(mass, shift=stiff))
+        c = w.increment_rows(2, 3)[0]
+        step(state, 2, c[1], c[:1] @ state.Z[:1], LinearSolver(mass, shift=stiff))
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.75])
@@ -206,9 +207,9 @@ def _step_loads(monkeypatch, f, M=4, N=40):
     loads = []
     real = stepping.step
 
-    def recording(state, n, weights, solver, load=None):
+    def recording(state, n, c_nn, memory, solver, load=None):
         loads.append(load)
-        return real(state, n, weights, solver, load=load)
+        return real(state, n, c_nn, memory, solver, load=load)
 
     monkeypatch.setattr(stepping, "step", recording)
     u0 = FieldP1(mesh=mesh, values=np.zeros(mesh.n_interior))

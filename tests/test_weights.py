@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from subdiff.mittag_leffler import gamma
-from subdiff.stepping import build_time_mesh, frac_weights
+from subdiff.stepping import FracWeights, build_time_mesh, frac_weights
 
 from oracles import frac_integral_nodes
 
 
 def test_uniform_mesh_nodes():
-    tm = build_time_mesh(4, 1.0, 1.0)
+    tm = build_time_mesh(np.int64(4), 1.0, 1.0)
+    assert type(tm.N) is int and tm.N == 4
     assert np.allclose(tm.t, [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-15)
     assert np.max(np.abs(tm.tau - 0.25)) <= 1e-15
 
@@ -27,7 +28,10 @@ def test_graded_mesh_nodes():
 
 @pytest.mark.parametrize("bad", [dict(N=0, gamma_exp=1.0, T=1.0),
                                  dict(N=10, gamma_exp=0.9, T=1.0),
-                                 dict(N=10, gamma_exp=1.0, T=0.0)])
+                                 dict(N=10, gamma_exp=1.0, T=0.0),
+                                 dict(N=2.5, gamma_exp=1.0, T=0.5),
+                                 dict(N=2.7, gamma_exp=1.0, T=0.5),
+                                 dict(N=True, gamma_exp=1.0, T=0.5)])
 def test_time_mesh_validation(bad):
     with pytest.raises(ValueError):
         build_time_mesh(bad["N"], bad["gamma_exp"], bad["T"])
@@ -35,9 +39,10 @@ def test_time_mesh_validation(bad):
 
 def test_weights_alpha_validation():
     tm = build_time_mesh(4, 1.0, 1.0)
-    for alpha in (0.0, 1.0, -0.2, 1.5):
-        with pytest.raises(ValueError):
-            frac_weights(tm, alpha)
+    for build in (frac_weights, FracWeights):
+        for alpha in (0.0, 1.0, -0.2, 1.5):
+            with pytest.raises(ValueError):
+                build(tm, alpha)
 
 
 def test_weights_limit_alpha_to_one():
