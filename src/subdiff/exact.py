@@ -4,9 +4,10 @@ Eigenpairs of the Dirichlet Laplacian are phi_mn = 2 sin(m pi x) sin(n pi y)
 with lambda_mn = (m^2 + n^2) pi^2; the solution for initial datum u0 is the
 eigenfunction expansion with modal decay E_alpha(-lambda_mn t^alpha). Each
 named initial datum carries its closed-form sine coefficients. The series
-lives on its active block, the rows and columns of C that hold a nonzero
-entry. decay_table evaluates the decay once per distinct eigenvalue and
-time into one shared read-only table, and series_on_grid sums the
+is held as its active block, the modes m and n whose rows and columns of
+the coefficients hold a nonzero entry, with the block's distinct
+eigenvalues. decay_table evaluates the decay once per distinct eigenvalue
+and time into one shared read-only table, and series_on_grid sums the
 expansion on a tensor grid from the block's gather of one table row.
 """
 
@@ -85,35 +86,33 @@ DATA = {datum.tag: datum for datum in (
 
 @dataclass(frozen=True)
 class SeriesSolution:
-    """Truncated eigenfunction expansion of the exact solution."""
+    """Truncated eigenfunction expansion of the exact solution on its active block."""
 
     alpha: float
-    K: int
-    C: np.ndarray        # (K, K) coefficients (u0, phi_mn)
-    lam: np.ndarray      # (K, K) eigenvalues
+    m: np.ndarray        # modes in x whose row of coefficients holds a nonzero, ascending
+    n: np.ndarray        # modes in y whose column of coefficients holds a nonzero
+    C2: np.ndarray       # (m.size, n.size) twice the coefficients (u0, phi_mn)
+    lam: np.ndarray      # distinct eigenvalues of the block, ascending
+    index: np.ndarray    # (m.size, n.size) each block entry's position in lam
 
     def __post_init__(self):
-        self.C.setflags(write=False)
-        self.lam.setflags(write=False)
-
-    @functools.cached_property
-    def active_block(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, cols, C2): the indices of the rows and columns of C that
-        hold a nonzero coefficient, and 2 C on that block."""
-        rows = np.flatnonzero(self.C.any(axis=1))
-        cols = np.flatnonzero(self.C.any(axis=0))
-        return rows, cols, 2.0 * self.C[np.ix_(rows, cols)]
+        for a in (self.m, self.n, self.C2, self.lam, self.index):
+            a.setflags(write=False)
 
 
 def make_series(datum: InitialDatum, alpha: float, K: int = 60) -> SeriesSolution:
-    """Coefficients from the datum's closed form, K modes per axis."""
-    if K < 1:
-        raise ValueError(f"mode cutoff K must be >= 1, got {K!r}")
+    """Coefficients from the datum's closed form, K modes per axis, kept on
+    their active block."""
+    if not isinstance(K, (int, np.integer)) or isinstance(K, bool) or K < 1:
+        raise ValueError(f"mode cutoff K must be an integer >= 1, got {K!r}")
     modes = np.arange(1, K + 1, dtype=float)
-    mm, nn = np.meshgrid(modes, modes, indexing="ij")
-    C = datum.coefficient_rule(mm, nn)
-    lam = (mm ** 2 + nn ** 2) * np.pi ** 2
-    return SeriesSolution(alpha=float(alpha), K=int(K), C=np.asarray(C, dtype=float), lam=lam)
+    C = np.asarray(datum.coefficient_rule(*np.meshgrid(modes, modes, indexing="ij")), dtype=float)
+    rows = np.flatnonzero(C.any(axis=1))
+    cols = np.flatnonzero(C.any(axis=0))
+    m, n = rows + 1.0, cols + 1.0
+    lam, index = np.unique((m[:, None] ** 2 + n[None, :] ** 2) * np.pi ** 2, return_inverse=True)
+    return SeriesSolution(alpha=float(alpha), m=m, n=n, C2=2.0 * C[np.ix_(rows, cols)],
+                          lam=lam, index=index.reshape(m.size, n.size))
 
 
 @functools.lru_cache(maxsize=1)
@@ -135,31 +134,25 @@ def _decay_table(alpha: float, lam_bytes: bytes, t_bytes: bytes) -> np.ndarray:
     return table
 
 
-def decay_table(sol: SeriesSolution, t) -> tuple[np.ndarray, np.ndarray]:
-    """(table, index): the shared read-only E_alpha(-lambda t^alpha), shape (times,
-    distinct eigenvalues of the active block; (m, n) and (n, m) share one), and the
-    block's index into its columns, so that table[k][index] is the block's decay at t[k]."""
+def decay_table(sol: SeriesSolution, t) -> np.ndarray:
+    """The shared read-only E_alpha(-lambda t^alpha), shape (times, sol.lam.size);
+    table[k][sol.index] is the block's decay at t[k]."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("time must be >= 0")
-    rows, cols, _ = sol.active_block
-    lam_u, index = np.unique(sol.lam[np.ix_(rows, cols)], return_inverse=True)
-    return (_decay_table(sol.alpha, lam_u.tobytes(), t.tobytes()),
-            index.reshape(rows.size, cols.size))
+    return _decay_table(sol.alpha, sol.lam.tobytes(), t.tobytes())
 
 
 def series_on_grid(sol: SeriesSolution, E: np.ndarray, Sx: np.ndarray,
                    Sy: np.ndarray) -> np.ndarray:
-    """Sx (2 C E) Sy^T for the decay E on the active block of C; Sx and Sy
-    are the sine_matrices of the grid's axes."""
-    return Sx @ (sol.active_block[2] * E) @ Sy.T
+    """Sx (2 C E) Sy^T for the decay E on the active block; Sx and Sy are
+    the sine_matrices of the grid's axes."""
+    return Sx @ (sol.C2 * E) @ Sy.T
 
 
 def sine_matrices(sol: SeriesSolution, xs, ys) -> tuple[np.ndarray, np.ndarray]:
-    """sin(m pi x_i) for the active rows m of C and sin(n pi y_j) for its
-    active columns n."""
-    rows, cols, _ = sol.active_block
-    return np.sin(np.pi * np.outer(xs, rows + 1.0)), np.sin(np.pi * np.outer(ys, cols + 1.0))
+    """sin(m pi x_i) for the active modes m and sin(n pi y_j) for the active modes n."""
+    return np.sin(np.pi * np.outer(xs, sol.m)), np.sin(np.pi * np.outer(ys, sol.n))
 
 
 def eval_grid(sol: SeriesSolution, t: float, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -167,10 +160,9 @@ def eval_grid(sol: SeriesSolution, t: float, xs: np.ndarray, ys: np.ndarray) -> 
     cache, so it never evicts the table a study shares."""
     if t < 0.0:
         raise ValueError("time must be >= 0")
-    rows, cols, _ = sol.active_block
-    lam = sol.lam[np.ix_(rows, cols)]
-    E = _decay_table.__wrapped__(sol.alpha, lam.tobytes(), np.array([t], dtype=float).tobytes())
-    out = series_on_grid(sol, E.reshape(lam.shape), *sine_matrices(sol, xs, ys))
+    t_bytes = np.array([t], dtype=float).tobytes()
+    E = _decay_table.__wrapped__(sol.alpha, sol.lam.tobytes(), t_bytes)[0]
+    out = series_on_grid(sol, E[sol.index], *sine_matrices(sol, xs, ys))
     if not np.all(np.isfinite(out)):
         raise EvaluationError(f"series evaluation produced non-finite values at t={t}")
     return out

@@ -23,15 +23,17 @@ class FineLattice:
     xs: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.M_s < 2:
-            raise ValueError(f"M_s must be >= 2, got {self.M_s!r}")
+        M_s = self.M_s
+        if not isinstance(M_s, (int, np.integer)) or isinstance(M_s, bool) or M_s < 2:
+            raise ValueError(f"M_s must be an integer >= 2, got {M_s!r}")
+        object.__setattr__(self, "M_s", int(M_s))
         xs = np.arange(1, self.M_s) / self.M_s
         xs.setflags(write=False)
         object.__setattr__(self, "xs", xs)
 
 
 def fine_lattice(M_s: int = 128) -> FineLattice:
-    return FineLattice(M_s=int(M_s))
+    return FineLattice(M_s=M_s)
 
 
 class LatticeInterpolator:

@@ -40,10 +40,10 @@ class GradedTimeMesh:
         if not isinstance(self.N, (int, np.integer)) or isinstance(self.N, bool) or self.N < 1:
             raise ValueError(f"N must be an integer >= 1, got {self.N!r}")
         object.__setattr__(self, "N", int(self.N))
-        if self.gamma < 1.0:
-            raise ValueError(f"gamma must be >= 1, got {self.gamma!r}")
-        if not (self.T > 0.0):
-            raise ValueError(f"T must be > 0, got {self.T!r}")
+        if not (np.isfinite(self.gamma) and self.gamma >= 1.0):
+            raise ValueError(f"gamma must be finite and >= 1, got {self.gamma!r}")
+        if not (np.isfinite(self.T) and self.T > 0.0):
+            raise ValueError(f"T must be finite and > 0, got {self.T!r}")
         t = (np.arange(self.N + 1) / self.N) ** self.gamma * self.T
         tau = np.diff(t)
         if not np.all(tau > 0.0):

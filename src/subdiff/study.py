@@ -20,8 +20,8 @@ class ErrorTracker:
 
     The modal decay table for all steps comes upfront from exact.decay_table
     and is the same object for every tracker on the same series and time
-    mesh; each step gathers its row onto the active block and costs two
-    small matrix products.
+    mesh; each step gathers its row onto the series' active block with the
+    series' index and costs two small matrix products.
     """
 
     def __init__(self, sol: SeriesSolution, lattice: FineLattice,
@@ -29,11 +29,11 @@ class ErrorTracker:
         self.sol = sol
         self.interp = LatticeInterpolator(mesh, lattice)
         self.Sx, self.Sy = sine_matrices(sol, lattice.xs, lattice.xs)
-        self.decay, self.index = decay_table(sol, time_mesh.t[1:])
+        self.decay = decay_table(sol, time_mesh.t[1:])
         self.errors = np.zeros(time_mesh.N)
 
     def exact_on_lattice(self, n: int) -> np.ndarray:
-        return series_on_grid(self.sol, self.decay[n - 1][self.index], self.Sx, self.Sy)
+        return series_on_grid(self.sol, self.decay[n - 1][self.sol.index], self.Sx, self.Sy)
 
     def __call__(self, n: int, t_n: float, u_n: FieldP1) -> None:
         err = float(np.abs(self.interp(u_n) - self.exact_on_lattice(n)).max())

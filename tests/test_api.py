@@ -49,6 +49,7 @@ REMOVED_MEMBERS = (
     "mittag_leffler._QUAD_CUTOFF", "mittag_leffler._SERIES_T_MAX", "mittag_leffler._SERIES_P_CAP",
     "exact.decay_rows", "exact.SeriesSolution.active_mask", "exact.SeriesSolution.c2_active",
     "stepping.SchemeState.block_c", "stepping.SchemeState.block_hist",
+    "exact.SeriesSolution.active_block",
 )
 
 
@@ -73,7 +74,7 @@ def test_dataclass_fields_removed():
     assert [f.name for f in fields(StructuredMesh)] == ["M"]
     assert [f.name for f in fields(ErrorReport)] == ["M", "t", "errors"]
     assert [f.name for f in fields(MlfEvaluator)] == ["alpha"]
-    assert [f.name for f in fields(SeriesSolution)] == ["alpha", "K", "C", "lam"]
+    assert [f.name for f in fields(SeriesSolution)] == ["alpha", "m", "n", "C2", "lam", "index"]
     assert [f.name for f in fields(SchemeState)] == ["mesh", "time_mesh", "us", "Z", "n"]
     assert [f.name for f in fields(LinearSolver) if f.init] == ["matrix", "rtol", "shift"]
     rule = next(f for f in fields(InitialDatum) if f.name == "coefficient_rule")
@@ -85,7 +86,7 @@ def test_dataclass_fields_removed():
 def test_error_tracker_attributes_removed():
     sol = make_series(DATA["example1"], 0.75, K=4)
     tracker = ErrorTracker(sol, fine_lattice(8), build_time_mesh(5, 1.6, 0.5), build_mesh(4))
-    for name in ("mask", "c2_act", "t", "lattice"):
+    for name in ("mask", "c2_act", "t", "lattice", "index"):
         assert not hasattr(tracker, name)
 
 

@@ -91,9 +91,7 @@ def test_trace_counts_one_oracle_evaluation_per_study():
     spans = _load_perfbench("spans")
     cfg = ExperimentConfig(example="example1", M=[2, 4], N=20, modes=8, fine_M=8)
     cfg.validate()
-    sol = make_series(DATA["example1"], cfg.alpha, cfg.modes)
-    rows, cols, _ = sol.active_block
-    n_lam = np.unique(sol.lam[np.ix_(rows, cols)]).size
+    n_lam = make_series(DATA["example1"], cfg.alpha, cfg.modes).lam.size
     exact._decay_table.cache_clear()
     tracer = spans.Tracer("test")
     tracer.install()

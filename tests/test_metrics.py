@@ -25,8 +25,12 @@ def test_fine_lattice_minimal():
 
 
 def test_fine_lattice_validation():
-    with pytest.raises(ValueError):
-        fine_lattice(1)
+    for bad in (1, 8.5, 8.0, True):
+        for build in (fine_lattice, FineLattice):
+            with pytest.raises(ValueError, match="M_s must be an integer"):
+                build(bad)
+    lat = fine_lattice(np.int64(8))
+    assert type(lat.M_s) is int and lat.M_s == 8
 
 
 def test_interpolator_reproduces_coarse_nodes():
@@ -161,7 +165,7 @@ def test_error_tracker_decay_bitwise_per_mode():
     tracker = ErrorTracker(sol, fine_lattice(16), tm, build_mesh(4))
     lam_act = _block_eigenvalues(sol)
     assert np.unique(lam_act).size < lam_act.size
-    assert np.array_equal(tracker.decay[:, tracker.index], _fresh_decay(sol, tm))
+    assert np.array_equal(tracker.decay[:, sol.index], _fresh_decay(sol, tm))
 
 
 def _count_mlf_calls(monkeypatch):
@@ -177,8 +181,8 @@ def _count_mlf_calls(monkeypatch):
 
 
 def _block_eigenvalues(sol):
-    rows, cols, _ = sol.active_block
-    return sol.lam[np.ix_(rows, cols)]
+    """(m^2 + n^2) pi^2 on the active block, formed from its modes."""
+    return (sol.m[:, None] ** 2 + sol.n[None, :] ** 2) * np.pi ** 2
 
 
 def _fresh_decay(sol, tm):
@@ -206,7 +210,7 @@ def test_error_tracker_shares_decay_table_across_meshes(monkeypatch):
     monkeypatch.undo()
     fresh = _fresh_decay(sol, tm)
     for tracker in trackers:
-        assert np.array_equal(tracker.decay[:, tracker.index], fresh)
+        assert np.array_equal(tracker.decay[:, sol.index], fresh)
 
 
 def test_error_trackers_hold_one_decay_table():
@@ -221,23 +225,34 @@ def test_error_trackers_hold_one_decay_table():
     assert a.decay is b.decay
 
 
-def test_eval_grid_keeps_the_study_decay_table():
-    # eval_grid between two rows of a study must not evict the study's table
+def test_eval_grid_keeps_the_study_decay_table(monkeypatch):
+    # eval_grid between two rows of a study must not evict the study's table,
+    # and it evaluates the decay on the series' distinct eigenvalues, as the
+    # table does: one oracle argument per distinct eigenvalue, no np.unique
     from subdiff.exact import _decay_table, decay_table, eval_grid, series_on_grid, sine_matrices
     from subdiff.stepping import build_time_mesh
     from subdiff.study import ErrorTracker
-    sol = make_series(DATA["example2"], 0.75, K=12)
+    sol = make_series(DATA["example2"], 0.75, K=60)
+    assert (sol.lam.size, sol.index.size) == (352, 900)
     tm = build_time_mesh(30, 1.6, 0.5)
     lat = fine_lattice(16)
     _decay_table.cache_clear()
+
+    def no_unique(*args, **kwargs):
+        raise AssertionError("np.unique called after make_series")
+
+    monkeypatch.setattr(np, "unique", no_unique)
     a = ErrorTracker(sol, lat, tm, build_mesh(2))
+    calls = _count_mlf_calls(monkeypatch)
     vals = eval_grid(sol, 0.1, lat.xs, lat.xs)
+    assert calls == [sol.lam.size]
     b = ErrorTracker(sol, lat, tm, build_mesh(4))
+    monkeypatch.undo()
     assert a.decay is b.decay
     assert _decay_table.cache_info().misses == 1
     # the same values as a row of the cached table, bit for bit
-    table, index = decay_table(sol, [0.1])
-    ref = series_on_grid(sol, table[0][index], *sine_matrices(sol, lat.xs, lat.xs))
+    table = decay_table(sol, [0.1])
+    ref = series_on_grid(sol, table[0][sol.index], *sine_matrices(sol, lat.xs, lat.xs))
     assert np.array_equal(vals, ref)
 
 
@@ -263,7 +278,7 @@ def test_error_tracker_decay_table_keyed_by_value(change, monkeypatch):
     tracker = ErrorTracker(sol, lat, tm, mesh)
     assert len(calls) == 1
     monkeypatch.undo()
-    assert np.array_equal(tracker.decay[:, tracker.index], _fresh_decay(sol, tm))
+    assert np.array_equal(tracker.decay[:, sol.index], _fresh_decay(sol, tm))
 
 
 def test_decay_table_is_read_only():

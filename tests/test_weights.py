@@ -31,10 +31,17 @@ def test_graded_mesh_nodes():
                                  dict(N=10, gamma_exp=1.0, T=0.0),
                                  dict(N=2.5, gamma_exp=1.0, T=0.5),
                                  dict(N=2.7, gamma_exp=1.0, T=0.5),
-                                 dict(N=True, gamma_exp=1.0, T=0.5)])
+                                 dict(N=True, gamma_exp=1.0, T=0.5),
+                                 dict(N=10, gamma_exp=math.nan, T=0.5),
+                                 dict(N=10, gamma_exp=math.inf, T=0.5),
+                                 dict(N=10, gamma_exp=1.6, T=math.inf)])
 def test_time_mesh_validation(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         build_time_mesh(bad["N"], bad["gamma_exp"], bad["T"])
+    # a non-finite gamma or T is named, not blamed on the step sizes
+    for value in (bad["gamma_exp"], bad["T"]):
+        if not math.isfinite(value):
+            assert repr(value) in str(info.value) and "steps" not in str(info.value)
 
 
 def test_weights_alpha_validation():
