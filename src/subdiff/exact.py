@@ -84,9 +84,10 @@ DATA = {datum.tag: datum for datum in (
 )}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeriesSolution:
-    """Truncated eigenfunction expansion of the exact solution on its active block."""
+    """Truncated eigenfunction expansion of the exact solution on its active
+    block; compared and hashed by identity."""
 
     alpha: float
     m: np.ndarray        # modes in x whose row of coefficients holds a nonzero, ascending
@@ -134,12 +135,19 @@ def _decay_table(alpha: float, lam_bytes: bytes, t_bytes: bytes) -> np.ndarray:
     return table
 
 
+def _checked_times(t) -> np.ndarray:
+    """t as a float array; ValueError naming the first time that is not finite and >= 0."""
+    t = np.asarray(t, dtype=float)
+    bad = t[~(np.isfinite(t) & (t >= 0.0))]
+    if bad.size:
+        raise ValueError(f"time must be finite and >= 0, got {float(bad[0])!r}")
+    return t
+
+
 def decay_table(sol: SeriesSolution, t) -> np.ndarray:
     """The shared read-only E_alpha(-lambda t^alpha), shape (times, sol.lam.size);
     table[k][sol.index] is the block's decay at t[k]."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
-        raise ValueError("time must be >= 0")
+    t = _checked_times(t)
     return _decay_table(sol.alpha, sol.lam.tobytes(), t.tobytes())
 
 
@@ -158,9 +166,7 @@ def sine_matrices(sol: SeriesSolution, xs, ys) -> tuple[np.ndarray, np.ndarray]:
 def eval_grid(sol: SeriesSolution, t: float, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """u(x_i, y_j, t) on the tensor grid xs x ys. Its decay row bypasses the
     cache, so it never evicts the table a study shares."""
-    if t < 0.0:
-        raise ValueError("time must be >= 0")
-    t_bytes = np.array([t], dtype=float).tobytes()
+    t_bytes = _checked_times([t]).tobytes()
     E = _decay_table.__wrapped__(sol.alpha, sol.lam.tobytes(), t_bytes)[0]
     out = series_on_grid(sol, E[sol.index], *sine_matrices(sol, xs, ys))
     if not np.all(np.isfinite(out)):

@@ -186,6 +186,23 @@ def test_negative_time_rejected():
         eval_grid(sol, -0.1, np.array([0.5]), np.array([0.5]))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_time_rejected_by_name(bad):
+    sol = make_series(DATA["example1"], 0.75, K=8)
+    match = f"time must be finite and >= 0, got {bad!r}"
+    with pytest.raises(ValueError, match=match):
+        eval_grid(sol, bad, np.array([0.5]), np.array([0.5]))
+    with pytest.raises(ValueError, match=match):
+        decay_table(sol, [0.0, 0.1, bad])
+
+
+def test_series_solutions_compare_by_identity():
+    a = make_series(DATA["example1"], 0.75, K=8)
+    b = make_series(DATA["example1"], 0.75, K=8)
+    assert (a == a) is True and (a == b) is False and (a != b) is True
+    assert len({a, b, a}) == 2
+
+
 def test_mode_cutoff_validation():
     for bad in (0, 2.5, True):
         with pytest.raises(ValueError, match="mode cutoff K must be an integer"):

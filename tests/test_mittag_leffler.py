@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import (MLF_HALF_IDENTITY, MLF_SERIES_REFERENCE, _asymptotic_all_terms,
-                     reciprocal_gamma)
-from subdiff.mittag_leffler import MlfEvaluator, gamma
+                     mlf_complex_division, reciprocal_gamma)
+from subdiff.mittag_leffler import _CHUNK, MlfEvaluator, gamma
 
 
 def test_gamma_classical_values():
@@ -85,7 +86,8 @@ ASYM_ALPHAS = [0.1, 0.25, 0.5, 0.75, 0.9, 0.99]
 
 @pytest.mark.parametrize("alpha", ASYM_ALPHAS)
 def test_mlf_matches_asymptotic_oracle(alpha):
-    x = np.geomspace(50.0, 1e8, 4001)
+    # up to the largest double: the terms stay bounded however large x is
+    x = np.concatenate([np.geomspace(50.0, 1e8, 4001), np.geomspace(1e8, 1.7e308, 4001)])
     ref = _asymptotic_all_terms(alpha, x)
     assert np.max(np.abs(MlfEvaluator(alpha)(x) - ref) / ref) <= 1e-11
 
@@ -120,11 +122,33 @@ def test_mlf_rejects_bad_arguments():
 
 
 def test_mlf_large_batch_chunking_consistent():
-    # arrays beyond the chunk size are evaluated in more than one block
+    # arrays beyond the block size are evaluated in more than one block
     ev = MlfEvaluator(0.75)
-    xs = np.linspace(5.5, 49.5, 9000)
+    n = 2 * _CHUNK + 811
+    xs = np.linspace(5.5, 49.5, n)
     whole = ev(xs)
-    halves = np.concatenate([ev(xs[:4500]), ev(xs[4500:])])
+    halves = np.concatenate([ev(xs[:n // 2]), ev(xs[n // 2:])])
     assert np.array_equal(whole, halves)
-    spot = ev(float(xs[7777]))
-    assert spot == whole[7777]
+    k = _CHUNK + 7
+    assert ev(float(xs[k])) == whole[k]
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.1, 0.5, 0.75, 0.95, 0.999])
+def test_mlf_matches_complex_division_kernel(alpha):
+    # the real-arithmetic kernel sums the same rule as complex division does
+    x = np.concatenate([[0.0], np.geomspace(1e-8, 1.7e308, 20001)])
+    assert np.max(np.abs(MlfEvaluator(alpha)(x) - mlf_complex_division(alpha, x))) <= 1e-14
+
+
+def test_mlf_memory_is_a_few_blocks():
+    # no (arguments x nodes) temporaries: the peak stays below twice the output
+    ev = MlfEvaluator(0.75)
+    xs = np.geomspace(1e-3, 1e6, 100_000)
+    ev(xs[:8])  # build the rule outside the measurement
+    tracemalloc.start()
+    try:
+        out = ev(xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * out.nbytes
