@@ -23,9 +23,6 @@ finite x >= 0, so nothing overflows up to the largest double. The shorter
 past x ~ 1.3e154. Arguments go through in blocks with three preallocated
 work vectors, and each value adds its 17 terms in node order, so a value
 does not depend on its batch.
-
-Gamma comes from libm (math.gamma) through a thin wrapper that fixes the
-behaviour at poles.
 """
 
 from __future__ import annotations
@@ -46,6 +43,7 @@ _WEIGHTS = (_MU * _H / math.pi) * np.where(_U > 0.0, 2.0, 1.0) * (1.0 + 1j * _U)
 _CHUNK = 8192  # arguments per block of work vectors
 
 
+# No package module calls this; it stays while perfbench/workloads.py imports it.
 def gamma(x: float) -> float:
     """Gamma(x) for real x (math.gamma); ValueError when not finite or at a pole."""
     x = float(x)

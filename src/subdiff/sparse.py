@@ -77,8 +77,8 @@ class LinearSolver:
     its own s. Symmetry, finite entries and a positive diagonal are checked
     and diagonals are taken once, here, so a time stepper needs one solver
     per run. A solve with shift s applies E_matrix + s * E_shift (the two
-    share J), with the preconditioner 1 / (diag(matrix) + s * diag(shift)):
-    what a solver built on that summed matrix would use.
+    share J), preconditioned as a solver built on that sum would be. As the
+    stepper's pencil it applies mass(u) = matrix u and stiffness(u) = shift u.
     """
 
     matrix: SparseMatrix
@@ -101,6 +101,14 @@ class LinearSolver:
             if (asym := A.max_asymmetry()) > 1e-12:
                 raise ValueError(f"matrix is not symmetric (relative asymmetry {asym:.2e})")
             object.__setattr__(self, name, diag)
+
+    def mass(self, u: np.ndarray) -> np.ndarray:
+        return matvec(self.matrix, u)
+
+    def stiffness(self, u: np.ndarray) -> np.ndarray:
+        if self.shift is None:
+            raise ValueError("stiffness needs a solver built with a shift")
+        return matvec(self.shift, u)
 
     def solve(self, rhs: np.ndarray, x0: np.ndarray | None = None,
               s: float = 0.0) -> np.ndarray:

@@ -15,6 +15,7 @@ theta_1 = 1 and theta_n = 1/2 otherwise.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -22,8 +23,7 @@ import numpy as np
 
 from .assembly import FieldP1, _eval_on, assemble_mass, assemble_stiffness, load_vector
 from .mesh import StructuredMesh
-from .mittag_leffler import gamma
-from .sparse import LinearSolver, matvec
+from .sparse import LinearSolver
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ class FracWeights:
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
-        object.__setattr__(self, "inv_gamma", 1.0 / gamma(self.alpha + 1.0))
+        object.__setattr__(self, "inv_gamma", 1.0 / math.gamma(self.alpha + 1.0))
 
     def row(self, n: int) -> np.ndarray:
         """b_nj for j = 1..n."""
@@ -129,48 +129,42 @@ class SchemeState:
     passed to run collects the solutions it needs.
     """
 
-    mesh: StructuredMesh
-    time_mesh: GradedTimeMesh
     us: deque           # (u^n,): the latest accepted coefficient vector
     Z: np.ndarray       # Z[j-1] = S ubar_j for accepted steps
     n: int = 0
 
     @classmethod
-    def start(cls, mesh: StructuredMesh, time_mesh: GradedTimeMesh,
-              u0: FieldP1) -> "SchemeState":
-        Z = np.zeros((time_mesh.N, mesh.n_interior))
-        return cls(mesh=mesh, time_mesh=time_mesh, us=deque([u0.values.copy()], maxlen=1),
-                   Z=Z)
+    def start(cls, u0: np.ndarray, N: int) -> "SchemeState":
+        """The state before step 1: a copy of u^0 and room for N history vectors."""
+        return cls(us=deque([np.array(u0, dtype=float)], maxlen=1), Z=np.zeros((N, len(u0))))
 
 
-def step(state: SchemeState, n: int, c_nn: float, memory: np.ndarray, solver: LinearSolver,
-         load: np.ndarray | None = None) -> FieldP1:
-    """Advance the scheme from u^(n-1) to u^n and make u^n the state's solution.
+def step(state: SchemeState, n: int, c_nn: float, memory: np.ndarray, pencil,
+         load: np.ndarray | None = None) -> np.ndarray:
+    """Advance the scheme from u^(n-1) to u^n; returns u^n, now the state's solution.
 
-    c_nn is the step's own weight increment and memory the history sum
-    sum_{j<n} c_nj Z_j (unused at n = 1). solver is the run's LinearSolver
-    for the pencil mass + s stiffness (matrix=mass, shift=stiffness), and
-    the step takes both matrices from it.
+    c_nn is the step's own weight increment, memory the history sum
+    sum_{j<n} c_nj Z_j (unused at n = 1) and load tau_n f_n or None. The pencil
+    (M, S) offers mass(u), stiffness(u) and solve(rhs, x0, s) for (M + s S) x = rhs.
     """
     if n != state.n + 1:
         raise ValueError(f"expected step {state.n + 1}, got {n}")
     theta = 1.0 if n == 1 else 0.5
     u_prev = state.us[-1]
-    mass, stiffness = solver.matrix, solver.shift
 
-    rhs = matvec(mass, u_prev)
+    rhs = pencil.mass(u_prev)
     if n >= 2:
         rhs -= memory
-        rhs -= (1.0 - theta) * c_nn * matvec(stiffness, u_prev)
+        rhs -= (1.0 - theta) * c_nn * pencil.stiffness(u_prev)
     if load is not None:
-        rhs += state.time_mesh.tau[n - 1] * load
-    u_n = solver.solve(rhs, x0=u_prev, s=theta * c_nn)
+        rhs += load
+    u_n = pencil.solve(rhs, x0=u_prev, s=theta * c_nn)
 
     # ubar_n: u^1 on the first interval, the midpoint average after
-    state.Z[n - 1] = matvec(stiffness, u_n if n == 1 else 0.5 * (u_n + u_prev))
+    state.Z[n - 1] = pencil.stiffness(u_n if n == 1 else 0.5 * (u_n + u_prev))
     state.us.append(u_n)
     state.n = n
-    return FieldP1(mesh=state.mesh, values=u_n)
+    return u_n
 
 
 def run(mesh: StructuredMesh, time_mesh: GradedTimeMesh, alpha: float, a,
@@ -195,8 +189,8 @@ def run(mesh: StructuredMesh, time_mesh: GradedTimeMesh, alpha: float, a,
     stiffness = assemble_stiffness(mesh, a)
     weights = frac_weights(time_mesh, alpha)
     solver = LinearSolver(mass, rtol=rtol, shift=stiffness)
-    state = SchemeState.start(mesh, time_mesh, u0_field)
-    t, N = time_mesh.t, time_mesh.N
+    state = SchemeState.start(u0_field.values, time_mesh.N)
+    t, tau, N = time_mesh.t, time_mesh.tau, time_mesh.N
     for k in range(0, N, HISTORY_BLOCK):
         stop = min(k + HISTORY_BLOCK, N)
         C = weights.increment_rows(k + 1, stop + 1)
@@ -208,7 +202,7 @@ def run(mesh: StructuredMesh, time_mesh: GradedTimeMesh, alpha: float, a,
         for i, n in enumerate(range(k + 1, stop + 1)):
             memory = hist[i] + C[i, k:n - 1] @ state.Z[k:n - 1]
             u_n = step(state, n, C[i, n - 1], memory, solver,
-                       load=None if loads is None else loads[i])
+                       load=None if loads is None else tau[n - 1] * loads[i])
             if observer is not None:
-                observer(n, t[n], u_n)
+                observer(n, t[n], FieldP1(mesh=mesh, values=u_n))
     return state

@@ -211,6 +211,21 @@ def heat_crank_nicolson_reference(M: int, u0: np.ndarray, tau: float,
     return out
 
 
+class DiagonalPencil(NamedTuple):
+    """The pencil (I, diag(lam)) for stepping.step: each entry runs the scheme's
+    scalar recurrence, with mass -> 1 and stiffness -> lam."""
+    lam: np.ndarray
+
+    def mass(self, u):
+        return u.copy()  # the step subtracts from it in place
+
+    def stiffness(self, u):
+        return self.lam * u
+
+    def solve(self, rhs, x0=None, s=0.0):
+        return rhs / (1.0 + s * self.lam)
+
+
 def add_scaled(A: SparseMatrix, B: SparseMatrix, a: float, b: float) -> SparseMatrix:
     """a*A + b*B for matrices sharing one sparsity pattern."""
     if not np.array_equal(A.J, B.J):

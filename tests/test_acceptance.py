@@ -57,9 +57,9 @@ def test_criterion_1_table1_reproduction(table1):
     failures = []
     mine = table1.E[0.0]
     for M, got, ref in zip(M_VALUES, mine, TABLE1_ERRORS[0.0]):
-        rel = abs(got - ref) / ref
-        if rel > 0.05:
-            failures.append(f"M={M}: err {got:.4e} vs {ref:.4e} ({rel:+.1%})")
+        dev = (got - ref) / ref
+        if abs(dev) > 0.05:
+            failures.append(f"M={M}: err {got:.4e} vs {ref:.4e} ({dev:+.1%})")
     for M, got, ref in zip(M_VALUES[1:], table1.CR[0.0], TABLE1_RATES[0.0]):
         if abs(got - ref) > 0.05:
             failures.append(f"M={M}: CR {got:.4f} vs {ref:.4f}")
@@ -74,9 +74,9 @@ def test_criterion_2_table2_reproduction(table2):
     failures = []
     for mu in (0.5, 0.75):
         for M, got, ref in zip(M_VALUES, table2.E[mu], TABLE2_ERRORS[mu]):
-            rel = abs(got - ref) / ref
-            if rel > 0.10:
-                failures.append(f"E_{mu} M={M}: {got:.4e} vs {ref:.4e} ({rel:+.1%})")
+            dev = (got - ref) / ref
+            if abs(dev) > 0.10:
+                failures.append(f"E_{mu} M={M}: {got:.4e} vs {ref:.4e} ({dev:+.1%})")
         for M, got, ref in zip(M_VALUES[1:], table2.CR[mu], TABLE2_RATES[mu]):
             if M >= 16 and abs(got - ref) > 0.2:
                 failures.append(f"CR_{mu} M={M}: {got:.3f} vs {ref:.3f}")
@@ -90,9 +90,9 @@ def test_criterion_3_table3_reproduction(table3):
     """E_1 within 10%; the nonsmooth-data gap E_0/E_1 > 100 at every M."""
     failures = []
     for M, got, ref in zip(M_VALUES, table3.E[1.0], TABLE3_ERRORS[1.0]):
-        rel = abs(got - ref) / ref
-        if rel > 0.10:
-            failures.append(f"E_1 M={M}: {got:.4e} vs {ref:.4e} ({rel:+.1%})")
+        dev = (got - ref) / ref
+        if abs(dev) > 0.10:
+            failures.append(f"E_1 M={M}: {got:.4e} vs {ref:.4e} ({dev:+.1%})")
     for M, e0, e1 in zip(M_VALUES, table3.E[0.0], table3.E[1.0]):
         if e0 / e1 <= 100.0:
             failures.append(f"M={M}: E_0/E_1 = {e0 / e1:.1f} <= 100")

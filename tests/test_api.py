@@ -50,6 +50,7 @@ REMOVED_MEMBERS = (
     "exact.decay_rows", "exact.SeriesSolution.active_mask", "exact.SeriesSolution.c2_active",
     "stepping.SchemeState.block_c", "stepping.SchemeState.block_hist",
     "exact.SeriesSolution.active_block",
+    "stepping.SchemeState.mesh", "stepping.SchemeState.time_mesh",
 )
 
 
@@ -75,7 +76,7 @@ def test_dataclass_fields_removed():
     assert [f.name for f in fields(ErrorReport)] == ["M", "t", "errors"]
     assert [f.name for f in fields(MlfEvaluator)] == ["alpha"]
     assert [f.name for f in fields(SeriesSolution)] == ["alpha", "m", "n", "C2", "lam", "index"]
-    assert [f.name for f in fields(SchemeState)] == ["mesh", "time_mesh", "us", "Z", "n"]
+    assert [f.name for f in fields(SchemeState)] == ["us", "Z", "n"]
     assert [f.name for f in fields(LinearSolver) if f.init] == ["matrix", "rtol", "shift"]
     rule = next(f for f in fields(InitialDatum) if f.name == "coefficient_rule")
     assert rule.default is MISSING

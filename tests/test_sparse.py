@@ -228,6 +228,8 @@ def test_shifted_solver_validation():
         LinearSolver(A, shift=B)                  # pattern differs
     with pytest.raises(ValueError):
         LinearSolver(A).solve(np.ones(2), s=1.0)  # no shift to scale
+    with pytest.raises(ValueError, match="stiffness needs a solver built with a shift"):
+        LinearSolver(A).stiffness(np.ones(2))
 
 
 def test_cg_matches_dense_solve():

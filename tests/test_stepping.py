@@ -14,7 +14,7 @@ from subdiff.mittag_leffler import MlfEvaluator, gamma
 from subdiff.sparse import LinearSolver, matvec
 from subdiff.stepping import SchemeState, build_time_mesh, frac_weights, run, step
 
-from oracles import add_scaled, heat_crank_nicolson_reference, to_dense
+from oracles import DiagonalPencil, add_scaled, heat_crank_nicolson_reference, to_dense
 
 
 def test_zero_data_stays_zero():
@@ -42,12 +42,29 @@ def test_single_dof_first_step_closed_form():
     mass = assemble_mass(mesh)
     stiff = assemble_stiffness(mesh)
     w = frac_weights(tm, alpha)
-    u0 = FieldP1(mesh=mesh, values=np.array([0.3]))
-    state = SchemeState.start(mesh, tm, u0)
+    state = SchemeState.start(np.array([0.3]), tm.N)
     u1 = step(state, 1, w.row(1)[0], np.zeros(1), LinearSolver(mass, shift=stiff))
     c11 = 0.5 ** alpha / gamma(1.0 + alpha)
     expected = 0.3 * (1.0 / 8.0) / (1.0 / 8.0 + c11 * 4.0)
-    assert u1.values[0] == pytest.approx(expected, rel=1e-12)
+    assert u1[0] == pytest.approx(expected, rel=1e-12)
+
+
+def test_step_on_diagonal_pencil_matches_fe_run():
+    """step needs only mass, stiffness and solve: on the M = 2 mesh (one dof,
+    mass 1/8, stiffness 4) the FE run is the scalar recurrence with lam = 32."""
+    mesh = build_mesh(2)
+    N, alpha = 200, 0.75
+    tm = build_time_mesh(N, 1.6, 0.5)
+    fe = []
+    run(mesh, tm, alpha, None, FieldP1(mesh=mesh, values=np.array([0.3])),
+        observer=lambda n, t, u: fe.append(u.values[0]))
+    w = frac_weights(tm, alpha)
+    pencil = DiagonalPencil(np.array([32.0]))
+    state = SchemeState.start(np.array([0.3]), N)
+    for n in range(1, N + 1):
+        c = w.increment_rows(n, n + 1)[0]
+        u = step(state, n, c[n - 1], c[: n - 1] @ state.Z[: n - 1], pencil)
+        assert abs(u[0] - fe[n - 1]) <= 1e-13 * abs(fe[n - 1]), f"step {n}"
 
 
 def test_alpha_to_one_matches_crank_nicolson():
@@ -115,7 +132,7 @@ def test_step_index_enforced():
     mesh = build_mesh(2)
     tm = build_time_mesh(3, 1.0, 1.0)
     w = frac_weights(tm, 0.5)
-    state = SchemeState.start(mesh, tm, FieldP1(mesh=mesh, values=np.zeros(1)))
+    state = SchemeState.start(np.zeros(1), tm.N)
     with pytest.raises(ValueError):
         mass, stiff = assemble_mass(mesh), assemble_stiffness(mesh)
         c = w.increment_rows(2, 3)[0]
@@ -200,16 +217,16 @@ def test_run_matches_direct_sum_oracle():
 
 
 def _step_loads(monkeypatch, f, M=4, N=40):
-    """The load each step of a forced run receives, and the time mesh.
+    """The load tau_n f_n each step of a forced run receives, and the time mesh.
     N = 40 ends in a partial history block."""
     mesh = build_mesh(M)
     tm = build_time_mesh(N, 1.6, 0.5)
     loads = []
     real = stepping.step
 
-    def recording(state, n, c_nn, memory, solver, load=None):
+    def recording(state, n, c_nn, memory, pencil, load=None):
         loads.append(load)
-        return real(state, n, c_nn, memory, solver, load=load)
+        return real(state, n, c_nn, memory, pencil, load=load)
 
     monkeypatch.setattr(stepping, "step", recording)
     u0 = FieldP1(mesh=mesh, values=np.zeros(mesh.n_interior))
@@ -227,7 +244,8 @@ def test_block_loads_match_per_step_load_vector(monkeypatch):
     assert len(loads) == 40
     for n, load in enumerate(loads, start=1):
         t_mid = 0.5 * (tm.t[n - 1] + tm.t[n])
-        assert np.array_equal(load, load_vector(mesh, lambda x, y: f(x, y, t_mid))), f"step {n}"
+        expected = tm.tau[n - 1] * load_vector(mesh, lambda x, y: f(x, y, t_mid))
+        assert np.array_equal(load, expected), f"step {n}"
 
 
 def test_scalar_only_forcing_matches_vectorised_twin(monkeypatch):
