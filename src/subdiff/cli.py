@@ -1,4 +1,7 @@
-"""Command-line interface: solve, table, figure.
+"""Command-line interface: solve and table.
+
+`solve` writes one run's per-step error CSV; `table` writes an M sweep's
+summary CSV, each row's per-step error CSV and a gnuplot script of those.
 
 Configuration starts from the defaults; a preset, an optional JSON file
 and flags of the same names each override what came before. Exit codes:
@@ -87,6 +90,11 @@ def _output_dir(cfg: ExperimentConfig) -> Path:
     return outdir
 
 
+def _steps_path(outdir: Path, cfg: ExperimentConfig, M: int) -> Path:
+    """Where solve and table write the per-step errors of the run at M."""
+    return outdir / f"steps_{cfg.example}_M{M}_N{cfg.N}.csv"
+
+
 def cmd_solve(args) -> int:
     cfg = build_config(args)
     if len(cfg.M) != 1:
@@ -94,7 +102,7 @@ def cmd_solve(args) -> int:
     M = cfg.M[0]
     outdir = _output_dir(cfg)
     res = run_single(cfg, M)
-    steps = outdir / f"steps_{cfg.example}_M{M}_N{cfg.N}.csv"
+    steps = _steps_path(outdir, cfg, M)
     with _writing_outputs(outdir):
         res.report.write_steps_csv(steps)
     summary = ", ".join(f"E_{mu:g} = {val:.5e}" for mu, val in res.E_mu.items())
@@ -103,18 +111,12 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _study_config(args, preset: str | None) -> ExperimentConfig:
-    """build_config for an M sweep, which needs nonzero errors."""
+def cmd_table(args) -> int:
+    preset = args.preset if args.preset != "custom" else None
     cfg = build_config(args, preset=preset)
     if cfg.example == "zero":
         raise ConfigError("example 'zero' is the zero datum: its error is 0 at every step, "
                           "so a study of it has no convergence rates or error curves")
-    return cfg
-
-
-def cmd_table(args) -> int:
-    preset = args.preset if args.preset != "custom" else None
-    cfg = _study_config(args, preset)
     for a, b in zip(cfg.M, cfg.M[1:]):
         if b != 2 * a:
             raise ConfigError(f"M must double between table rows, got {cfg.M}")
@@ -122,33 +124,24 @@ def cmd_table(args) -> int:
     result = run_table(cfg)
     name = args.preset if args.preset != "custom" else "table_custom"
     csv_path = outdir / f"{name}.csv"
-    with _writing_outputs(outdir):
-        csv_path.write_text(result.csv_text())
-    print(result.text())
-    print(f"wrote {csv_path}")
-    return EXIT_OK
-
-
-def cmd_figure(args) -> int:
-    cfg = _study_config(args, args.preset)
-    outdir = _output_dir(cfg)
-    reports = [run_single(cfg, M).report for M in cfg.M]
-    files = [outdir / f"{args.preset}_M{report.M}.csv" for report in reports]
-    gp = outdir / f"{args.preset}.gp"
+    steps = [_steps_path(outdir, cfg, M) for M in result.Ms]
+    gp = outdir / f"{name}.gp"
     lines = [
         "set logscale xy",
         "set xlabel 't'",
-        "set ylabel 'max nodal error'",
+        "set ylabel 'max-norm error on the fine lattice'",
         "set key left bottom",
         "plot " + ", \\\n     ".join(
-            f"'{f.name}' using 2:3 with lines title 'M={r.M}'"
-            for f, r in zip(files, reports)),
+            f"'{path.name}' using 2:3 with lines title 'M={M}'"
+            for path, M in zip(steps, result.Ms)),
     ]
     with _writing_outputs(outdir):
-        for path, report in zip(files, reports):
+        csv_path.write_text(result.csv_text())
+        for path, report in zip(steps, result.reports):
             report.write_steps_csv(path)
         gp.write_text("\n".join(lines) + "\n")
-    print(f"wrote {len(files)} error-curve files and {gp}")
+    print(result.text())
+    print(f"wrote {csv_path}, {len(steps)} error-curve files and {gp}")
     return EXIT_OK
 
 
@@ -164,15 +157,11 @@ def make_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.set_defaults(fn=cmd_solve)
 
-    p = sub.add_parser("table", help="convergence table over an M sweep")
-    p.add_argument("preset", choices=[k for k in PRESETS if k.startswith("table")] + ["custom"])
+    p = sub.add_parser("table", help="convergence table over an M sweep, "
+                                     "with each row's per-step error CSV and a gnuplot script")
+    p.add_argument("preset", choices=[*PRESETS, "custom"])
     _add_config_flags(p)
     p.set_defaults(fn=cmd_table)
-
-    p = sub.add_parser("figure", help="per-step error curves for an M sweep")
-    p.add_argument("preset", choices=[k for k in PRESETS if k.startswith("figure")])
-    _add_config_flags(p)
-    p.set_defaults(fn=cmd_figure)
     return ap
 
 

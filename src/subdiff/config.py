@@ -78,11 +78,9 @@ class ExperimentConfig:
         if self.fine_M < 2:
             raise ConfigError(f"fine_M must be an integer >= 2, got {self.fine_M!r}")
         for m in self.M:
-            q, r = divmod(self.fine_M, m)
-            if r != 0 or q & (q - 1) != 0:
-                raise ConfigError(
-                    f"fine_M must be a power-of-two multiple of every M; "
-                    f"fine_M={self.fine_M} fails for M={m}")
+            if self.fine_M % m != 0:
+                raise ConfigError(f"fine_M must be a multiple of every M; "
+                                  f"fine_M={self.fine_M} fails for M={m}")
         if not (0.0 < self.tol <= 1e-6):
             raise ConfigError(f"tol must lie in (0, 1e-6], got {self.tol}")
 

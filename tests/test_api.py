@@ -50,7 +50,7 @@ REMOVED_MEMBERS = (
     "exact.decay_rows", "exact.SeriesSolution.active_mask", "exact.SeriesSolution.c2_active",
     "stepping.SchemeState.block_c", "stepping.SchemeState.block_hist",
     "exact.SeriesSolution.active_block",
-    "stepping.SchemeState.mesh", "stepping.SchemeState.time_mesh",
+    "stepping.SchemeState.mesh", "stepping.SchemeState.time_mesh", "cli.cmd_figure",
 )
 
 

@@ -80,7 +80,7 @@ def test_invalid_alpha_exit_code(capsys, tmp_path):
 
 def test_repeated_M_figure_exit_code(tmp_path, capsys):
     # one error-curve file per M: a repeated M would solve twice for one file
-    code = main(["figure", "figure1", "--M", "4,4", "--N", "20", "--modes", "4",
+    code = main(["table", "custom", "--M", "4,4", "--N", "20", "--modes", "4",
                  "--fine-M", "16", "--out", str(tmp_path)])
     assert code == 2
     assert capsys.readouterr().err == ("error: invalid configuration: "
@@ -100,16 +100,15 @@ def test_zero_datum_solve(tmp_path, capsys):
         assert line.endswith(",0.0")
 
 
-@pytest.mark.parametrize("command", [["table", "custom"], ["figure", "figure1"]])
-def test_zero_datum_study_has_no_rates(command, tmp_path, capsys, monkeypatch):
+def test_zero_datum_study_has_no_rates(tmp_path, capsys, monkeypatch):
     # a zero datum's errors are 0 before any solve: the study stops at once
     def no_solve(*args, **kwargs):
         raise AssertionError("a zero-datum study must not solve")
 
     monkeypatch.setattr(cli, "run_single", no_solve)
     monkeypatch.setattr(study, "run_single", no_solve)
-    code = main(command + ["--example", "zero", "--M", "2,4", "--N", "10",
-                           "--modes", "4", "--fine-M", "8", "--out", str(tmp_path)])
+    code = main(["table", "custom", "--example", "zero", "--M", "2,4", "--N", "10",
+                 "--modes", "4", "--fine-M", "8", "--out", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
     assert err == ("error: invalid configuration: example 'zero' is the zero datum: "
@@ -149,9 +148,8 @@ def test_non_finite_decay_exit_code(tmp_path, capsys, monkeypatch):
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("command", [["solve", "--M", "4"], ["table", "custom", "--M", "2,4"],
-                                     ["figure", "figure1", "--M", "2,4"]],
-                         ids=["solve", "table", "figure"])
+@pytest.mark.parametrize("command", [["solve", "--M", "4"], ["table", "custom", "--M", "2,4"]],
+                         ids=["solve", "table"])
 def test_output_under_a_regular_file_exit_code(command, tmp_path, capsys, monkeypatch):
     # the output directory is checked before the run, not after it
     def no_run(*args, **kwargs):
@@ -188,11 +186,10 @@ def test_out_of_memory_exit_code(exc, message, tmp_path, capsys, monkeypatch):
 
 def test_preset_choices_are_the_presets():
     commands = next(a for a in make_parser()._actions if a.dest == "command").choices
+    assert set(commands) == {"solve", "table"}
     table = next(a for a in commands["table"]._actions if a.dest == "preset").choices
-    figure = next(a for a in commands["figure"]._actions if a.dest == "preset").choices
     assert table == ["table1", "table2", "table3", "custom"]
-    assert figure == ["figure1", "figure2", "figure3"]
-    assert set(table) - {"custom"} | set(figure) == set(PRESETS)
+    assert set(PRESETS) == {"table1", "table2", "table3"}
 
 
 def test_residual_overflow_exit_code(tmp_path, capsys):
@@ -258,6 +255,14 @@ def test_table_custom_small(tmp_path, capsys):
     assert len(csv) == 3
 
 
+def test_fine_M_any_multiple_of_M(tmp_path, capsys):
+    # the lattice needs fine_M / M to be an integer, not a power of two
+    code = main(["solve", "--M", "4", "--fine-M", "12", "--N", "10", "--modes", "8",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    assert (tmp_path / "steps_example1_M4_N10.csv").exists()
+
+
 def test_table_requires_doubling(tmp_path):
     code = main(["table", "custom", "--example", "example1", "--M", "4,12",
                  "--N", "5", "--modes", "8", "--fine-M", "48",
@@ -266,26 +271,53 @@ def test_table_requires_doubling(tmp_path):
 
 
 def test_figure_outputs(tmp_path, capsys):
-    code = main(["figure", "figure1", "--M", "4,8", "--N", "10",
+    # table writes each row's error curve under solve's name, and the figure's script
+    code = main(["table", "custom", "--M", "4,8", "--N", "10",
                  "--modes", "8", "--fine-M", "16", "--out", str(tmp_path)])
     assert code == 0
-    assert (tmp_path / "figure1_M4.csv").exists()
-    assert (tmp_path / "figure1_M8.csv").exists()
-    gp = (tmp_path / "figure1.gp").read_text()
-    assert "logscale" in gp and "figure1_M4.csv" in gp
-    lines = (tmp_path / "figure1_M4.csv").read_text().strip().splitlines()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "steps_example1_M4_N10.csv", "steps_example1_M8_N10.csv",
+        "table_custom.csv", "table_custom.gp"]
+    gp = (tmp_path / "table_custom.gp").read_text()
+    assert gp == ("set logscale xy\n"
+                  "set xlabel 't'\n"
+                  "set ylabel 'max-norm error on the fine lattice'\n"
+                  "set key left bottom\n"
+                  "plot 'steps_example1_M4_N10.csv' using 2:3 with lines title 'M=4', \\\n"
+                  "     'steps_example1_M8_N10.csv' using 2:3 with lines title 'M=8'\n")
+    lines = (tmp_path / "steps_example1_M4_N10.csv").read_text().strip().splitlines()
     assert len(lines) == 11  # header + one row per step
 
 
 def test_figure_error_curves_ordered(tmp_path):
-    main(["figure", "figure1", "--M", "4,8", "--N", "10", "--modes", "12",
-          "--fine-M", "16", "--out", str(tmp_path)])
-    import numpy as np
-    e4 = np.array([float(l.split(",")[2]) for l in
-                   (tmp_path / "figure1_M4.csv").read_text().strip().splitlines()[1:]])
-    e8 = np.array([float(l.split(",")[2]) for l in
-                   (tmp_path / "figure1_M8.csv").read_text().strip().splitlines()[1:]])
+    assert main(["table", "custom", "--M", "4,8", "--N", "10", "--modes", "12",
+                 "--fine-M", "16", "--out", str(tmp_path)]) == 0
+    e4, e8 = (np.loadtxt(tmp_path / f"steps_example1_M{M}_N10.csv", delimiter=",",
+                         skiprows=1)[:, 2] for M in (4, 8))
     assert np.mean(e8 < e4) > 0.9  # finer mesh sits below at almost every t
+
+
+def test_table_curves_are_the_solve_curves(tmp_path):
+    # one writer and one name: a table row's curve is the solve run's file, byte for byte
+    flags = ["--example", "example2", "--N", "12", "--modes", "8", "--fine-M", "16"]
+    assert main(["table", "custom", "--M", "4,8", *flags, "--out", str(tmp_path / "t")]) == 0
+    assert main(["table", "custom", "--M", "4,8", *flags, "--out", str(tmp_path / "u")]) == 0
+    for M in (4, 8):
+        assert main(["solve", "--M", str(M), *flags, "--out", str(tmp_path / "s")]) == 0
+        name = f"steps_example2_M{M}_N12.csv"
+        assert (tmp_path / "t" / name).read_bytes() == (tmp_path / "s" / name).read_bytes()
+    names = sorted(p.name for p in (tmp_path / "t").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "u").iterdir())
+    for name in names:
+        assert (tmp_path / "t" / name).read_bytes() == (tmp_path / "u" / name).read_bytes()
+
+
+def test_figure_command_removed(capsys):
+    # table writes the error curves and their script; figure1-figure3 are gone
+    with pytest.raises(SystemExit) as info:
+        main(["figure", "figure1"])
+    assert info.value.code == 2
+    assert "invalid choice: 'figure'" in capsys.readouterr().err
 
 
 def test_verify_command_removed(capsys):

@@ -209,6 +209,26 @@ def test_mode_cutoff_validation():
             make_series(DATA["example1"], 0.75, K=bad)
 
 
+def _triple_product_bound(S, B, block_inner):
+    """Elementwise bound on |got - full| for two double evaluations of S B S^T.
+
+    A product of matrices with inner dimensions k1 and k2, in any summation
+    order, is within gamma(k1 + k2) |S| |B| |S|^T of the exact product, with
+    gamma(k) = k u / (1 - k u) and u = 2^-53 (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., sec. 3.5). The block product has inner
+    dimensions r and c, the full one K and K; both approximate the same
+    exact product, so their distance is at most the sum of the two bounds.
+    The nonnegative product |S| |B| |S|^T is itself rounded low by at most a
+    factor 1 - gamma(2K).
+    """
+    def gamma(k):
+        return k * 2.0 ** -53 / (1.0 - k * 2.0 ** -53)
+
+    K2 = 2 * B.shape[0]
+    absprod = np.abs(S) @ np.abs(B) @ np.abs(S).T
+    return (gamma(block_inner) + gamma(K2)) * absprod / (1.0 - gamma(K2))
+
+
 @pytest.mark.parametrize("datum", ["example1", "example2", "example3", "triangle"])
 def test_active_block_product_matches_full_product(datum):
     K = 60
@@ -224,9 +244,11 @@ def test_active_block_product_matches_full_product(datum):
     S = np.sin(np.pi * np.outer(lat.xs, np.arange(1, K + 1)))
     for t in (0.0, 1e-4, 0.5):
         E = _full_decay(sol, K, t)
-        full = S @ (2.0 * C * E) @ S.T
+        B = 2.0 * C * E  # equal, bit for bit, to the block's C2 * E and zero off it
+        full = S @ B @ S.T
         got = series_on_grid(sol, E[np.ix_(rows, cols)], *sine_matrices(sol, lat.xs, lat.xs))
-        assert np.abs(got - full).max() <= 1e-15 * np.abs(full).max(), (datum, t)
+        assert np.all(np.abs(got - full) <= _triple_product_bound(S, B, rows.size + cols.size)), \
+            (datum, t)
 
 
 def test_zero_datum_grid_is_zero():

@@ -35,18 +35,17 @@ def test_fine_lattice_validation():
 
 def test_interpolator_reproduces_coarse_nodes():
     mesh = build_mesh(4)
-    lat = fine_lattice(16)
-    interp = LatticeInterpolator(mesh, lat)
     rng = np.random.default_rng(9)
     field = FieldP1(mesh=mesh, values=rng.standard_normal(mesh.n_interior))
-    grid = interp(field)
-    # lattice indices 4k-1 in 0-based grid coords hit the coarse nodes,
-    # and coarse node (ci, cj) is dof (cj - 1) * 3 + ci - 1
-    for ci in range(1, 4):
-        for cj in range(1, 4):
-            gi, gj = 4 * ci - 1, 4 * cj - 1
-            assert grid[gi, gj] == pytest.approx(
-                field.values[(cj - 1) * 3 + ci - 1], abs=1e-15)
+    for q in (4, 3):  # fine_M need only be a multiple of M
+        grid = LatticeInterpolator(mesh, fine_lattice(4 * q))(field)
+        # lattice indices qk-1 in 0-based grid coords hit the coarse nodes,
+        # and coarse node (ci, cj) is dof (cj - 1) * 3 + ci - 1
+        for ci in range(1, 4):
+            for cj in range(1, 4):
+                gi, gj = q * ci - 1, q * cj - 1
+                assert grid[gi, gj] == pytest.approx(
+                    field.values[(cj - 1) * 3 + ci - 1], abs=1e-15), q
 
 
 def test_interpolator_compares_the_field_mesh_by_value():
