@@ -91,8 +91,12 @@ def _output_dir(cfg: ExperimentConfig) -> Path:
 
 
 def _steps_path(outdir: Path, cfg: ExperimentConfig, M: int) -> Path:
-    """Where solve and table write the per-step errors of the run at M."""
-    return outdir / f"steps_{cfg.example}_M{M}_N{cfg.N}.csv"
+    """Where solve and table write the per-step errors of the run at M: the
+    name spells out every field the curve depends on (all but mu and out),
+    so one run has one name and two different runs never share one."""
+    return outdir / (f"steps_{cfg.example}_M{M}_N{cfg.N}_alpha{float(cfg.alpha)!r}"
+                     f"_gamma{float(cfg.gamma)!r}_T{float(cfg.T)!r}_modes{cfg.modes}"
+                     f"_fineM{cfg.fine_M}_tol{float(cfg.tol)!r}.csv")
 
 
 def cmd_solve(args) -> int:

@@ -6,9 +6,11 @@ eigenfunction expansion with modal decay E_alpha(-lambda_mn t^alpha). Each
 named initial datum carries its closed-form sine coefficients. The series
 is held as its active block, the modes m and n whose rows and columns of
 the coefficients hold a nonzero entry, with the block's distinct
-eigenvalues. decay_table evaluates the decay once per distinct eigenvalue
-and time into one shared read-only table, and series_on_grid sums the
-expansion on a tensor grid from the block's gather of one table row.
+eigenvalues. A study's decay is one shared DecayTable per alpha,
+eigenvalues and step times: it is allocated empty, and each block of 32
+rows is evaluated the first time one of its rows is read, once per distinct
+eigenvalue and time. series_on_grid sums the expansion on a tensor grid
+from the block's gather of one table row.
 """
 
 from __future__ import annotations
@@ -116,23 +118,66 @@ def make_series(datum: InitialDatum, alpha: float, K: int = 60) -> SeriesSolutio
                           lam=lam, index=index.reshape(m.size, n.size))
 
 
-@functools.lru_cache(maxsize=1)
-def _decay_table(alpha: float, lam_bytes: bytes, t_bytes: bytes) -> np.ndarray:
-    """Read-only E_alpha(-lam t^alpha), shape (times, eigenvalues).
+_BLOCK = 32  # decay rows evaluated together; a study's first step waits for one block
 
-    Keyed by value, so every row of a study (same datum, alpha, modes and
-    time mesh, any M) reuses one evaluation. A non-finite value raises
-    EvaluationError.
-    """
-    lam = np.frombuffer(lam_bytes)
-    t = np.frombuffer(t_bytes)
-    args = (lam[None, :] * (t ** alpha)[:, None]).ravel()
-    table = MlfEvaluator(alpha)(args).reshape(t.size, lam.size)
-    if not np.all(np.isfinite(table)):
+
+def _evaluate_decay(alpha: float, lam: np.ndarray, t_alpha: np.ndarray) -> np.ndarray:
+    """E_alpha(-lam t^alpha) at the times whose t^alpha is t_alpha, shape
+    (t_alpha.size, lam.size). A non-finite value raises EvaluationError."""
+    args = (lam[None, :] * t_alpha[:, None]).ravel()
+    rows = MlfEvaluator(alpha)(args).reshape(t_alpha.size, lam.size)
+    if not np.all(np.isfinite(rows)):
         raise EvaluationError(f"Mittag-Leffler decay E_alpha(-lambda t^alpha) is not finite "
                               f"for alpha={alpha!r}")
-    table.setflags(write=False)
-    return table
+    return rows
+
+
+class DecayTable:
+    """E_alpha(-lam t^alpha), shape (times, eigenvalues), evaluated by block.
+
+    The table starts empty. Rows [32b, 32b + 32) are evaluated the first
+    time a row of block b is read, so a study's first step waits for one
+    block, and every row is evaluated once. Rows are handed out read-only.
+    """
+
+    def __init__(self, alpha: float, lam: np.ndarray, t: np.ndarray):
+        self.alpha = alpha
+        self.lam = lam
+        self._t_alpha = t ** alpha
+        self._rows = np.empty((t.size, lam.size))
+        self._missing = set(range(0, t.size, _BLOCK))   # first row of each block not yet evaluated
+        self._view = self._rows.view()
+        self._view.setflags(write=False)
+
+    def _fill(self, lo: int) -> None:
+        block = slice(lo, lo + _BLOCK)
+        self._rows[block] = _evaluate_decay(self.alpha, self.lam, self._t_alpha[block])
+        self._missing.discard(lo)
+
+    def row(self, k: int) -> np.ndarray:
+        """Row k, the decay at the k-th time; evaluates its block on first read."""
+        k = range(self._rows.shape[0])[k]   # IndexError out of range, k < 0 from the end
+        lo = k - k % _BLOCK
+        if lo in self._missing:
+            self._fill(lo)
+        return self._view[k]
+
+    def full(self) -> np.ndarray:
+        """The whole read-only table, after evaluating every block still missing."""
+        for lo in sorted(self._missing):
+            self._fill(lo)
+        return self._view
+
+
+@functools.lru_cache(maxsize=1)
+def _decay_table(alpha: float, lam_bytes: bytes, t_bytes: bytes) -> DecayTable:
+    """The shared DecayTable of alpha, the eigenvalues and the times.
+
+    Keyed by value, so every row of a study (same datum, alpha, modes and
+    time mesh, any M) reads one table, and each of its rows is evaluated
+    once per study.
+    """
+    return DecayTable(alpha, np.frombuffer(lam_bytes), np.frombuffer(t_bytes))
 
 
 def _checked_times(t) -> np.ndarray:
@@ -144,11 +189,17 @@ def _checked_times(t) -> np.ndarray:
     return t
 
 
+def shared_decay(sol: SeriesSolution, t) -> DecayTable:
+    """The shared DecayTable of sol's eigenvalues at the times t, with no row
+    evaluated that no one has read; row(k)[sol.index] is the block's decay at t[k]."""
+    return _decay_table(sol.alpha, sol.lam.tobytes(), _checked_times(t).tobytes())
+
+
 def decay_table(sol: SeriesSolution, t) -> np.ndarray:
-    """The shared read-only E_alpha(-lambda t^alpha), shape (times, sol.lam.size);
+    """The whole read-only E_alpha(-lambda t^alpha), shape (times, sol.lam.size),
+    of the shared table, with the rows still missing evaluated;
     table[k][sol.index] is the block's decay at t[k]."""
-    t = _checked_times(t)
-    return _decay_table(sol.alpha, sol.lam.tobytes(), t.tobytes())
+    return shared_decay(sol, t).full()
 
 
 def series_on_grid(sol: SeriesSolution, E: np.ndarray, Sx: np.ndarray,
@@ -166,8 +217,7 @@ def sine_matrices(sol: SeriesSolution, xs, ys) -> tuple[np.ndarray, np.ndarray]:
 def eval_grid(sol: SeriesSolution, t: float, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """u(x_i, y_j, t) on the tensor grid xs x ys. Its decay row bypasses the
     cache, so it never evicts the table a study shares."""
-    t_bytes = _checked_times([t]).tobytes()
-    E = _decay_table.__wrapped__(sol.alpha, sol.lam.tobytes(), t_bytes)[0]
+    E = _evaluate_decay(sol.alpha, sol.lam, _checked_times([t]) ** sol.alpha)[0]
     out = series_on_grid(sol, E[sol.index], *sine_matrices(sol, xs, ys))
     if not np.all(np.isfinite(out)):
         raise EvaluationError(f"series evaluation produced non-finite values at t={t}")

@@ -6,7 +6,8 @@ class CoefficientRangeError(ValueError):
 
 
 class EvaluationError(ValueError):
-    """A user-supplied function produced non-finite values during quadrature."""
+    """A computed value is non-finite: a user-supplied function's during
+    quadrature, the exact solution's modal decay, or its series sum."""
 
 
 class SolverFailureError(RuntimeError):

@@ -14,6 +14,13 @@ from subdiff.config import ConfigError, ExperimentConfig
 from subdiff.mittag_leffler import MlfEvaluator
 
 
+def steps_name(M, N, modes, fine_M, example="example1", alpha=0.75, gamma=1.6, T=0.5,
+               tol=1e-12):
+    """The per-step error file of one run, named by every field its curve depends on."""
+    return (f"steps_{example}_M{M}_N{N}_alpha{alpha}_gamma{gamma}_T{T}_modes{modes}"
+            f"_fineM{fine_M}_tol{tol}.csv")
+
+
 def test_config_roundtrip():
     cfg = ExperimentConfig(alpha=0.6, example="example2", M=[4, 8], N=77,
                            gamma=1.3, T=0.25, modes=20, mu=[0.0, 0.5],
@@ -94,7 +101,7 @@ def test_zero_datum_solve(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "E_0 = 0.00000e+00" in out
-    steps = tmp_path / "steps_zero_M4_N10.csv"
+    steps = tmp_path / steps_name(4, 10, 8, 16, example="zero")
     assert steps.exists()
     for line in steps.read_text().strip().splitlines()[1:]:
         assert line.endswith(",0.0")
@@ -142,6 +149,28 @@ def test_non_finite_decay_exit_code(tmp_path, capsys, monkeypatch):
     code = main(["solve", "--M", "4", "--N", "10", "--modes", "4", "--fine-M", "8",
                  "--alpha", "0.6", "--out", str(tmp_path)])
     assert code == 2
+    err = capsys.readouterr().err
+    assert err == ("error: invalid configuration: Mittag-Leffler decay "
+                   "E_alpha(-lambda t^alpha) is not finite for alpha=0.6\n")
+    assert not any(tmp_path.iterdir())
+
+
+def test_non_finite_later_decay_block_exit_code(tmp_path, capsys, monkeypatch):
+    # the decay of steps 33-40 is evaluated at step 33; a non-finite value
+    # there still ends the run with exit 2, and no file is written
+    real = MlfEvaluator.__call__
+    calls = []
+
+    def nan_after_first_call(self, x):
+        calls.append(np.size(x))
+        return real(self, x) if len(calls) == 1 else np.full(np.shape(x), np.nan)
+
+    monkeypatch.setattr(MlfEvaluator, "__call__", nan_after_first_call)
+    exact._decay_table.cache_clear()
+    code = main(["solve", "--M", "4", "--N", "40", "--modes", "4", "--fine-M", "8",
+                 "--alpha", "0.6", "--out", str(tmp_path)])
+    assert code == 2
+    assert len(calls) == 2
     err = capsys.readouterr().err
     assert err == ("error: invalid configuration: Mittag-Leffler decay "
                    "E_alpha(-lambda t^alpha) is not finite for alpha=0.6\n")
@@ -216,8 +245,8 @@ def test_solve_deterministic_output(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
-    f1 = out1 / "steps_example1_M4_N15.csv"
-    f2 = out2 / "steps_example1_M4_N15.csv"
+    f1 = out1 / steps_name(4, 15, 12, 16)
+    f2 = out2 / steps_name(4, 15, 12, 16)
     assert f1.read_bytes() == f2.read_bytes()
 
 
@@ -240,7 +269,7 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     code = main(["solve", "--config", str(cfg_path), "--N", "8",
                  "--out", str(tmp_path / "cli_wins")])
     assert code == 0
-    assert (tmp_path / "cli_wins" / "steps_example1_M4_N8.csv").exists()
+    assert (tmp_path / "cli_wins" / steps_name(4, 8, 10, 16)).exists()
 
 
 def test_table_custom_small(tmp_path, capsys):
@@ -260,7 +289,7 @@ def test_fine_M_any_multiple_of_M(tmp_path, capsys):
     code = main(["solve", "--M", "4", "--fine-M", "12", "--N", "10", "--modes", "8",
                  "--out", str(tmp_path)])
     assert code == 0
-    assert (tmp_path / "steps_example1_M4_N10.csv").exists()
+    assert (tmp_path / steps_name(4, 10, 8, 12)).exists()
 
 
 def test_table_requires_doubling(tmp_path):
@@ -275,24 +304,25 @@ def test_figure_outputs(tmp_path, capsys):
     code = main(["table", "custom", "--M", "4,8", "--N", "10",
                  "--modes", "8", "--fine-M", "16", "--out", str(tmp_path)])
     assert code == 0
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "steps_example1_M4_N10.csv", "steps_example1_M8_N10.csv",
-        "table_custom.csv", "table_custom.gp"]
+    m4 = "steps_example1_M4_N10_alpha0.75_gamma1.6_T0.5_modes8_fineM16_tol1e-12.csv"
+    m8 = "steps_example1_M8_N10_alpha0.75_gamma1.6_T0.5_modes8_fineM16_tol1e-12.csv"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [m4, m8, "table_custom.csv",
+                                                          "table_custom.gp"]
     gp = (tmp_path / "table_custom.gp").read_text()
     assert gp == ("set logscale xy\n"
                   "set xlabel 't'\n"
                   "set ylabel 'max-norm error on the fine lattice'\n"
                   "set key left bottom\n"
-                  "plot 'steps_example1_M4_N10.csv' using 2:3 with lines title 'M=4', \\\n"
-                  "     'steps_example1_M8_N10.csv' using 2:3 with lines title 'M=8'\n")
-    lines = (tmp_path / "steps_example1_M4_N10.csv").read_text().strip().splitlines()
+                  f"plot '{m4}' using 2:3 with lines title 'M=4', \\\n"
+                  f"     '{m8}' using 2:3 with lines title 'M=8'\n")
+    lines = (tmp_path / m4).read_text().strip().splitlines()
     assert len(lines) == 11  # header + one row per step
 
 
 def test_figure_error_curves_ordered(tmp_path):
     assert main(["table", "custom", "--M", "4,8", "--N", "10", "--modes", "12",
                  "--fine-M", "16", "--out", str(tmp_path)]) == 0
-    e4, e8 = (np.loadtxt(tmp_path / f"steps_example1_M{M}_N10.csv", delimiter=",",
+    e4, e8 = (np.loadtxt(tmp_path / steps_name(M, 10, 12, 16), delimiter=",",
                          skiprows=1)[:, 2] for M in (4, 8))
     assert np.mean(e8 < e4) > 0.9  # finer mesh sits below at almost every t
 
@@ -304,12 +334,42 @@ def test_table_curves_are_the_solve_curves(tmp_path):
     assert main(["table", "custom", "--M", "4,8", *flags, "--out", str(tmp_path / "u")]) == 0
     for M in (4, 8):
         assert main(["solve", "--M", str(M), *flags, "--out", str(tmp_path / "s")]) == 0
-        name = f"steps_example2_M{M}_N12.csv"
+        name = steps_name(M, 12, 8, 16, example="example2")
         assert (tmp_path / "t" / name).read_bytes() == (tmp_path / "s" / name).read_bytes()
     names = sorted(p.name for p in (tmp_path / "t").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "u").iterdir())
     for name in names:
         assert (tmp_path / "t" / name).read_bytes() == (tmp_path / "u" / name).read_bytes()
+
+
+def test_curves_of_different_runs_keep_their_files(tmp_path, capsys):
+    # a solve that differs from a table row only in alpha writes its own
+    # curve, so the table's script still plots the table's curves
+    flags = ["--example", "example2", "--N", "12", "--modes", "8", "--fine-M", "16",
+             "--out", str(tmp_path)]
+    assert main(["table", "custom", "--M", "4,8", *flags]) == 0
+    table_files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main(["solve", "--M", "4", "--alpha", "0.4", *flags]) == 0
+    for name, data in table_files.items():
+        assert (tmp_path / name).read_bytes() == data
+    solve_name = steps_name(4, 12, 8, 16, example="example2", alpha=0.4)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*table_files, solve_name])
+    assert capsys.readouterr().out.endswith(f"wrote {tmp_path / solve_name}\n")
+
+
+@pytest.mark.parametrize("field, value", [("alpha", "0.5"), ("gamma", "2"), ("T", "1"),
+                                          ("N", "11"), ("modes", "9"), ("fine-M", "32"),
+                                          ("tol", "1e-11"), ("M", "8")])
+def test_curve_file_names_differ_by_every_field(field, value, tmp_path):
+    # every resolved field a curve depends on changes its file name, and
+    # mu and the output directory do not
+    def name(flags):
+        cfg = build_config(make_parser().parse_args(["solve", *flags]))
+        return cli._steps_path(tmp_path, cfg, cfg.M[0]).name
+
+    base = ["--M", "4", "--N", "10", "--modes", "8", "--fine-M", "16"]
+    assert name(base + [f"--{field}", value]) != name(base)
+    assert name(base + ["--mu", "0.5", "--out", "elsewhere"]) == name(base)
 
 
 def test_figure_command_removed(capsys):

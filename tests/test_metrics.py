@@ -164,7 +164,7 @@ def test_error_tracker_decay_bitwise_per_mode():
     tracker = ErrorTracker(sol, fine_lattice(16), tm, build_mesh(4))
     lam_act = _block_eigenvalues(sol)
     assert np.unique(lam_act).size < lam_act.size
-    assert np.array_equal(tracker.decay[:, sol.index], _fresh_decay(sol, tm))
+    assert np.array_equal(tracker.decay.full()[:, sol.index], _fresh_decay(sol, tm))
 
 
 def _count_mlf_calls(monkeypatch):
@@ -193,23 +193,28 @@ def _fresh_decay(sol, tm):
 
 
 def test_error_tracker_shares_decay_table_across_meshes(monkeypatch):
-    # one study (same series and time mesh) evaluates the oracle once,
-    # whatever the spatial mesh of each row
+    # one study (same series and time mesh) evaluates the oracle once per
+    # step, whatever the spatial mesh of each row: a block of 32 steps on its
+    # first read, and nothing when a tracker is built
     from subdiff.stepping import build_time_mesh
     from subdiff.exact import _decay_table
     from subdiff.study import ErrorTracker
     _decay_table.cache_clear()
     sol = make_series(DATA["example1"], 0.75, K=12)
-    tm = build_time_mesh(30, 1.6, 0.5)
+    tm = build_time_mesh(70, 1.6, 0.5)
     lat = fine_lattice(16)
     calls = _count_mlf_calls(monkeypatch)
     trackers = [ErrorTracker(sol, lat, tm, build_mesh(M)) for M in (2, 4, 8)]
-    assert len(calls) == 1
-    assert calls[0] == tm.N * np.unique(_block_eigenvalues(sol)).size
+    assert calls == []
+    for tracker in trackers:
+        for n in range(1, tm.N + 1):
+            tracker.exact_on_lattice(n)
+    n_lam = np.unique(_block_eigenvalues(sol)).size
+    assert calls == [32 * n_lam, 32 * n_lam, 6 * n_lam]
     monkeypatch.undo()
     fresh = _fresh_decay(sol, tm)
     for tracker in trackers:
-        assert np.array_equal(tracker.decay[:, sol.index], fresh)
+        assert np.array_equal(tracker.decay.full()[:, sol.index], fresh)
 
 
 def test_error_trackers_hold_one_decay_table():
@@ -241,11 +246,14 @@ def test_eval_grid_keeps_the_study_decay_table(monkeypatch):
         raise AssertionError("np.unique called after make_series")
 
     monkeypatch.setattr(np, "unique", no_unique)
-    a = ErrorTracker(sol, lat, tm, build_mesh(2))
     calls = _count_mlf_calls(monkeypatch)
+    a = ErrorTracker(sol, lat, tm, build_mesh(2))
+    a.exact_on_lattice(1)
     vals = eval_grid(sol, 0.1, lat.xs, lat.xs)
-    assert calls == [sol.lam.size]
+    assert calls == [tm.N * sol.lam.size, sol.lam.size]
     b = ErrorTracker(sol, lat, tm, build_mesh(4))
+    b.exact_on_lattice(tm.N)
+    assert calls == [tm.N * sol.lam.size, sol.lam.size]
     monkeypatch.undo()
     assert a.decay is b.decay
     assert _decay_table.cache_info().misses == 1
@@ -264,7 +272,7 @@ def test_error_tracker_decay_table_keyed_by_value(change, monkeypatch):
     lat, mesh = fine_lattice(16), build_mesh(4)
     sol = make_series(DATA["example1"], 0.75, K=12)
     tm = build_time_mesh(30, 1.6, 0.5)
-    ErrorTracker(sol, lat, tm, mesh)
+    ErrorTracker(sol, lat, tm, mesh).exact_on_lattice(1)
     if change == "alpha":
         sol = make_series(DATA["example1"], 0.6, K=12)
     elif change == "K":
@@ -275,9 +283,10 @@ def test_error_tracker_decay_table_keyed_by_value(change, monkeypatch):
         tm = build_time_mesh(30, 1.6, 0.25)
     calls = _count_mlf_calls(monkeypatch)
     tracker = ErrorTracker(sol, lat, tm, mesh)
+    tracker.exact_on_lattice(1)
     assert len(calls) == 1
     monkeypatch.undo()
-    assert np.array_equal(tracker.decay[:, sol.index], _fresh_decay(sol, tm))
+    assert np.array_equal(tracker.decay.full()[:, sol.index], _fresh_decay(sol, tm))
 
 
 def test_decay_table_is_read_only():
@@ -287,11 +296,98 @@ def test_decay_table_is_read_only():
     lam_u = np.unique(_block_eigenvalues(sol))
     t = build_time_mesh(20, 1.6, 0.5).t[1:]
     table = _decay_table(sol.alpha, lam_u.tobytes(), t.tobytes())
-    assert table.shape == (20, lam_u.size)
-    assert not table.flags.writeable
+    row = table.row(3)
+    assert row.shape == (lam_u.size,)
+    assert not row.flags.writeable
     with pytest.raises(ValueError):
-        table[0, 0] = 0.0
+        row[0] = 0.0
+    rows = table.full()
+    assert rows.shape == (20, lam_u.size)
+    assert not rows.flags.writeable
+    with pytest.raises(ValueError):
+        rows[0, 0] = 0.0
     assert _decay_table(sol.alpha, lam_u.tobytes(), t.tobytes()) is table
+
+
+def test_first_step_evaluates_one_block_of_the_decay(monkeypatch):
+    # a study's first step waits for the decay of its first 32 steps, not
+    # of all N; every later block is evaluated when its first step reads it
+    from subdiff.config import ExperimentConfig
+    from subdiff.exact import _decay_table
+    from subdiff.study import run_single
+    cfg = ExperimentConfig(example="example2", M=[4], N=100, modes=12, fine_M=8)
+    cfg.validate()
+    n_lam = make_series(DATA["example2"], cfg.alpha, cfg.modes).lam.size
+    _decay_table.cache_clear()
+    calls = _count_mlf_calls(monkeypatch)
+    seen = {}
+
+    def observe(n, t_n, u_n):
+        seen[n] = sum(calls)
+
+    run_single(cfg, 4, observer_extra=observe)
+    assert seen[1] == seen[32] == 32 * n_lam
+    assert seen[33] == seen[64] == 64 * n_lam
+    assert seen[97] == sum(calls) == cfg.N * n_lam
+    assert len(calls) == 4
+
+
+def test_decay_table_read_row_by_row_matches_full_table():
+    # rows read one at a time, in any order, are the rows of the whole
+    # table of the same key, bit for bit; the last block is partial
+    from subdiff.exact import DecayTable, decay_table
+    from subdiff.stepping import build_time_mesh
+    sol = make_series(DATA["example3"], 0.4, K=20)
+    t = build_time_mesh(75, 1.6, 0.5).t[1:]
+    lazy = DecayTable(sol.alpha, sol.lam, t)
+    order = np.random.default_rng(7).permutation(t.size)
+    rows = np.empty((t.size, sol.lam.size))
+    for k in order:
+        row = lazy.row(k)
+        assert not row.flags.writeable
+        rows[k] = row
+    assert np.array_equal(rows, decay_table(sol, t))
+    assert np.array_equal(lazy.full(), decay_table(sol, t))
+
+
+def test_decay_table_row_index_is_checked():
+    # a row past either end is an IndexError, never a row of the empty
+    # table; a negative index counts from the end, as for the whole table
+    from subdiff.exact import DecayTable, decay_table
+    from subdiff.stepping import build_time_mesh
+    sol = make_series(DATA["example1"], 0.75, K=8)
+    t = build_time_mesh(40, 1.6, 0.5).t[1:]
+    table = DecayTable(sol.alpha, sol.lam, t)
+    assert np.array_equal(table.row(-1), decay_table(sol, t)[-1])
+    for k in (40, -41):
+        with pytest.raises(IndexError):
+            DecayTable(sol.alpha, sol.lam, t).row(k)
+
+
+def test_non_finite_decay_block_raises(monkeypatch):
+    # a block with a non-finite value raises on every read of its rows,
+    # and the blocks before it stay readable
+    from subdiff.exact import DecayTable
+    from subdiff.exceptions import EvaluationError
+    from subdiff.stepping import build_time_mesh
+    sol = make_series(DATA["example1"], 0.6, K=8)
+    t = build_time_mesh(80, 1.6, 0.5).t[1:]
+    table = DecayTable(sol.alpha, sol.lam, t)
+    real = MlfEvaluator.__call__
+    calls = []
+
+    def nan_after_first_call(self, x):
+        calls.append(np.size(x))
+        return real(self, x) if len(calls) == 1 else np.full(np.shape(x), np.nan)
+
+    monkeypatch.setattr(MlfEvaluator, "__call__", nan_after_first_call)
+    first = table.row(0).copy()
+    message = r"^Mittag-Leffler decay E_alpha\(-lambda t\^alpha\) is not finite for alpha=0\.6$"
+    for read in (lambda: table.row(40), lambda: table.row(63), table.full):
+        with pytest.raises(EvaluationError, match=message):
+            read()
+    assert np.array_equal(table.row(0), first)
+    assert calls == [32 * sol.lam.size] * 4
 
 
 @pytest.mark.parametrize("M, M_s", [pytest.param(M, 128, id=str(M))
