@@ -6,16 +6,14 @@ eigenfunction expansion with modal decay E_alpha(-lambda_mn t^alpha). Each
 named initial datum carries its closed-form sine coefficients. The series
 is held as its active block, the modes m and n whose rows and columns of
 the coefficients hold a nonzero entry, with the block's distinct
-eigenvalues. A study's decay is one shared DecayTable per alpha,
-eigenvalues and step times: it is allocated empty, and each block of 32
-rows is evaluated the first time one of its rows is read, once per distinct
-eigenvalue and time. series_on_grid sums the expansion on a tensor grid
-from the block's gather of one table row.
+eigenvalues. A run reads its decay through a DecayReader, which evaluates
+it once per distinct eigenvalue and time, one block of 32 time steps at a
+time, and holds only that block. series_on_grid sums the expansion on a
+tensor grid from the block's gather of one decay row.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -118,66 +116,7 @@ def make_series(datum: InitialDatum, alpha: float, K: int = 60) -> SeriesSolutio
                           lam=lam, index=index.reshape(m.size, n.size))
 
 
-_BLOCK = 32  # decay rows evaluated together; a study's first step waits for one block
-
-
-def _evaluate_decay(alpha: float, lam: np.ndarray, t_alpha: np.ndarray) -> np.ndarray:
-    """E_alpha(-lam t^alpha) at the times whose t^alpha is t_alpha, shape
-    (t_alpha.size, lam.size). A non-finite value raises EvaluationError."""
-    args = (lam[None, :] * t_alpha[:, None]).ravel()
-    rows = MlfEvaluator(alpha)(args).reshape(t_alpha.size, lam.size)
-    if not np.all(np.isfinite(rows)):
-        raise EvaluationError(f"Mittag-Leffler decay E_alpha(-lambda t^alpha) is not finite "
-                              f"for alpha={alpha!r}")
-    return rows
-
-
-class DecayTable:
-    """E_alpha(-lam t^alpha), shape (times, eigenvalues), evaluated by block.
-
-    The table starts empty. Rows [32b, 32b + 32) are evaluated the first
-    time a row of block b is read, so a study's first step waits for one
-    block, and every row is evaluated once. Rows are handed out read-only.
-    """
-
-    def __init__(self, alpha: float, lam: np.ndarray, t: np.ndarray):
-        self.alpha = alpha
-        self.lam = lam
-        self._t_alpha = t ** alpha
-        self._rows = np.empty((t.size, lam.size))
-        self._missing = set(range(0, t.size, _BLOCK))   # first row of each block not yet evaluated
-        self._view = self._rows.view()
-        self._view.setflags(write=False)
-
-    def _fill(self, lo: int) -> None:
-        block = slice(lo, lo + _BLOCK)
-        self._rows[block] = _evaluate_decay(self.alpha, self.lam, self._t_alpha[block])
-        self._missing.discard(lo)
-
-    def row(self, k: int) -> np.ndarray:
-        """Row k, the decay at the k-th time; evaluates its block on first read."""
-        k = range(self._rows.shape[0])[k]   # IndexError out of range, k < 0 from the end
-        lo = k - k % _BLOCK
-        if lo in self._missing:
-            self._fill(lo)
-        return self._view[k]
-
-    def full(self) -> np.ndarray:
-        """The whole read-only table, after evaluating every block still missing."""
-        for lo in sorted(self._missing):
-            self._fill(lo)
-        return self._view
-
-
-@functools.lru_cache(maxsize=1)
-def _decay_table(alpha: float, lam_bytes: bytes, t_bytes: bytes) -> DecayTable:
-    """The shared DecayTable of alpha, the eigenvalues and the times.
-
-    Keyed by value, so every row of a study (same datum, alpha, modes and
-    time mesh, any M) reads one table, and each of its rows is evaluated
-    once per study.
-    """
-    return DecayTable(alpha, np.frombuffer(lam_bytes), np.frombuffer(t_bytes))
+_BLOCK = 32  # decay rows evaluated together; a run's first step waits for one block
 
 
 def _checked_times(t) -> np.ndarray:
@@ -189,17 +128,47 @@ def _checked_times(t) -> np.ndarray:
     return t
 
 
-def shared_decay(sol: SeriesSolution, t) -> DecayTable:
-    """The shared DecayTable of sol's eigenvalues at the times t, with no row
-    evaluated that no one has read; row(k)[sol.index] is the block's decay at t[k]."""
-    return _decay_table(sol.alpha, sol.lam.tobytes(), _checked_times(t).tobytes())
+def _evaluate_decay(mlf: MlfEvaluator, lam: np.ndarray, t_alpha: np.ndarray) -> np.ndarray:
+    """E_alpha(-lam t^alpha) at the times whose t^alpha is t_alpha, shape
+    (t_alpha.size, lam.size). A non-finite value raises EvaluationError."""
+    rows = mlf((lam[None, :] * t_alpha[:, None]).ravel()).reshape(t_alpha.size, lam.size)
+    if not np.all(np.isfinite(rows)):
+        raise EvaluationError(f"Mittag-Leffler decay E_alpha(-lambda t^alpha) is not finite "
+                              f"for alpha={mlf.alpha!r}")
+    return rows
+
+
+class DecayReader:
+    """E_alpha(-lambda t^alpha) of a series at the times t, read row by row.
+
+    Holds one MlfEvaluator and one block of 32 rows. The first read of a
+    row of block b evaluates rows [32b, 32b + 32) and replaces the block
+    held, so a run's first step waits for one block and its memory does
+    not grow with the number of steps. Rows are handed out read-only;
+    row(k)[sol.index] is the series' decay at t[k].
+    """
+
+    def __init__(self, sol: SeriesSolution, t):
+        self._mlf = MlfEvaluator(sol.alpha)
+        self._lam = sol.lam
+        self._t_alpha = _checked_times(t) ** sol.alpha
+        self._lo, self._block = None, None
+
+    def row(self, k: int) -> np.ndarray:
+        """Row k, the decay at the k-th time; evaluates its block on first read."""
+        k = range(self._t_alpha.size)[k]   # IndexError out of range, k < 0 from the end
+        lo = k - k % _BLOCK
+        if lo != self._lo:
+            block = _evaluate_decay(self._mlf, self._lam, self._t_alpha[lo:lo + _BLOCK])
+            block.setflags(write=False)
+            self._lo, self._block = lo, block
+        return self._block[k - lo]
 
 
 def decay_table(sol: SeriesSolution, t) -> np.ndarray:
-    """The whole read-only E_alpha(-lambda t^alpha), shape (times, sol.lam.size),
-    of the shared table, with the rows still missing evaluated;
-    table[k][sol.index] is the block's decay at t[k]."""
-    return shared_decay(sol, t).full()
+    """E_alpha(-lambda t^alpha), shape (times, sol.lam.size), evaluated now;
+    table[k][sol.index] is the series' decay at t[k]."""
+    return _evaluate_decay(MlfEvaluator(sol.alpha), sol.lam, _checked_times(t) ** sol.alpha)
 
 
 def series_on_grid(sol: SeriesSolution, E: np.ndarray, Sx: np.ndarray,
@@ -215,9 +184,8 @@ def sine_matrices(sol: SeriesSolution, xs, ys) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eval_grid(sol: SeriesSolution, t: float, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """u(x_i, y_j, t) on the tensor grid xs x ys. Its decay row bypasses the
-    cache, so it never evicts the table a study shares."""
-    E = _evaluate_decay(sol.alpha, sol.lam, _checked_times([t]) ** sol.alpha)[0]
+    """u(x_i, y_j, t) on the tensor grid xs x ys."""
+    E = decay_table(sol, [t])[0]
     out = series_on_grid(sol, E[sol.index], *sine_matrices(sol, xs, ys))
     if not np.all(np.isfinite(out)):
         raise EvaluationError(f"series evaluation produced non-finite values at t={t}")

@@ -8,7 +8,7 @@ import numpy as np
 
 from .assembly import FieldP1, l2_project
 from .config import ExperimentConfig
-from .exact import DATA, SeriesSolution, make_series, series_on_grid, shared_decay, sine_matrices
+from .exact import DATA, DecayReader, SeriesSolution, make_series, series_on_grid, sine_matrices
 from .mesh import StructuredMesh, build_mesh
 from .metrics import (ErrorReport, FineLattice, LatticeInterpolator, convergence_rates,
                       fine_lattice, weighted_errors)
@@ -18,12 +18,11 @@ from .stepping import build_time_mesh, run
 class ErrorTracker:
     """Observer recording |||u_h^n - u(t_n)||| at every step.
 
-    The modal decay comes from exact.shared_decay, the same DecayTable for
-    every tracker on the same series and time mesh. Building a tracker
-    evaluates none of it: step n reads row n - 1, which evaluates that row's
-    block of 32 steps on the study's first read. Each step gathers its row
-    onto the series' active block with the series' index and costs two
-    small matrix products.
+    The modal decay comes from the tracker's own exact.DecayReader, which
+    holds one block of 32 steps. Building a tracker evaluates none of it:
+    step n reads row n - 1, and the first read of a block evaluates its 32
+    steps. Each step gathers its row onto the series' active block with the
+    series' index and costs two small matrix products.
     """
 
     def __init__(self, sol: SeriesSolution, lattice: FineLattice,
@@ -31,7 +30,7 @@ class ErrorTracker:
         self.sol = sol
         self.interp = LatticeInterpolator(mesh, lattice)
         self.Sx, self.Sy = sine_matrices(sol, lattice.xs, lattice.xs)
-        self.decay = shared_decay(sol, time_mesh.t[1:])
+        self.decay = DecayReader(sol, time_mesh.t[1:])
         self.errors = np.zeros(time_mesh.N)
 
     def exact_on_lattice(self, n: int) -> np.ndarray:

@@ -51,6 +51,7 @@ REMOVED_MEMBERS = (
     "stepping.SchemeState.block_c", "stepping.SchemeState.block_hist",
     "exact.SeriesSolution.active_block",
     "stepping.SchemeState.mesh", "stepping.SchemeState.time_mesh", "cli.cmd_figure",
+    "exact.DecayTable", "exact._decay_table", "exact.shared_decay", "study.shared_decay",
 )
 
 

@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-import subdiff.exact as exact
 import subdiff.stepping as stepping
 import subdiff.study as study
 from subdiff.assembly import FieldP1
@@ -83,16 +82,14 @@ def test_trace_hooks_resolve_and_count_one_run():
         assert not hasattr(getattr(owner, attr), "__wrapped__")
 
 
-def test_trace_counts_one_oracle_evaluation_per_study():
-    # the modal decay table depends on the series and the time mesh, not on
-    # M: a two-row study evaluates the oracle once, on the distinct
-    # eigenvalues, while each row interpolates and evaluates the series
+def test_trace_counts_one_oracle_evaluation_per_row():
+    # each row of a study evaluates its own modal decay, once per step on
+    # the distinct eigenvalues, and interpolates and evaluates the series
     # once per step
     spans = _load_perfbench("spans")
     cfg = ExperimentConfig(example="example1", M=[2, 4], N=20, modes=8, fine_M=8)
     cfg.validate()
     n_lam = make_series(DATA["example1"], cfg.alpha, cfg.modes).lam.size
-    exact._decay_table.cache_clear()
     tracer = spans.Tracer("test")
     tracer.install()
     try:
@@ -101,9 +98,9 @@ def test_trace_counts_one_oracle_evaluation_per_study():
         tracer.uninstall()
     assert len(table.reports) == 2
     layers = tracer.layer_metrics()
-    assert layers["mittag_leffler.args"] == cfg.N * n_lam
+    assert layers["mittag_leffler.args"] == len(cfg.M) * cfg.N * n_lam
     # every step time is > 0, so every argument takes the contour
-    assert layers["mittag_leffler.quadrature_args"] == cfg.N * n_lam
+    assert layers["mittag_leffler.quadrature_args"] == len(cfg.M) * cfg.N * n_lam
     assert layers["metrics.interp_calls"] == 2 * cfg.N
     assert sum(span[1] == "study.exact_eval" for span in tracer.spans) == 2 * cfg.N
     assert layers["sparse.solver_builds"] == 2

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import subdiff.cli as cli
-import subdiff.exact as exact
 import subdiff.study as study
 from subdiff.benchmarks import PRESETS
 from subdiff.cli import build_config, main, make_parser
@@ -145,7 +144,6 @@ def test_alpha_near_one_solves(tmp_path, capsys, recwarn):
 
 def test_non_finite_decay_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(MlfEvaluator, "__call__", lambda self, x: np.full(np.shape(x), np.nan))
-    exact._decay_table.cache_clear()  # a table cached by an earlier test would skip the call
     code = main(["solve", "--M", "4", "--N", "10", "--modes", "4", "--fine-M", "8",
                  "--alpha", "0.6", "--out", str(tmp_path)])
     assert code == 2
@@ -166,7 +164,6 @@ def test_non_finite_later_decay_block_exit_code(tmp_path, capsys, monkeypatch):
         return real(self, x) if len(calls) == 1 else np.full(np.shape(x), np.nan)
 
     monkeypatch.setattr(MlfEvaluator, "__call__", nan_after_first_call)
-    exact._decay_table.cache_clear()
     code = main(["solve", "--M", "4", "--N", "40", "--modes", "4", "--fine-M", "8",
                  "--alpha", "0.6", "--out", str(tmp_path)])
     assert code == 2

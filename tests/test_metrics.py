@@ -164,7 +164,7 @@ def test_error_tracker_decay_bitwise_per_mode():
     tracker = ErrorTracker(sol, fine_lattice(16), tm, build_mesh(4))
     lam_act = _block_eigenvalues(sol)
     assert np.unique(lam_act).size < lam_act.size
-    assert np.array_equal(tracker.decay.full()[:, sol.index], _fresh_decay(sol, tm))
+    assert np.array_equal(_read_all(tracker.decay, tm.N)[:, sol.index], _fresh_decay(sol, tm))
 
 
 def _count_mlf_calls(monkeypatch):
@@ -192,55 +192,106 @@ def _fresh_decay(sol, tm):
     return MlfEvaluator(sol.alpha)(args).reshape(tm.N, *lam_act.shape)
 
 
-def test_error_tracker_shares_decay_table_across_meshes(monkeypatch):
-    # one study (same series and time mesh) evaluates the oracle once per
-    # step, whatever the spatial mesh of each row: a block of 32 steps on its
-    # first read, and nothing when a tracker is built
+def _read_all(reader, n):
+    """Rows 0..n-1 of a DecayReader, read in order, as one array."""
+    return np.array([reader.row(k) for k in range(n)])
+
+
+def test_error_tracker_evaluates_its_decay_by_block(monkeypatch):
+    # every tracker evaluates its own run's decay, once per step: a block of
+    # 32 steps on its first read, and nothing when the tracker is built
     from subdiff.stepping import build_time_mesh
-    from subdiff.exact import _decay_table
     from subdiff.study import ErrorTracker
-    _decay_table.cache_clear()
     sol = make_series(DATA["example1"], 0.75, K=12)
     tm = build_time_mesh(70, 1.6, 0.5)
     lat = fine_lattice(16)
+    fresh = _fresh_decay(sol, tm)
     calls = _count_mlf_calls(monkeypatch)
     trackers = [ErrorTracker(sol, lat, tm, build_mesh(M)) for M in (2, 4, 8)]
     assert calls == []
     for tracker in trackers:
         for n in range(1, tm.N + 1):
+            assert np.array_equal(tracker.decay.row(n - 1)[sol.index], fresh[n - 1])
             tracker.exact_on_lattice(n)
     n_lam = np.unique(_block_eigenvalues(sol)).size
-    assert calls == [32 * n_lam, 32 * n_lam, 6 * n_lam]
-    monkeypatch.undo()
-    fresh = _fresh_decay(sol, tm)
-    for tracker in trackers:
-        assert np.array_equal(tracker.decay.full()[:, sol.index], fresh)
+    assert calls == [32 * n_lam, 32 * n_lam, 6 * n_lam] * 3
 
 
-def test_error_trackers_hold_one_decay_table():
-    # trackers on the same series and time mesh share the cached table
-    # itself, not a per-tracker copy of it
+def test_error_tracker_builds_one_evaluator_per_run(monkeypatch):
+    # the three decay blocks of a 70-step run share one evaluator, so its
+    # contour rule is formed once per run
+    from subdiff.stepping import build_time_mesh
+    from subdiff.study import ErrorTracker
+    sol = make_series(DATA["example1"], 0.75, K=12)
+    tm = build_time_mesh(70, 1.6, 0.5)
+    built = []
+    real = MlfEvaluator.__post_init__
+
+    def counted(self):
+        built.append(self.alpha)
+        real(self)
+
+    monkeypatch.setattr(MlfEvaluator, "__post_init__", counted)
+    tracker = ErrorTracker(sol, fine_lattice(16), tm, build_mesh(4))
+    for n in range(1, tm.N + 1):
+        tracker.exact_on_lattice(n)
+    assert built == [0.75]
+
+
+def test_error_trackers_hold_one_decay_block_each():
+    # trackers on the same series and time mesh read separate decays, and
+    # each holds the block of 32 rows it read last, not its N rows
     from subdiff.stepping import build_time_mesh
     from subdiff.study import ErrorTracker
     sol = make_series(DATA["example2"], 0.75, K=12)
-    tm = build_time_mesh(30, 1.6, 0.5)
+    tm = build_time_mesh(70, 1.6, 0.5)
     lat = fine_lattice(16)
     a, b = (ErrorTracker(sol, lat, tm, build_mesh(M)) for M in (2, 4))
-    assert a.decay is b.decay
+    assert a.decay is not b.decay
+    a.exact_on_lattice(40)
+    b.exact_on_lattice(70)
+    assert a.decay._block.shape == (32, sol.lam.size)
+    assert b.decay._block.shape == (70 - 64, sol.lam.size)
 
 
-def test_eval_grid_keeps_the_study_decay_table(monkeypatch):
-    # eval_grid between two rows of a study must not evict the study's table,
-    # and it evaluates the decay on the series' distinct eigenvalues, as the
-    # table does: one oracle argument per distinct eigenvalue, no np.unique
-    from subdiff.exact import _decay_table, decay_table, eval_grid, series_on_grid, sine_matrices
+def test_error_tracker_memory_does_not_grow_with_steps():
+    # the tracemalloc peak of a tracker run on table2's series through 2000
+    # steps exceeds that through 200 steps by less than one decay block;
+    # a table of every step's decay would add (2000 - 200) rows
+    import tracemalloc
+    from subdiff.stepping import build_time_mesh
+    from subdiff.study import ErrorTracker
+    sol = make_series(DATA["example2"], 0.75, K=60)
+    assert sol.lam.size == 352
+    lat, mesh = fine_lattice(16), build_mesh(4)
+    u = FieldP1(mesh=mesh, values=np.zeros(mesh.n_interior))
+
+    def peak(N):
+        tm = build_time_mesh(N, 1.6, 0.5)
+        tracemalloc.start()
+        try:
+            tracker = ErrorTracker(sol, lat, tm, mesh)
+            for n in range(1, N + 1):
+                tracker(n, tm.t[n], u)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(2000) - peak(200) < 32 * sol.lam.size * 8
+
+
+def test_eval_grid_keeps_the_tracker_decay_block(monkeypatch):
+    # eval_grid between two reads of one block of a tracker's decay evaluates
+    # its own row only, and the tracker keeps its block; both evaluate the
+    # decay on the series' distinct eigenvalues: one oracle argument per
+    # distinct eigenvalue, no np.unique
+    from subdiff.exact import decay_table, eval_grid, series_on_grid, sine_matrices
     from subdiff.stepping import build_time_mesh
     from subdiff.study import ErrorTracker
     sol = make_series(DATA["example2"], 0.75, K=60)
     assert (sol.lam.size, sol.index.size) == (352, 900)
     tm = build_time_mesh(30, 1.6, 0.5)
     lat = fine_lattice(16)
-    _decay_table.cache_clear()
 
     def no_unique(*args, **kwargs):
         raise AssertionError("np.unique called after make_series")
@@ -250,14 +301,10 @@ def test_eval_grid_keeps_the_study_decay_table(monkeypatch):
     a = ErrorTracker(sol, lat, tm, build_mesh(2))
     a.exact_on_lattice(1)
     vals = eval_grid(sol, 0.1, lat.xs, lat.xs)
-    assert calls == [tm.N * sol.lam.size, sol.lam.size]
-    b = ErrorTracker(sol, lat, tm, build_mesh(4))
-    b.exact_on_lattice(tm.N)
+    a.exact_on_lattice(tm.N)
     assert calls == [tm.N * sol.lam.size, sol.lam.size]
     monkeypatch.undo()
-    assert a.decay is b.decay
-    assert _decay_table.cache_info().misses == 1
-    # the same values as a row of the cached table, bit for bit
+    # the same values as a row of the whole table, bit for bit
     table = decay_table(sol, [0.1])
     ref = series_on_grid(sol, table[0][sol.index], *sine_matrices(sol, lat.xs, lat.xs))
     assert np.array_equal(vals, ref)
@@ -265,10 +312,10 @@ def test_eval_grid_keeps_the_study_decay_table(monkeypatch):
 
 @pytest.mark.parametrize("change", ["alpha", "K", "N", "T"])
 def test_error_tracker_decay_table_keyed_by_value(change, monkeypatch):
-    from subdiff.exact import _decay_table
+    # a tracker reads the decay of its own alpha, modes and time mesh, also
+    # after a tracker on other values has read its own
     from subdiff.stepping import build_time_mesh
     from subdiff.study import ErrorTracker
-    _decay_table.cache_clear()
     lat, mesh = fine_lattice(16), build_mesh(4)
     sol = make_series(DATA["example1"], 0.75, K=12)
     tm = build_time_mesh(30, 1.6, 0.5)
@@ -284,41 +331,33 @@ def test_error_tracker_decay_table_keyed_by_value(change, monkeypatch):
     calls = _count_mlf_calls(monkeypatch)
     tracker = ErrorTracker(sol, lat, tm, mesh)
     tracker.exact_on_lattice(1)
-    assert len(calls) == 1
+    assert calls == [tm.N * sol.lam.size]
     monkeypatch.undo()
-    assert np.array_equal(tracker.decay.full()[:, sol.index], _fresh_decay(sol, tm))
+    assert np.array_equal(_read_all(tracker.decay, tm.N)[:, sol.index], _fresh_decay(sol, tm))
 
 
 def test_decay_table_is_read_only():
-    from subdiff.exact import _decay_table
+    # the rows a reader hands out are views of its block and cannot be written
+    from subdiff.exact import DecayReader
     from subdiff.stepping import build_time_mesh
     sol = make_series(DATA["example1"], 0.75, K=8)
-    lam_u = np.unique(_block_eigenvalues(sol))
-    t = build_time_mesh(20, 1.6, 0.5).t[1:]
-    table = _decay_table(sol.alpha, lam_u.tobytes(), t.tobytes())
-    row = table.row(3)
-    assert row.shape == (lam_u.size,)
-    assert not row.flags.writeable
-    with pytest.raises(ValueError):
-        row[0] = 0.0
-    rows = table.full()
-    assert rows.shape == (20, lam_u.size)
-    assert not rows.flags.writeable
-    with pytest.raises(ValueError):
-        rows[0, 0] = 0.0
-    assert _decay_table(sol.alpha, lam_u.tobytes(), t.tobytes()) is table
+    reader = DecayReader(sol, build_time_mesh(20, 1.6, 0.5).t[1:])
+    for k in (3, 4):
+        row = reader.row(k)
+        assert row.shape == (sol.lam.size,)
+        assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[0] = 0.0
 
 
 def test_first_step_evaluates_one_block_of_the_decay(monkeypatch):
-    # a study's first step waits for the decay of its first 32 steps, not
+    # a run's first step waits for the decay of its first 32 steps, not
     # of all N; every later block is evaluated when its first step reads it
     from subdiff.config import ExperimentConfig
-    from subdiff.exact import _decay_table
     from subdiff.study import run_single
     cfg = ExperimentConfig(example="example2", M=[4], N=100, modes=12, fine_M=8)
     cfg.validate()
     n_lam = make_series(DATA["example2"], cfg.alpha, cfg.modes).lam.size
-    _decay_table.cache_clear()
     calls = _count_mlf_calls(monkeypatch)
     seen = {}
 
@@ -334,45 +373,41 @@ def test_first_step_evaluates_one_block_of_the_decay(monkeypatch):
 
 def test_decay_table_read_row_by_row_matches_full_table():
     # rows read one at a time, in any order, are the rows of the whole
-    # table of the same key, bit for bit; the last block is partial
-    from subdiff.exact import DecayTable, decay_table
+    # table of the same times, bit for bit; the last block is partial
+    from subdiff.exact import DecayReader, decay_table
     from subdiff.stepping import build_time_mesh
     sol = make_series(DATA["example3"], 0.4, K=20)
     t = build_time_mesh(75, 1.6, 0.5).t[1:]
-    lazy = DecayTable(sol.alpha, sol.lam, t)
+    reader = DecayReader(sol, t)
     order = np.random.default_rng(7).permutation(t.size)
     rows = np.empty((t.size, sol.lam.size))
     for k in order:
-        row = lazy.row(k)
-        assert not row.flags.writeable
-        rows[k] = row
+        rows[k] = reader.row(k)
     assert np.array_equal(rows, decay_table(sol, t))
-    assert np.array_equal(lazy.full(), decay_table(sol, t))
 
 
 def test_decay_table_row_index_is_checked():
-    # a row past either end is an IndexError, never a row of the empty
-    # table; a negative index counts from the end, as for the whole table
-    from subdiff.exact import DecayTable, decay_table
+    # a row past either end is an IndexError, never a row of another
+    # block; a negative index counts from the end, as for the whole table
+    from subdiff.exact import DecayReader, decay_table
     from subdiff.stepping import build_time_mesh
     sol = make_series(DATA["example1"], 0.75, K=8)
     t = build_time_mesh(40, 1.6, 0.5).t[1:]
-    table = DecayTable(sol.alpha, sol.lam, t)
-    assert np.array_equal(table.row(-1), decay_table(sol, t)[-1])
+    reader = DecayReader(sol, t)
+    assert np.array_equal(reader.row(-1), decay_table(sol, t)[-1])
     for k in (40, -41):
         with pytest.raises(IndexError):
-            DecayTable(sol.alpha, sol.lam, t).row(k)
+            reader.row(k)
 
 
 def test_non_finite_decay_block_raises(monkeypatch):
     # a block with a non-finite value raises on every read of its rows,
-    # and the blocks before it stay readable
-    from subdiff.exact import DecayTable
+    # and the block held before it stays readable
+    from subdiff.exact import DecayReader
     from subdiff.exceptions import EvaluationError
     from subdiff.stepping import build_time_mesh
     sol = make_series(DATA["example1"], 0.6, K=8)
-    t = build_time_mesh(80, 1.6, 0.5).t[1:]
-    table = DecayTable(sol.alpha, sol.lam, t)
+    reader = DecayReader(sol, build_time_mesh(80, 1.6, 0.5).t[1:])
     real = MlfEvaluator.__call__
     calls = []
 
@@ -381,13 +416,13 @@ def test_non_finite_decay_block_raises(monkeypatch):
         return real(self, x) if len(calls) == 1 else np.full(np.shape(x), np.nan)
 
     monkeypatch.setattr(MlfEvaluator, "__call__", nan_after_first_call)
-    first = table.row(0).copy()
+    first = reader.row(0).copy()
     message = r"^Mittag-Leffler decay E_alpha\(-lambda t\^alpha\) is not finite for alpha=0\.6$"
-    for read in (lambda: table.row(40), lambda: table.row(63), table.full):
+    for k in (40, 63, 79):
         with pytest.raises(EvaluationError, match=message):
-            read()
-    assert np.array_equal(table.row(0), first)
-    assert calls == [32 * sol.lam.size] * 4
+            reader.row(k)
+    assert np.array_equal(reader.row(0), first)
+    assert calls == [32 * sol.lam.size] * 3 + [16 * sol.lam.size]
 
 
 @pytest.mark.parametrize("M, M_s", [pytest.param(M, 128, id=str(M))
