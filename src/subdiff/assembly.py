@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import sparse
 from .exceptions import CoefficientRangeError, EvaluationError
 from .mesh import StructuredMesh
-from .sparse import LinearSolver, SparseMatrix
 
 # Corners of a cell's lower (LL, LR, UR) and upper (LL, UR, UL) triangle, as
 # (x, y) offsets from the cell's lower-left vertex.
@@ -68,7 +68,7 @@ def _eval_on(g, *args: np.ndarray) -> np.ndarray:
     return out
 
 
-def _assemble(M: int, coef: np.ndarray, local: np.ndarray) -> SparseMatrix:
+def _assemble(M: int, coef: np.ndarray, local: np.ndarray) -> sparse.SparseMatrix:
     """Sum the element matrices coef[cy, cx, s] * local[s] of every triangle
     into the ELL pair over the interior dofs.
 
@@ -93,17 +93,17 @@ def _assemble(M: int, coef: np.ndarray, local: np.ndarray) -> SparseMatrix:
     E = np.where(stored, E, 0.0)
     J = np.where(stored, J, J[stored.argmax(axis=0), np.arange(m * m)])
     order = np.argsort(~stored, axis=0, kind="stable")[:stored.sum(axis=0).max()]
-    return SparseMatrix(E=np.take_along_axis(E, order, axis=0),
-                        J=np.take_along_axis(J, order, axis=0))
+    return sparse.SparseMatrix(E=np.take_along_axis(E, order, axis=0),
+                               J=np.take_along_axis(J, order, axis=0))
 
 
-def assemble_mass(mesh: StructuredMesh) -> SparseMatrix:
+def assemble_mass(mesh: StructuredMesh) -> sparse.SparseMatrix:
     """Mass matrix M_ij = (phi_i, phi_j); exact for P1 elements."""
     local = mesh.triangle_area / 12.0 * (np.ones((3, 3)) + np.eye(3))
     return _assemble(mesh.M, np.ones((mesh.M, mesh.M, 2)), np.stack([local, local]))
 
 
-def assemble_stiffness(mesh: StructuredMesh, a=None) -> SparseMatrix:
+def assemble_stiffness(mesh: StructuredMesh, a=None) -> sparse.SparseMatrix:
     """Stiffness matrix S_ij = (a grad phi_i, grad phi_j).
 
     The diffusivity is sampled once per element at the centroid, which keeps
@@ -173,9 +173,9 @@ def load_vector(mesh: StructuredMesh, g) -> np.ndarray:
 
 
 def l2_project(mesh: StructuredMesh, g, rtol: float = 1e-12) -> FieldP1:
-    """L2 projection of g onto the interior P1 space."""
+    """L2 projection of g onto the interior P1 space (Jacobi CG on the mass matrix)."""
     mass = assemble_mass(mesh)
     b = load_vector(mesh, g)
-    solver = LinearSolver(mass, rtol=rtol)
-    return FieldP1(mesh=mesh, values=solver.solve(b))
+    x, _ = sparse.cg_solve((mass.E, mass.J), b, 1.0 / mass.diagonal(), rtol=rtol)
+    return FieldP1(mesh=mesh, values=x)
 

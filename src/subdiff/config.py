@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from sys import float_info
 from dataclasses import asdict, dataclass, field, fields
 
 from .exact import DATA
@@ -73,6 +74,11 @@ class ExperimentConfig:
         for mu in self.mu:
             if mu < 0.0:
                 raise ConfigError(f"mu values must be >= 0, got {mu}")
+            # the largest weight T**mu must be a normal finite double (as logs:
+            # a float power raises OverflowError)
+            if not math.log(float_info.min) < mu * math.log(self.T) < math.log(float_info.max):
+                raise ConfigError(f"mu={mu} with T={self.T}: the final-time weight T**mu "
+                                  f"is not a normal finite number; lower mu")
         if len(set(self.mu)) != len(self.mu):
             raise ConfigError(f"mu values must be distinct, got {self.mu}")
         if self.fine_M < 2:

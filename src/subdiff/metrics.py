@@ -90,12 +90,17 @@ class ErrorReport:
 
 
 def weighted_errors(t: np.ndarray, errors: np.ndarray, mus) -> list[float]:
-    """E_mu = max_n t_n^mu err_n for each requested mu."""
+    """E_mu = max_n t_n^mu err_n for each requested mu; ValueError when one is not finite."""
     t = np.asarray(t, dtype=float)
     errors = np.asarray(errors, dtype=float)
     if t.size == 0 or t.size != errors.size:
         raise ValueError("need matching, nonempty step times and errors")
-    return [float(np.max(t ** float(mu) * errors)) for mu in mus]
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = [float(np.max(t ** float(mu) * errors)) for mu in mus]
+    for mu, e in zip(mus, E):
+        if not np.isfinite(e):
+            raise ValueError(f"E_mu for mu={mu} is not finite ({e}); lower mu")
+    return E
 
 
 def convergence_rates(errors) -> list[float]:

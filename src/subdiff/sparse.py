@@ -1,9 +1,10 @@
-"""ELLPACK matrices and an SPD solver (Jacobi-preconditioned CG).
+"""ELLPACK matrices, Jacobi-preconditioned CG, and the scheme's pencil solver.
 
-Serves the per-step solves of the time stepper: matrices here are symmetric
-positive definite, small (a few thousand rows), and share one sparsity
-pattern, so plain CG with a diagonal preconditioner and warm starts is a
-better fit than a factorizing solver.
+Serves the time stepper's solves (mass + s stiffness) x = b, a new s each
+step: the matrices are symmetric positive definite, small (a few thousand
+rows) and share one sparsity pattern, so ``cg_solve``, plain CG with a
+diagonal preconditioner and warm starts, fits better than a factorizing
+solver; ``LinearSolver`` binds it to the pencil.
 
 A matrix is stored in one format, column-major ELLPACK: two (K, n) arrays
 E and J, K the longest row, with row i's k-th stored entry in E[k, i] and
@@ -71,29 +72,26 @@ def _ell_matvec(E: np.ndarray, J: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LinearSolver:
-    """Jacobi-CG solver bound to one SPD matrix, or to the pencil matrix + s * shift.
+    """Jacobi-CG solver for the pencil matrix + s * shift, s chosen per solve.
 
-    With ``shift`` (same sparsity pattern as ``matrix``) each solve picks
-    its own s. Symmetry, finite entries and a positive diagonal are checked
-    and diagonals are taken once, here, so a time stepper needs one solver
-    per run. A solve with shift s applies E_matrix + s * E_shift (the two
-    share J), preconditioned as a solver built on that sum would be. As the
-    stepper's pencil it applies mass(u) = matrix u and stiffness(u) = shift u.
+    ``matrix`` and ``shift`` share one sparsity pattern. Symmetry, finite
+    entries and a positive diagonal are checked and diagonals are taken
+    once, here, so a time stepper needs one solver per run. A solve with
+    shift s applies E_matrix + s * E_shift (the two share J), preconditioned
+    by the diagonal of that sum. As the stepper's pencil it applies
+    mass(u) = matrix u and stiffness(u) = shift u.
     """
 
     matrix: SparseMatrix
+    shift: SparseMatrix
     rtol: float = 1e-12
-    shift: SparseMatrix | None = None
     _diag: np.ndarray = field(init=False, repr=False, compare=False)
-    _shift_diag: np.ndarray | None = field(init=False, default=None, repr=False,
-                                           compare=False)
+    _shift_diag: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.shift is not None and not np.array_equal(self.matrix.J, self.shift.J):
+        if not np.array_equal(self.matrix.J, self.shift.J):
             raise ValueError("shift must share the sparsity pattern of the matrix")
         for name, A in (("_diag", self.matrix), ("_shift_diag", self.shift)):
-            if A is None:
-                continue
             diag = A.diagonal()
             if not (np.isfinite(A.E).all() and np.all(diag > 0.0)):
                 raise ValueError("matrix is not SPD: an entry is not finite or a diagonal "
@@ -106,39 +104,28 @@ class LinearSolver:
         return matvec(self.matrix, u)
 
     def stiffness(self, u: np.ndarray) -> np.ndarray:
-        if self.shift is None:
-            raise ValueError("stiffness needs a solver built with a shift")
         return matvec(self.shift, u)
 
     def solve(self, rhs: np.ndarray, x0: np.ndarray | None = None,
               s: float = 0.0) -> np.ndarray:
-        """Solve (matrix + s * shift) x = rhs; s must be 0 without a shift."""
-        n = self.matrix.n
-        rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape != (n,):
-            raise ValueError("rhs length does not match matrix dimension")
+        """Solve (matrix + s * shift) x = rhs."""
         if not np.all(np.isfinite(rhs)):
             raise ValueError("rhs contains non-finite entries")
-        if x0 is not None and np.shape(x0) != (n,):
+        if x0 is not None and np.shape(x0) != (self.matrix.n,):
             raise ValueError("x0 length does not match matrix dimension")
-        if self.shift is None and s != 0.0:
-            raise ValueError("a nonzero s needs a solver built with a shift")
-        E, diag = self.matrix.E, self._diag
-        if self.shift is not None:
-            E = E + s * self.shift.E
-            diag = diag + s * self._shift_diag
-        x, residuals = cg_solve((E, self.matrix.J), rhs, 1.0 / diag, x0=x0,
-                                rtol=self.rtol, max_iter=10 * n + 1000)
-        return x
+        E = self.matrix.E + s * self.shift.E
+        dinv = 1.0 / (self._diag + s * self._shift_diag)
+        return cg_solve((E, self.matrix.J), rhs, dinv, x0=x0, rtol=self.rtol)[0]
 
 
 def cg_solve(ell: tuple[np.ndarray, np.ndarray], b: np.ndarray, dinv: np.ndarray,
              x0=None, rtol: float = 1e-12,
-             max_iter: int = 10000) -> tuple[np.ndarray, list[float]]:
+             max_iter: int | None = None) -> tuple[np.ndarray, list[float]]:
     """Jacobi-preconditioned CG. Returns (x, per-iteration residual norms).
 
-    ell is the (E, J) pair of A's ELL form and dinv the inverse of A's
-    diagonal. Stops when the true residual satisfies ||Ax-b|| <= rtol ||b||.
+    ell is the (E, J) pair of A's ELL form, dinv the inverse of A's diagonal
+    and max_iter 10 n + 1000 by default, n the size of A. Stops when the
+    true residual satisfies ||Ax-b|| <= rtol ||b||.
     When only the recursive residual does, CG restarts from the true one;
     raises SolverFailureError when such a restart's true residual is not
     below the last restart's (CG has stalled), past max_iter, or when ||b||
@@ -151,6 +138,7 @@ def cg_solve(ell: tuple[np.ndarray, np.ndarray], b: np.ndarray, dinv: np.ndarray
         raise ValueError(f"dimension mismatch: matrix {E.shape[1]}, vector {b.shape}")
     if not b.any():
         return np.zeros_like(b), [0.0]
+    max_iter = 10 * b.size + 1000 if max_iter is None else max_iter
     # an overflow makes a norm inf, which the finiteness checks below report
     with np.errstate(over="ignore"):
         bnorm = math.sqrt(float(b @ b))

@@ -188,7 +188,7 @@ def run(mesh: StructuredMesh, time_mesh: GradedTimeMesh, alpha: float, a,
     mass = assemble_mass(mesh)
     stiffness = assemble_stiffness(mesh, a)
     weights = frac_weights(time_mesh, alpha)
-    solver = LinearSolver(mass, rtol=rtol, shift=stiffness)
+    solver = LinearSolver(mass, shift=stiffness, rtol=rtol)
     state = SchemeState.start(u0_field.values, time_mesh.N)
     t, tau, N = time_mesh.t, time_mesh.tau, time_mesh.N
     for k in range(0, N, HISTORY_BLOCK):

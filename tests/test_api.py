@@ -78,7 +78,7 @@ def test_dataclass_fields_removed():
     assert [f.name for f in fields(MlfEvaluator)] == ["alpha"]
     assert [f.name for f in fields(SeriesSolution)] == ["alpha", "m", "n", "C2", "lam", "index"]
     assert [f.name for f in fields(SchemeState)] == ["us", "Z", "n"]
-    assert [f.name for f in fields(LinearSolver) if f.init] == ["matrix", "rtol", "shift"]
+    assert [f.name for f in fields(LinearSolver) if f.init] == ["matrix", "shift", "rtol"]
     rule = next(f for f in fields(InitialDatum) if f.name == "coefficient_rule")
     assert rule.default is MISSING
     for fn in (assemble_mass, assemble_stiffness):

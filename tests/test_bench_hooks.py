@@ -104,3 +104,6 @@ def test_trace_counts_one_oracle_evaluation_per_row():
     assert layers["metrics.interp_calls"] == 2 * cfg.N
     assert sum(span[1] == "study.exact_eval" for span in tracer.spans) == 2 * cfg.N
     assert layers["sparse.solver_builds"] == 2
+    # one CG per step and one per row's L2 projection of u_0, all traced
+    assert layers["sparse.cg_calls"] == len(cfg.M) * (cfg.N + 1) == 42
+    assert layers["sparse.cg_iters"] == 105

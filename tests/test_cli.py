@@ -39,7 +39,7 @@ def test_config_rejects_unknown_fields():
     dict(alpha=1.5), dict(alpha=0.0), dict(example="example9"),
     dict(M=[1]), dict(N=0), dict(gamma=0.5), dict(T=0.0),
     dict(modes=0), dict(mu=[-1.0]), dict(fine_M=100, M=[8]),
-    dict(M=[4, 4]), dict(mu=[]),
+    dict(M=[4, 4]), dict(mu=[]), dict(mu=[1100.0]), dict(T=2.0, mu=[0.0, 1100.0]),
 ])
 def test_config_validation(overrides):
     cfg = ExperimentConfig().replace(**overrides)
@@ -120,6 +120,34 @@ def test_zero_datum_study_has_no_rates(tmp_path, capsys, monkeypatch):
     assert err == ("error: invalid configuration: example 'zero' is the zero datum: "
                    "its error is 0 at every step, so a study of it has no "
                    "convergence rates or error curves\n")
+    assert not any(tmp_path.iterdir())
+
+
+def test_unrepresentable_final_time_weight_solve_exit_code(tmp_path, capsys, recwarn):
+    # 2 ** 1100 overflows a double: E_1100 used to print inf after a RuntimeWarning
+    code = main(["solve", "--M", "4", "--N", "5", "--modes", "4", "--fine-M", "8",
+                 "--T", "2", "--mu", "0,1100", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: invalid configuration: mu=1100.0 with T=2.0: the final-time weight T**mu "
+        "is not a normal finite number; lower mu\n")
+    assert not any(tmp_path.iterdir())
+    assert len(recwarn) == 0
+
+
+@pytest.mark.parametrize("T", [0.5, 2.0])
+def test_unrepresentable_final_time_weight_table_exit_code(T, tmp_path, capsys, monkeypatch):
+    # 0.5 ** 1100 underflows to 0, so the table used to fail on its rates after every row
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a weight T**mu out of range must stop the study before a solve")
+
+    monkeypatch.setattr(cli, "run_single", no_solve)
+    monkeypatch.setattr(study, "run_single", no_solve)
+    code = main(["table", "custom", "--M", "4,8", "--N", "5", "--modes", "4", "--fine-M", "8",
+                 "--T", str(T), "--mu", "0,1100", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: invalid configuration: mu=1100.0 with T={T}: ")
     assert not any(tmp_path.iterdir())
 
 

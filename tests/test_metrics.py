@@ -77,6 +77,12 @@ def test_weighted_errors_basic():
     assert weighted_errors(t, errs, [1.0])[0] == pytest.approx(0.3)
 
 
+def test_weighted_errors_rejects_non_finite_weighted_error():
+    # 2 ** 1100 overflows: no inf E_mu and no RuntimeWarning (an error under pytest)
+    with pytest.raises(ValueError, match=r"E_mu for mu=1100.0 is not finite"):
+        weighted_errors([2.0], [1.0], [1100.0])
+
+
 def test_weighted_errors_validation():
     with pytest.raises(ValueError):
         weighted_errors(np.array([]), np.array([]), [0.0])

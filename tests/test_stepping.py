@@ -11,7 +11,7 @@ from subdiff.exact import DATA
 from subdiff.exceptions import EvaluationError
 from subdiff.mesh import build_mesh
 from subdiff.mittag_leffler import MlfEvaluator, gamma
-from subdiff.sparse import LinearSolver, matvec
+from subdiff.sparse import LinearSolver, cg_solve, matvec
 from subdiff.stepping import SchemeState, build_time_mesh, frac_weights, run, step
 
 from oracles import DiagonalPencil, add_scaled, heat_crank_nicolson_reference, to_dense
@@ -199,7 +199,7 @@ def _direct_sum_run(mesh, tm, alpha, a, u0, f):
         t_mid = 0.5 * (tm.t[n - 1] + tm.t[n])
         rhs += tm.tau[n - 1] * load_vector(mesh, lambda x, y: f(x, y, t_mid))
         lhs = add_scaled(mass, stiff, 1.0, theta * c[n - 1])
-        us.append(LinearSolver(lhs).solve(rhs, x0=us[-1]))
+        us.append(cg_solve((lhs.E, lhs.J), rhs, 1.0 / lhs.diagonal(), x0=us[-1])[0])
         Z[n - 1] = matvec(stiff, us[1] if n == 1 else 0.5 * (us[n] + us[n - 1]))
     return us
 
