@@ -14,7 +14,7 @@ from .mesh import StructuredMesh, build_mesh
 from .metrics import (ErrorReport, FineLattice, LatticeInterpolator,
                       convergence_rates, fine_lattice, weighted_errors)
 from .mittag_leffler import MlfEvaluator, gamma
-from .sparse import LinearSolver, SparseMatrix, cg_solve, matvec
+from .sparse import LinearSolver, Stencil, cg_solve, matvec
 from .stepping import (FracWeights, GradedTimeMesh, SchemeState, build_time_mesh,
                        frac_weights, run, step)
 from .study import ErrorTracker, RunResult, TableResult, run_single, run_table
@@ -26,7 +26,7 @@ __all__ = [
     "EvaluationError", "ExperimentConfig", "FieldP1", "FineLattice",
     "FracWeights", "GradedTimeMesh", "InitialDatum", "LatticeInterpolator",
     "LinearSolver", "MlfEvaluator", "RunResult", "SchemeState", "SeriesSolution", "SolverFailureError",
-    "SparseMatrix", "StructuredMesh", "TableResult",
+    "Stencil", "StructuredMesh", "TableResult",
     "assemble_mass", "assemble_stiffness", "build_mesh", "build_time_mesh",
     "cg_solve", "convergence_rates", "eval_grid",
     "fine_lattice", "frac_weights", "gamma",

@@ -27,10 +27,6 @@ _CORNERS = (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1)))
 _AROUND = [((cx, cy), s) for cy in (-1, 0) for cx in (-1, 0) for s in (0, 1)
            if (-cx, -cy) in _CORNERS[s]]
 
-# Lattice offsets (dx, dy) of a row's 7 stencil columns, in column order: the
-# dof offsets (-m-1, -m, -1, 0, 1, m, m+1), m = M - 1.
-_STENCIL = ((-1, -1), (0, -1), (-1, 0), (0, 0), (1, 0), (0, 1), (1, 1))
-
 # Element stiffness (grad phi_i, grad phi_j) of the two triangles, with i and j
 # in _CORNERS order: the gradients are +-M and area * M^2 = 1/2, so each is
 # 1/2 of an integer matrix.
@@ -68,42 +64,34 @@ def _eval_on(g, *args: np.ndarray) -> np.ndarray:
     return out
 
 
-def _assemble(M: int, coef: np.ndarray, local: np.ndarray) -> sparse.SparseMatrix:
+def _assemble(M: int, coef: np.ndarray, local: np.ndarray) -> sparse.Stencil:
     """Sum the element matrices coef[cy, cx, s] * local[s] of every triangle
-    into the ELL pair over the interior dofs.
+    into the stencil's center, east, north and north-east couplings.
 
-    Each interior vertex's row sums, in each of its 7 stencil slots, the
-    entries of its 6 triangles in triangle order as v0 + (v1 + v2 + ...),
-    the order of the COO build. Slots whose column is a boundary vertex
-    are dropped; each row's stored slots then move to the front, and the
-    rest pad with 0 and the row's first column.
+    Each interior vertex's coupling sums the entries of its triangles (6 for
+    the center, the 2 along the edge otherwise) in triangle order as
+    v0 + (v1 + v2 + ...), the order of the COO build. Couplings to boundary
+    vertices are 0.
     """
-    m = M - 1
-    terms = {d: [] for d in _STENCIL}
+    terms = {(0, 0): [], (1, 0): [], (0, 1): [], (1, 1): []}
     for (cx, cy), s in _AROUND:
         c = coef[1 + cy:M + cy, 1 + cx:M + cx, s]  # [j - 1, i - 1] at vertex (i, j)
         i = _CORNERS[s].index((-cx, -cy))
         for j, (px, py) in enumerate(_CORNERS[s]):
-            terms[cx + px, cy + py].append(c * local[s, i, j])
-    dof = np.full((M + 1, M + 1), -1)
-    dof[1:-1, 1:-1] = np.arange(m * m).reshape(m, m)
-    J = np.stack([dof[1 + dy:M + dy, 1 + dx:M + dx].ravel() for dx, dy in _STENCIL])
-    stored = J >= 0
-    E = np.stack([(v[0] + sum(v[2:], v[1])).ravel() for v in terms.values()])
-    E = np.where(stored, E, 0.0)
-    J = np.where(stored, J, J[stored.argmax(axis=0), np.arange(m * m)])
-    order = np.argsort(~stored, axis=0, kind="stable")[:stored.sum(axis=0).max()]
-    return sparse.SparseMatrix(E=np.take_along_axis(E, order, axis=0),
-                               J=np.take_along_axis(J, order, axis=0))
+            if (cx + px, cy + py) in terms:
+                terms[cx + px, cy + py].append(c * local[s, i, j])
+    coef = np.stack([v[0] + sum(v[2:], v[1]) for v in terms.values()])
+    coef[[1, 3], :, -1] = coef[2:, -1] = 0.0  # E and NE at i = m - 1, N and NE at j = m - 1
+    return sparse.Stencil(coef)
 
 
-def assemble_mass(mesh: StructuredMesh) -> sparse.SparseMatrix:
+def assemble_mass(mesh: StructuredMesh) -> sparse.Stencil:
     """Mass matrix M_ij = (phi_i, phi_j); exact for P1 elements."""
     local = mesh.triangle_area / 12.0 * (np.ones((3, 3)) + np.eye(3))
     return _assemble(mesh.M, np.ones((mesh.M, mesh.M, 2)), np.stack([local, local]))
 
 
-def assemble_stiffness(mesh: StructuredMesh, a=None) -> sparse.SparseMatrix:
+def assemble_stiffness(mesh: StructuredMesh, a=None) -> sparse.Stencil:
     """Stiffness matrix S_ij = (a grad phi_i, grad phi_j).
 
     The diffusivity is sampled once per element at the centroid, which keeps
@@ -176,6 +164,6 @@ def l2_project(mesh: StructuredMesh, g, rtol: float = 1e-12) -> FieldP1:
     """L2 projection of g onto the interior P1 space (Jacobi CG on the mass matrix)."""
     mass = assemble_mass(mesh)
     b = load_vector(mesh, g)
-    x, _ = sparse.cg_solve((mass.E, mass.J), b, 1.0 / mass.diagonal(), rtol=rtol)
+    x, _ = sparse.cg_solve(mass, b, rtol=rtol)
     return FieldP1(mesh=mesh, values=x)
 

@@ -1,21 +1,24 @@
-"""ELLPACK matrices, Jacobi-preconditioned CG, and the scheme's pencil solver.
+"""Symmetric stencil operators, Jacobi-preconditioned CG, and the scheme's pencil solver.
 
 Serves the time stepper's solves (mass + s stiffness) x = b, a new s each
-step: the matrices are symmetric positive definite, small (a few thousand
-rows) and share one sparsity pattern, so ``cg_solve``, plain CG with a
-diagonal preconditioner and warm starts, fits better than a factorizing
-solver; ``LinearSolver`` binds it to the pencil.
+step: the matrices are symmetric positive definite and small (a few
+thousand rows), so ``cg_solve``, plain CG with a diagonal preconditioner and
+warm starts, fits better than a factorizing solver; ``LinearSolver`` binds
+it to the pencil.
 
-A matrix is stored in one format, column-major ELLPACK: two (K, n) arrays
-E and J, K the longest row, with row i's k-th stored entry in E[k, i] and
-its column in J[k, i]. Each row's entries are stored in increasing column
-order; shorter rows are padded with value 0 and the row's first column.
-``matvec`` sums row i as a_0 + (a_1 + ... + a_(K-1)), a_k the products
-E[k, i] * x[J[k, i]], added in k order; padding adds exact zeros.
+Every operator is a ``Stencil``. The P1 matrices couple interior dof (i, j)
+only to (i +- 1, j), (i, j +- 1), (i - 1, j - 1) and (i + 1, j + 1), so four
+(m, m) arrays, m = M - 1, indexed [j, i] like the dofs, hold one: the center,
+east, north and north-east couplings, the west, south and south-west ones
+being the neighbours'. So every operator is symmetric; couplings to boundary
+vertices are 0. ``matvec`` sums each row's 7 products SW, S, W, C, E, N, NE
+from left to right; a slot at a boundary neighbour has coefficient 0 and
+reads the dof itself.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -24,81 +27,70 @@ import numpy as np
 from .exceptions import SolverFailureError
 
 
-@dataclass(frozen=True)
-class SparseMatrix:
-    """Square matrix as the ELLPACK pair (E, J) (see the module docstring)."""
+@functools.lru_cache(maxsize=None)
+def _neighbours(m: int) -> np.ndarray:
+    """(7, m * m): the dof each row's SW, S, W, C, E, N, NE slot reads, the
+    row's own where that neighbour is a boundary vertex."""
+    r = np.arange(m * m).reshape(m, m)
+    at = np.stack([r] * 7)
+    at[0, 1:, 1:], at[1, 1:], at[2, :, 1:] = r[:-1, :-1], r[:-1], r[:, :-1]
+    at[4, :, :-1], at[5, :-1], at[6, :-1, :-1] = r[:, 1:], r[1:], r[1:, 1:]
+    at = at.reshape(7, m * m)
+    at.setflags(write=False)
+    return at
 
-    E: np.ndarray
-    J: np.ndarray
+
+@dataclass(frozen=True)
+class Stencil:
+    """Symmetric operator on the (m, m) interior dofs; coef[k, j, i] is dof
+    (i, j)'s center, east, north or north-east coupling for k = 0..3."""
+
+    coef: np.ndarray
+    _slots: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.E.ndim != 2 or self.J.shape != self.E.shape:
-            raise ValueError("E and J must be (K, n) arrays of one shape")
-        for arr in (self.E, self.J):
-            arr.setflags(write=False)
+        m = self.coef.shape[-1]
+        if self.coef.shape != (4, m, m):
+            raise ValueError(f"coef must be a (4, m, m) array, got shape {self.coef.shape}")
+        self.coef.setflags(write=False)
+        slots = np.zeros((7, m, m))
+        slots[0, 1:, 1:] = self.coef[3, :-1, :-1]  # SW: the NE coupling of (i - 1, j - 1)
+        slots[1, 1:] = self.coef[2, :-1]           # S: the N coupling of (i, j - 1)
+        slots[2, :, 1:] = self.coef[1, :, :-1]     # W: the E coupling of (i - 1, j)
+        slots[3:] = self.coef
+        object.__setattr__(self, "_slots", slots.reshape(7, m * m))
 
     @property
     def n(self) -> int:
-        return self.E.shape[1]
-
-    def diagonal(self) -> np.ndarray:
-        return np.where(self.J == np.arange(self.n), self.E, 0.0).sum(axis=0)
-
-    def max_asymmetry(self) -> float:
-        """max |A_ij - A_ji| relative to max |A_ij|; inf when the pattern is not symmetric."""
-        E, J = self.E, self.J
-        match = J[:, J] == np.arange(self.n)  # [l, k, i]: row J[k, i] stores column i in slot l
-        if not match.any(axis=0).all():
-            return math.inf
-        Et = E[match.argmax(axis=0), J]  # A[J[k, i], i]: the first match, never padding
-        padding = J == J[0]  # a row's columns are distinct; padding repeats the first
-        padding[0] = False
-        scale = np.abs(E).max()
-        return float(np.abs(np.where(padding, 0.0, E - Et)).max() / scale) if scale else 0.0
+        return self.coef.shape[1] ** 2
 
 
-def matvec(A: SparseMatrix, x: np.ndarray) -> np.ndarray:
+def matvec(A: Stencil, x: np.ndarray) -> np.ndarray:
     """y = A x with a fixed per-row summation order."""
     x = np.asarray(x, dtype=float)
     if x.shape != (A.n,):
         raise ValueError(f"dimension mismatch: matrix {A.n}, vector {x.shape}")
-    return _ell_matvec(A.E, A.J, x)
-
-
-def _ell_matvec(E: np.ndarray, J: np.ndarray, x: np.ndarray) -> np.ndarray:
-    P = E * x[J]
-    return P[0] + np.add.reduce(P[1:], axis=0)
+    return np.add.reduce(A._slots * x[_neighbours(A.coef.shape[1])], axis=0)
 
 
 @dataclass(frozen=True)
 class LinearSolver:
     """Jacobi-CG solver for the pencil matrix + s * shift, s chosen per solve.
 
-    ``matrix`` and ``shift`` share one sparsity pattern. Symmetry, finite
-    entries and a positive diagonal are checked and diagonals are taken
-    once, here, so a time stepper needs one solver per run. A solve with
-    shift s applies E_matrix + s * E_shift (the two share J), preconditioned
-    by the diagonal of that sum. As the stepper's pencil it applies
-    mass(u) = matrix u and stiffness(u) = shift u.
+    Finite coefficients and positive centers are checked once, here, so a
+    time stepper needs one solver per run. As the stepper's pencil it
+    applies mass(u) = matrix u and stiffness(u) = shift u.
     """
 
-    matrix: SparseMatrix
-    shift: SparseMatrix
+    matrix: Stencil
+    shift: Stencil
     rtol: float = 1e-12
-    _diag: np.ndarray = field(init=False, repr=False, compare=False)
-    _shift_diag: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not np.array_equal(self.matrix.J, self.shift.J):
-            raise ValueError("shift must share the sparsity pattern of the matrix")
-        for name, A in (("_diag", self.matrix), ("_shift_diag", self.shift)):
-            diag = A.diagonal()
-            if not (np.isfinite(A.E).all() and np.all(diag > 0.0)):
+        for A in (self.matrix, self.shift):
+            if not (np.isfinite(A.coef).all() and np.all(A.coef[0] > 0.0)):
                 raise ValueError("matrix is not SPD: an entry is not finite or a diagonal "
                                  "entry is not positive")
-            if (asym := A.max_asymmetry()) > 1e-12:
-                raise ValueError(f"matrix is not symmetric (relative asymmetry {asym:.2e})")
-            object.__setattr__(self, name, diag)
 
     def mass(self, u: np.ndarray) -> np.ndarray:
         return matvec(self.matrix, u)
@@ -113,32 +105,30 @@ class LinearSolver:
             raise ValueError("rhs contains non-finite entries")
         if x0 is not None and np.shape(x0) != (self.matrix.n,):
             raise ValueError("x0 length does not match matrix dimension")
-        E = self.matrix.E + s * self.shift.E
-        dinv = 1.0 / (self._diag + s * self._shift_diag)
-        return cg_solve((E, self.matrix.J), rhs, dinv, x0=x0, rtol=self.rtol)[0]
+        return cg_solve(Stencil(self.matrix.coef + s * self.shift.coef), rhs, x0=x0,
+                        rtol=self.rtol)[0]
 
 
-def cg_solve(ell: tuple[np.ndarray, np.ndarray], b: np.ndarray, dinv: np.ndarray,
-             x0=None, rtol: float = 1e-12,
+def cg_solve(A: Stencil, b: np.ndarray, x0=None, rtol: float = 1e-12,
              max_iter: int | None = None) -> tuple[np.ndarray, list[float]]:
     """Jacobi-preconditioned CG. Returns (x, per-iteration residual norms).
 
-    ell is the (E, J) pair of A's ELL form, dinv the inverse of A's diagonal
-    and max_iter 10 n + 1000 by default, n the size of A. Stops when the
-    true residual satisfies ||Ax-b|| <= rtol ||b||.
+    The preconditioner is the inverse of A's center, and max_iter 10 n + 1000
+    by default, n the size of A. Stops when the true residual satisfies
+    ||Ax-b|| <= rtol ||b||.
     When only the recursive residual does, CG restarts from the true one;
     raises SolverFailureError when such a restart's true residual is not
     below the last restart's (CG has stalled), past max_iter, or when ||b||
     or a residual norm is not finite (or ||b|| underflows to 0 for a
     nonzero b).
     """
-    E, J = ell
     b = np.asarray(b, dtype=float)
-    if b.shape != (E.shape[1],):
-        raise ValueError(f"dimension mismatch: matrix {E.shape[1]}, vector {b.shape}")
+    if b.shape != (A.n,):
+        raise ValueError(f"dimension mismatch: matrix {A.n}, vector {b.shape}")
     if not b.any():
         return np.zeros_like(b), [0.0]
     max_iter = 10 * b.size + 1000 if max_iter is None else max_iter
+    dinv = 1.0 / A.coef[0].ravel()
     # an overflow makes a norm inf, which the finiteness checks below report
     with np.errstate(over="ignore"):
         bnorm = math.sqrt(float(b @ b))
@@ -146,7 +136,7 @@ def cg_solve(ell: tuple[np.ndarray, np.ndarray], b: np.ndarray, dinv: np.ndarray
             raise SolverFailureError(f"norm of b is not finite and nonzero: {bnorm}",
                                      residual=math.nan)
         x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
-        r = b - _ell_matvec(E, J, x)
+        r = b - matvec(A, x)
         residuals = [math.sqrt(float(r @ r))]
         tol_abs = rtol * bnorm
         z = np.empty_like(b)
@@ -157,7 +147,7 @@ def cg_solve(ell: tuple[np.ndarray, np.ndarray], b: np.ndarray, dinv: np.ndarray
         while it < max_iter:
             if residuals[-1] <= tol_abs:
                 # recursion may drift from the true residual; confirm before exiting
-                true_r = b - _ell_matvec(E, J, x)
+                true_r = b - matvec(A, x)
                 tn = math.sqrt(float(true_r @ true_r))
                 if tn <= tol_abs:
                     return x, residuals
@@ -178,7 +168,7 @@ def cg_solve(ell: tuple[np.ndarray, np.ndarray], b: np.ndarray, dinv: np.ndarray
             else:
                 p *= rz / rz_prev
                 p += z
-            Ap = _ell_matvec(E, J, p)
+            Ap = matvec(A, p)
             alpha = rz / float(p @ Ap)
             np.multiply(p, alpha, out=tmp)
             x += tmp
@@ -187,7 +177,7 @@ def cg_solve(ell: tuple[np.ndarray, np.ndarray], b: np.ndarray, dinv: np.ndarray
             rz_prev = rz
             residuals.append(math.sqrt(float(r @ r)))
             it += 1
-        r = b - _ell_matvec(E, J, x)
+        r = b - matvec(A, x)
         final = math.sqrt(float(r @ r)) / bnorm
         raise SolverFailureError(
             f"CG did not converge in {max_iter} iterations (relative residual {final:.3e})",

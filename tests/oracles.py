@@ -7,7 +7,7 @@ import numpy as np
 
 from subdiff.exact import InitialDatum
 from subdiff.mittag_leffler import _NODES, _WEIGHTS
-from subdiff.sparse import SparseMatrix
+from subdiff.sparse import Stencil
 from subdiff.stepping import FracWeights
 
 # Frozen values of E_alpha(-x) from the extended-precision series oracle
@@ -88,10 +88,33 @@ MLF_HALF_IDENTITY = [
 ]
 
 
-def to_dense(A: SparseMatrix) -> np.ndarray:
-    """The ELL matrix as a dense array (padding adds zeros)."""
+def to_csr(A: Stencil) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A's entries between interior dofs as (rows, cols, values), lexsorted by
+    (row, column): each center, east, north or north-east coupling of dof r
+    to an interior neighbour q at (r, q) and, off the center, at (q, r).
+    Couplings to boundary vertices must be 0."""
+    m = A.coef.shape[1]
+    r = np.arange(m * m)
+    j, i = np.divmod(r, m)
+    parts = []
+    for v, (di, dj) in zip(A.coef, ((0, 0), (1, 0), (0, 1), (1, 1))):
+        inside = (i + di < m) & (j + dj < m)
+        v = v.ravel()
+        assert not v[~inside].any(), "a coupling to a boundary vertex is not 0"
+        p, q, v = r[inside], r[inside] + dj * m + di, v[inside]
+        parts.append((p, q, v))
+        if di or dj:
+            parts.append((q, p, v))
+    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
+    order = np.lexsort((cols, rows))
+    return rows[order], cols[order], vals[order]
+
+
+def to_dense(A: Stencil) -> np.ndarray:
+    """The stencil as a dense array."""
+    rows, cols, vals = to_csr(A)
     D = np.zeros((A.n, A.n))
-    np.add.at(D, (np.broadcast_to(np.arange(A.n), A.J.shape), A.J), A.E)
+    np.add.at(D, (rows, cols), vals)
     return D
 
 
@@ -120,11 +143,11 @@ def triangulation(M: int) -> Triangulation:
     return Triangulation(nodes, triangles, interior_index.ravel())
 
 
-def ell_reference(mesh, local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(E, J) of the (ntri, 3, 3) element matrices of triangulation(mesh.M)
-    summed over the interior dofs the general way: COO triplets in triangle
-    order, lexsorted into CSR with each duplicate group summed by
-    np.add.reduceat, then laid out as padded column-major ELL."""
+def coo_reference(mesh, local: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, values) of the (ntri, 3, 3) element matrices of
+    triangulation(mesh.M) summed over the interior dofs the general way: COO
+    triplets in triangle order, lexsorted into CSR with each duplicate group
+    summed by np.add.reduceat."""
     tri = triangulation(mesh.M)
     dof = tri.interior_index[tri.triangles]
     rows = np.repeat(dof, 3, axis=1).ravel()
@@ -136,18 +159,7 @@ def ell_reference(mesh, local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     new = np.ones(rows.size, dtype=bool)
     new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
     starts = np.nonzero(new)[0]
-    data, r, c = np.add.reduceat(vals, starts), rows[starts], cols[starts]
-    n = mesh.n_interior
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, r + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    counts = np.diff(indptr)
-    k = np.arange(r.size) - indptr[r]
-    E = np.zeros((int(counts.max()), n))
-    E[k, r] = data
-    J = np.tile(c[indptr[:-1]], (E.shape[0], 1))
-    J[k, r] = c
-    return E, J
+    return rows[starts], cols[starts], np.add.reduceat(vals, starts)
 
 
 def frac_integral_nodes(weights: FracWeights, samples: np.ndarray) -> np.ndarray:
@@ -226,11 +238,9 @@ class DiagonalPencil(NamedTuple):
         return rhs / (1.0 + s * self.lam)
 
 
-def add_scaled(A: SparseMatrix, B: SparseMatrix, a: float, b: float) -> SparseMatrix:
-    """a*A + b*B for matrices sharing one sparsity pattern."""
-    if not np.array_equal(A.J, B.J):
-        raise ValueError("add_scaled requires identical sparsity patterns")
-    return SparseMatrix(E=a * A.E + b * B.E, J=A.J)
+def add_scaled(A: Stencil, B: Stencil, a: float, b: float) -> Stencil:
+    """a*A + b*B."""
+    return Stencil(a * A.coef + b * B.coef)
 
 
 def _locate_scalar(M, x, y):

@@ -73,7 +73,7 @@ def test_trace_hooks_resolve_and_count_one_run():
     assert layers["sparse.cg_calls"] == 40
     # the forcing is sampled once per history block of steps
     assert layers["assembly.load_vector_calls"] == math.ceil(40 / stepping.HISTORY_BLOCK) == 2
-    # first recorded with CSR matrices; the ELL assembly must not move the CG iterates
+    # first recorded with CSR matrices; the ELL and stencil formats kept it
     assert layers["sparse.cg_iters"] == 360
     # one stepping.step span per step, each counting its (n-1) history rows of 9 dofs
     assert sum(span[1] == "stepping.step" for span in tracer.spans) == 40

@@ -199,7 +199,7 @@ def _direct_sum_run(mesh, tm, alpha, a, u0, f):
         t_mid = 0.5 * (tm.t[n - 1] + tm.t[n])
         rhs += tm.tau[n - 1] * load_vector(mesh, lambda x, y: f(x, y, t_mid))
         lhs = add_scaled(mass, stiff, 1.0, theta * c[n - 1])
-        us.append(cg_solve((lhs.E, lhs.J), rhs, 1.0 / lhs.diagonal(), x0=us[-1])[0])
+        us.append(cg_solve(lhs, rhs, x0=us[-1])[0])
         Z[n - 1] = matvec(stiff, us[1] if n == 1 else 0.5 * (us[n] + us[n - 1]))
     return us
 
