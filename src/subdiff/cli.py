@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .benchmarks import PRESETS
 from .config import ConfigError, ExperimentConfig
+from .exact import DATA
 from .exceptions import SolverFailureError
 from .study import run_single, run_table
 
@@ -38,7 +39,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=str, default=None, help="JSON config file")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--example", type=str, default=None,
-                   help="example1 | example2 | example3 | zero")
+                   help=" | ".join(DATA))
     p.add_argument("--M", type=_int_list, default=None,
                    help="mesh subdivisions; comma-separated list for studies")
     p.add_argument("--N", type=int, default=None, help="time subintervals")
@@ -108,7 +109,7 @@ def cmd_solve(args) -> int:
     res = run_single(cfg, M)
     steps = _steps_path(outdir, cfg, M)
     with _writing_outputs(outdir):
-        res.report.write_steps_csv(steps)
+        res.write_steps_csv(steps)
     summary = ", ".join(f"E_{mu:g} = {val:.5e}" for mu, val in res.E_mu.items())
     print(f"{cfg.example} M={M} N={cfg.N} gamma={cfg.gamma} alpha={cfg.alpha}: {summary}")
     print(f"wrote {steps}")
@@ -141,8 +142,8 @@ def cmd_table(args) -> int:
     ]
     with _writing_outputs(outdir):
         csv_path.write_text(result.csv_text())
-        for path, report in zip(steps, result.reports):
-            report.write_steps_csv(path)
+        for path, run in zip(steps, result.runs):
+            run.write_steps_csv(path)
         gp.write_text("\n".join(lines) + "\n")
     print(result.text())
     print(f"wrote {csv_path}, {len(steps)} error-curve files and {gp}")

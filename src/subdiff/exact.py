@@ -6,10 +6,11 @@ eigenfunction expansion with modal decay E_alpha(-lambda_mn t^alpha). Each
 named initial datum carries its closed-form sine coefficients. The series
 is held as its active block, the modes m and n whose rows and columns of
 the coefficients hold a nonzero entry, with the block's distinct
-eigenvalues. A run reads its decay through a DecayReader, which evaluates
+eigenvalues. DecayReader is the one evaluator of the decay: it evaluates
 it once per distinct eigenvalue and time, one block of 32 time steps at a
-time, and holds only that block. series_on_grid sums the expansion on a
-tensor grid from the block's gather of one decay row.
+time, and holds only that block. A run reads its steps through one, and
+eval_grid reads its one time through another. series_on_grid sums the
+expansion on a tensor grid from the block's gather of one decay row.
 """
 
 from __future__ import annotations
@@ -119,15 +120,6 @@ def make_series(datum: InitialDatum, alpha: float, K: int = 60) -> SeriesSolutio
 _BLOCK = 32  # decay rows evaluated together; a run's first step waits for one block
 
 
-def _checked_times(t) -> np.ndarray:
-    """t as a float array; ValueError naming the first time that is not finite and >= 0."""
-    t = np.asarray(t, dtype=float)
-    bad = t[~(np.isfinite(t) & (t >= 0.0))]
-    if bad.size:
-        raise ValueError(f"time must be finite and >= 0, got {float(bad[0])!r}")
-    return t
-
-
 def _evaluate_decay(mlf: MlfEvaluator, lam: np.ndarray, t_alpha: np.ndarray) -> np.ndarray:
     """E_alpha(-lam t^alpha) at the times whose t^alpha is t_alpha, shape
     (t_alpha.size, lam.size). A non-finite value raises EvaluationError."""
@@ -145,13 +137,18 @@ class DecayReader:
     row of block b evaluates rows [32b, 32b + 32) and replaces the block
     held, so a run's first step waits for one block and its memory does
     not grow with the number of steps. Rows are handed out read-only;
-    row(k)[sol.index] is the series' decay at t[k].
+    row(k)[sol.index] is the series' decay at t[k]. A time that is not
+    finite and >= 0 is a ValueError naming the first such time.
     """
 
     def __init__(self, sol: SeriesSolution, t):
+        t = np.asarray(t, dtype=float)
+        bad = t[~(np.isfinite(t) & (t >= 0.0))]
+        if bad.size:
+            raise ValueError(f"time must be finite and >= 0, got {float(bad[0])!r}")
         self._mlf = MlfEvaluator(sol.alpha)
         self._lam = sol.lam
-        self._t_alpha = _checked_times(t) ** sol.alpha
+        self._t_alpha = t ** sol.alpha
         self._lo, self._block = None, None
 
     def row(self, k: int) -> np.ndarray:
@@ -163,12 +160,6 @@ class DecayReader:
             block.setflags(write=False)
             self._lo, self._block = lo, block
         return self._block[k - lo]
-
-
-def decay_table(sol: SeriesSolution, t) -> np.ndarray:
-    """E_alpha(-lambda t^alpha), shape (times, sol.lam.size), evaluated now;
-    table[k][sol.index] is the series' decay at t[k]."""
-    return _evaluate_decay(MlfEvaluator(sol.alpha), sol.lam, _checked_times(t) ** sol.alpha)
 
 
 def series_on_grid(sol: SeriesSolution, E: np.ndarray, Sx: np.ndarray,
@@ -185,7 +176,7 @@ def sine_matrices(sol: SeriesSolution, xs, ys) -> tuple[np.ndarray, np.ndarray]:
 
 def eval_grid(sol: SeriesSolution, t: float, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """u(x_i, y_j, t) on the tensor grid xs x ys."""
-    E = decay_table(sol, [t])[0]
+    E = DecayReader(sol, [t]).row(0)
     out = series_on_grid(sol, E[sol.index], *sine_matrices(sol, xs, ys))
     if not np.all(np.isfinite(out)):
         raise EvaluationError(f"series evaluation produced non-finite values at t={t}")

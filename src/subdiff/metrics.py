@@ -2,7 +2,8 @@
 
 The error at each accepted step is the max over the interior nodes of a
 fixed fine lattice of |P1-interpolated discrete solution - exact solution|;
-weighted variants multiply by t^mu before taking the max over steps.
+weighted variants multiply by t^mu before taking the max over steps. A
+run's per-step errors, and their CSV, are held by study.RunResult.
 """
 
 from __future__ import annotations
@@ -72,21 +73,6 @@ class LatticeInterpolator:
         cells = corners.reshape(4, M * M).T @ self._W  # [(sy, sx), (a, b)]
         out = cells.reshape(M, M, q, q).transpose(1, 2, 0, 3).reshape(M * q, M * q)
         return out[:-1, :-1]
-
-
-@dataclass
-class ErrorReport:
-    """Per-step errors of one solver run on an M x M mesh."""
-
-    M: int
-    t: np.ndarray
-    errors: np.ndarray
-
-    def write_steps_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("n,t,err\n")
-            for n, (tn, en) in enumerate(zip(self.t, self.errors), start=1):
-                fh.write(f"{n},{float(tn)!r},{float(en)!r}\n")
 
 
 def weighted_errors(t: np.ndarray, errors: np.ndarray, mus) -> list[float]:

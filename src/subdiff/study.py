@@ -10,8 +10,8 @@ from .assembly import FieldP1, l2_project
 from .config import ExperimentConfig
 from .exact import DATA, DecayReader, SeriesSolution, make_series, series_on_grid, sine_matrices
 from .mesh import StructuredMesh, build_mesh
-from .metrics import (ErrorReport, FineLattice, LatticeInterpolator, convergence_rates,
-                      fine_lattice, weighted_errors)
+from .metrics import (FineLattice, LatticeInterpolator, convergence_rates, fine_lattice,
+                      weighted_errors)
 from .stepping import build_time_mesh, run
 
 
@@ -43,8 +43,17 @@ class ErrorTracker:
 
 @dataclass
 class RunResult:
-    report: ErrorReport
+    """One run: the error at every step time t_n, n = 1..N, and E_mu by mu."""
+
+    t: np.ndarray
+    errors: np.ndarray
     E_mu: dict
+
+    def write_steps_csv(self, path) -> None:
+        with open(path, "w") as fh:
+            fh.write("n,t,err\n")
+            for n, (tn, en) in enumerate(zip(self.t, self.errors), start=1):
+                fh.write(f"{n},{float(tn)!r},{float(en)!r}\n")
 
 
 def run_single(cfg: ExperimentConfig, M: int, mus=None, observer_extra=None) -> RunResult:
@@ -64,9 +73,9 @@ def run_single(cfg: ExperimentConfig, M: int, mus=None, observer_extra=None) -> 
             observer_extra(n, t_n, u_n)
 
     run(mesh, time_mesh, cfg.alpha, None, u0, f=None, observer=observer, rtol=cfg.tol)
-    report = ErrorReport(M=M, t=time_mesh.t[1:], errors=tracker.errors)
-    return RunResult(report=report,
-                     E_mu=dict(zip(mus, weighted_errors(report.t, report.errors, mus))))
+    t = time_mesh.t[1:]
+    return RunResult(t=t, errors=tracker.errors,
+                     E_mu=dict(zip(mus, weighted_errors(t, tracker.errors, mus))))
 
 
 @dataclass
@@ -75,7 +84,7 @@ class TableResult:
     mus: list
     E: dict        # E[mu] = list over Ms
     CR: dict       # CR[mu] = list over Ms[1:]
-    reports: list
+    runs: list     # the RunResult of each M
 
     def text(self) -> str:
         head = ["M".rjust(4)]
@@ -109,12 +118,7 @@ class TableResult:
 def run_table(cfg: ExperimentConfig) -> TableResult:
     """Run every configured M and collect weighted errors plus rates."""
     mus = list(cfg.mu)
-    E = {mu: [] for mu in mus}
-    reports = []
-    for M in cfg.M:
-        res = run_single(cfg, M, mus=mus)
-        reports.append(res.report)
-        for mu in mus:
-            E[mu].append(res.E_mu[mu])
+    runs = [run_single(cfg, M, mus=mus) for M in cfg.M]
+    E = {mu: [run.E_mu[mu] for run in runs] for mu in mus}
     CR = {mu: convergence_rates(E[mu]) if len(cfg.M) > 1 else [] for mu in mus}
-    return TableResult(Ms=list(cfg.M), mus=mus, E=E, CR=CR, reports=reports)
+    return TableResult(Ms=list(cfg.M), mus=mus, E=E, CR=CR, runs=runs)

@@ -6,7 +6,7 @@ from typing import NamedTuple
 import numpy as np
 
 from subdiff.exact import InitialDatum
-from subdiff.mittag_leffler import _NODES, _WEIGHTS
+from subdiff.mittag_leffler import _NODES, _WEIGHTS, MlfEvaluator
 from subdiff.sparse import Stencil
 from subdiff.stepping import FracWeights
 
@@ -236,6 +236,13 @@ class DiagonalPencil(NamedTuple):
 
     def solve(self, rhs, x0=None, s=0.0):
         return rhs / (1.0 + s * self.lam)
+
+
+def decay_reference(sol, t) -> np.ndarray:
+    """E_alpha(-lambda t^alpha) of the series at every time t, shape
+    (times, sol.lam.size), in one oracle call; a value's bits do not depend
+    on its batch, so row k equals a DecayReader's row(k) bit for bit."""
+    return MlfEvaluator(sol.alpha)(np.outer(np.asarray(t, float) ** sol.alpha, sol.lam))
 
 
 def add_scaled(A: Stencil, B: Stencil, a: float, b: float) -> Stencil:

@@ -9,17 +9,17 @@ from subdiff.assembly import assemble_mass, assemble_stiffness
 from subdiff.config import ConfigError, ExperimentConfig
 from subdiff.exact import DATA, InitialDatum, SeriesSolution, make_series
 from subdiff.mesh import StructuredMesh, build_mesh
-from subdiff.metrics import ErrorReport, fine_lattice
+from subdiff.metrics import fine_lattice
 from subdiff.mittag_leffler import MlfEvaluator
 from subdiff.sparse import LinearSolver
 from subdiff.stepping import SchemeState, build_time_mesh
-from subdiff.study import ErrorTracker
+from subdiff.study import ErrorTracker, RunResult, TableResult
 
 REMOVED = ("eval_points", "mlf", "write_debug_csv", "write_matrix_market",
            "initial_field", "step_error", "locate_point", "add_scaled",
            "example1", "example2", "example3", "custom", "ritz_project",
            "frac_integral_nodes", "locate_points", "OutOfDomainError", "csr_from_coo",
-           "NumericalBlowupError", "reciprocal_gamma", "SparseMatrix")
+           "NumericalBlowupError", "reciprocal_gamma", "SparseMatrix", "ErrorReport")
 
 # module.attribute or module.Class.attribute paths below subdiff
 REMOVED_MEMBERS = (
@@ -54,6 +54,7 @@ REMOVED_MEMBERS = (
     "exact.SeriesSolution.active_block",
     "stepping.SchemeState.mesh", "stepping.SchemeState.time_mesh", "cli.cmd_figure",
     "exact.DecayTable", "exact._decay_table", "exact.shared_decay", "study.shared_decay",
+    "metrics.ErrorReport", "exact.decay_table", "exact._checked_times",
 )
 
 
@@ -80,7 +81,8 @@ def test_removed_members_stay_removed(path):
 
 def test_dataclass_fields_removed():
     assert [f.name for f in fields(StructuredMesh)] == ["M"]
-    assert [f.name for f in fields(ErrorReport)] == ["M", "t", "errors"]
+    assert [f.name for f in fields(RunResult)] == ["t", "errors", "E_mu"]
+    assert [f.name for f in fields(TableResult)] == ["Ms", "mus", "E", "CR", "runs"]
     assert [f.name for f in fields(MlfEvaluator)] == ["alpha"]
     assert [f.name for f in fields(SeriesSolution)] == ["alpha", "m", "n", "C2", "lam", "index"]
     assert [f.name for f in fields(SchemeState)] == ["us", "Z", "n"]

@@ -96,7 +96,7 @@ def test_trace_counts_one_oracle_evaluation_per_row():
         table = study.run_table(cfg)
     finally:
         tracer.uninstall()
-    assert len(table.reports) == 2
+    assert len(table.runs) == 2
     layers = tracer.layer_metrics()
     assert layers["mittag_leffler.args"] == len(cfg.M) * cfg.N * n_lam
     # every step time is > 0, so every argument takes the contour

@@ -220,6 +220,20 @@ def test_output_under_a_regular_file_exit_code(command, tmp_path, capsys, monkey
     assert err.startswith(f"error: invalid configuration: cannot write output to {out}: ")
 
 
+@pytest.mark.parametrize("blocked", [steps_name(4, 5, 4, 8), "table_custom.csv"],
+                         ids=["steps", "summary"])
+def test_write_failure_after_the_run_exit_code(blocked, tmp_path, capsys):
+    # a directory where an output file goes is found only when the run is
+    # done and its files are written; it is reported like an unusable --out
+    path = tmp_path / blocked
+    path.mkdir()
+    code = main(["table", "custom", "--M", "4,8", "--N", "5", "--modes", "4", "--fine-M", "8",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid configuration: cannot write output to {path}: ")
+
+
 @pytest.mark.parametrize("exc, message", [
     (MemoryError("Unable to allocate 74.5 GiB for an array with shape (100000, 100000) "
                  "and data type float64"),
@@ -244,6 +258,13 @@ def test_preset_choices_are_the_presets():
     table = next(a for a in commands["table"]._actions if a.dest == "preset").choices
     assert table == ["table1", "table2", "table3", "custom"]
     assert set(PRESETS) == {"table1", "table2", "table3"}
+
+
+def test_example_help_names_the_data():
+    commands = next(a for a in make_parser()._actions if a.dest == "command").choices
+    for command in commands.values():
+        example = next(a for a in command._actions if a.dest == "example")
+        assert example.help == "example1 | example2 | example3 | zero"
 
 
 def test_residual_overflow_exit_code(tmp_path, capsys):

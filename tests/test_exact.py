@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from subdiff.exact import (DATA, InitialDatum, decay_table, eval_grid, make_series,
+from subdiff.exact import (DATA, DecayReader, InitialDatum, eval_grid, make_series,
                            series_on_grid, sine_matrices)
 from subdiff.metrics import fine_lattice
 
-from oracles import TRIANGLE
+from oracles import TRIANGLE, decay_reference
 
 
 def _full_coefficients(datum, K):
@@ -136,10 +136,11 @@ def test_solution_symmetries(datum):
 
 
 def _full_decay(sol, K, t):
-    """The K x K decay at time t: the shared table's row on the active
+    """The K x K decay at time t: the reference table's row on the active
     block, zero elsewhere."""
     E = np.zeros((K, K))
-    E[np.ix_(sol.m.astype(int) - 1, sol.n.astype(int) - 1)] = decay_table(sol, [t])[0][sol.index]
+    rows, cols = sol.m.astype(int) - 1, sol.n.astype(int) - 1
+    E[np.ix_(rows, cols)] = decay_reference(sol, [t])[0][sol.index]
     return E
 
 
@@ -166,7 +167,7 @@ def test_first_mode_amplitude_decreases_in_time():
     sol = make_series(DATA["example1"], 0.75, K=4)
     ts = np.linspace(0.0, 0.5, 21)
     assert sol.m[0] == sol.n[0] == 1.0
-    amps = decay_table(sol, ts)[:, sol.index[0, 0]]
+    amps = decay_reference(sol, ts)[:, sol.index[0, 0]]
     assert np.all(np.diff(amps) < 0.0)
 
 
@@ -193,7 +194,7 @@ def test_non_finite_time_rejected_by_name(bad):
     with pytest.raises(ValueError, match=match):
         eval_grid(sol, bad, np.array([0.5]), np.array([0.5]))
     with pytest.raises(ValueError, match=match):
-        decay_table(sol, [0.0, 0.1, bad])
+        DecayReader(sol, [0.0, 0.1, bad])
 
 
 def test_series_solutions_compare_by_identity():

@@ -5,10 +5,11 @@ from subdiff.assembly import FieldP1, l2_project
 from subdiff.exact import DATA, make_series
 from subdiff.mesh import build_mesh
 from subdiff.mittag_leffler import MlfEvaluator
-from subdiff.metrics import (ErrorReport, FineLattice, LatticeInterpolator,
-                             convergence_rates, fine_lattice, weighted_errors)
+from subdiff.metrics import (FineLattice, LatticeInterpolator, convergence_rates,
+                             fine_lattice, weighted_errors)
+from subdiff.study import RunResult
 
-from oracles import TRIANGLE, interpolation_matrix
+from oracles import TRIANGLE, decay_reference, interpolation_matrix
 from published import (TABLE1_ERRORS, TABLE1_RATES, TABLE2_ERRORS, TABLE2_RATES,
                        TABLE3_ERRORS, TABLE3_RATES)
 
@@ -121,13 +122,13 @@ def test_published_rate_convention_table3():
 def test_report_csv_roundtrip(tmp_path):
     t = np.array([0.1, 0.2])
     errors = np.array([0.5, 0.25])
-    report = ErrorReport(M=4, t=t, errors=errors)
+    run = RunResult(t=t, errors=errors, E_mu={0.0: 0.5})
     path = tmp_path / "steps.csv"
-    report.write_steps_csv(path)
+    run.write_steps_csv(path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "n,t,err"
     assert lines[1] == "1,0.1,0.5"
-    assert weighted_errors(report.t, report.errors, [0.0]) == [0.5]
+    assert weighted_errors(run.t, run.errors, [0.0]) == [0.5]
 
 
 def test_streaming_max_equals_posthoc():
@@ -137,7 +138,7 @@ def test_streaming_max_equals_posthoc():
                            T=0.5, modes=12, mu=[0.0, 0.5], fine_M=16)
     cfg.validate()
     res = run_single(cfg, 4)
-    posthoc = weighted_errors(res.report.t, res.report.errors, [0.0, 0.5])
+    posthoc = weighted_errors(res.t, res.errors, [0.0, 0.5])
     assert res.E_mu[0.0] == posthoc[0]
     assert res.E_mu[0.5] == posthoc[1]
 
@@ -291,7 +292,7 @@ def test_eval_grid_keeps_the_tracker_decay_block(monkeypatch):
     # its own row only, and the tracker keeps its block; both evaluate the
     # decay on the series' distinct eigenvalues: one oracle argument per
     # distinct eigenvalue, no np.unique
-    from subdiff.exact import decay_table, eval_grid, series_on_grid, sine_matrices
+    from subdiff.exact import eval_grid, series_on_grid, sine_matrices
     from subdiff.stepping import build_time_mesh
     from subdiff.study import ErrorTracker
     sol = make_series(DATA["example2"], 0.75, K=60)
@@ -311,7 +312,7 @@ def test_eval_grid_keeps_the_tracker_decay_block(monkeypatch):
     assert calls == [tm.N * sol.lam.size, sol.lam.size]
     monkeypatch.undo()
     # the same values as a row of the whole table, bit for bit
-    table = decay_table(sol, [0.1])
+    table = decay_reference(sol, [0.1])
     ref = series_on_grid(sol, table[0][sol.index], *sine_matrices(sol, lat.xs, lat.xs))
     assert np.array_equal(vals, ref)
 
@@ -380,7 +381,7 @@ def test_first_step_evaluates_one_block_of_the_decay(monkeypatch):
 def test_decay_table_read_row_by_row_matches_full_table():
     # rows read one at a time, in any order, are the rows of the whole
     # table of the same times, bit for bit; the last block is partial
-    from subdiff.exact import DecayReader, decay_table
+    from subdiff.exact import DecayReader
     from subdiff.stepping import build_time_mesh
     sol = make_series(DATA["example3"], 0.4, K=20)
     t = build_time_mesh(75, 1.6, 0.5).t[1:]
@@ -389,18 +390,18 @@ def test_decay_table_read_row_by_row_matches_full_table():
     rows = np.empty((t.size, sol.lam.size))
     for k in order:
         rows[k] = reader.row(k)
-    assert np.array_equal(rows, decay_table(sol, t))
+    assert np.array_equal(rows, decay_reference(sol, t))
 
 
 def test_decay_table_row_index_is_checked():
     # a row past either end is an IndexError, never a row of another
     # block; a negative index counts from the end, as for the whole table
-    from subdiff.exact import DecayReader, decay_table
+    from subdiff.exact import DecayReader
     from subdiff.stepping import build_time_mesh
     sol = make_series(DATA["example1"], 0.75, K=8)
     t = build_time_mesh(40, 1.6, 0.5).t[1:]
     reader = DecayReader(sol, t)
-    assert np.array_equal(reader.row(-1), decay_table(sol, t)[-1])
+    assert np.array_equal(reader.row(-1), decay_reference(sol, t)[-1])
     for k in (40, -41):
         with pytest.raises(IndexError):
             reader.row(k)
