@@ -64,6 +64,17 @@ class Stencil:
     def n(self) -> int:
         return self.coef.shape[1] ** 2
 
+    @classmethod
+    def _of_slots(cls, slots: np.ndarray) -> "Stencil":
+        """The stencil whose padded (7, n) slots are slots, a sum of
+        stencils' slots; its coefficients are slots 3-6, a view."""
+        slots.setflags(write=False)
+        m = math.isqrt(slots.shape[1])
+        A = object.__new__(cls)
+        object.__setattr__(A, "coef", slots[3:].reshape(4, m, m))
+        object.__setattr__(A, "_slots", slots)
+        return A
+
 
 def matvec(A: Stencil, x: np.ndarray) -> np.ndarray:
     """y = A x with a fixed per-row summation order."""
@@ -100,13 +111,19 @@ class LinearSolver:
 
     def solve(self, rhs: np.ndarray, x0: np.ndarray | None = None,
               s: float = 0.0) -> np.ndarray:
-        """Solve (matrix + s * shift) x = rhs."""
+        """Solve (matrix + s * shift) x = rhs.
+
+        The padded slots of matrix + s * shift are s * shift's plus matrix's,
+        bit for bit those of Stencil(matrix.coef + s * shift.coef), so
+        they are formed in place with nothing to pad or check.
+        """
         if not np.all(np.isfinite(rhs)):
             raise ValueError("rhs contains non-finite entries")
         if x0 is not None and np.shape(x0) != (self.matrix.n,):
             raise ValueError("x0 length does not match matrix dimension")
-        return cg_solve(Stencil(self.matrix.coef + s * self.shift.coef), rhs, x0=x0,
-                        rtol=self.rtol)[0]
+        slots = s * self.shift._slots
+        slots += self.matrix._slots
+        return cg_solve(Stencil._of_slots(slots), rhs, x0=x0, rtol=self.rtol)[0]
 
 
 def cg_solve(A: Stencil, b: np.ndarray, x0=None, rtol: float = 1e-12,

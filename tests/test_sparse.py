@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import subdiff.sparse as sparse
 from subdiff.assembly import _STIFFNESS, assemble_mass, assemble_stiffness
 from subdiff.exceptions import SolverFailureError
 from subdiff.mesh import build_mesh
@@ -210,6 +211,36 @@ def test_shifted_solver_matches_add_scaled_bitwise():
         x0 = rng.standard_normal(M.n)
         fresh = spd_solve(add_scaled(M, S, 1.0, s), b, x0=x0)
         assert np.array_equal(pencil.solve(b, x0=x0, s=s), fresh)
+
+
+def test_pencil_solve_forms_no_fresh_stencil(monkeypatch):
+    # one cg_solve on the summed slots, whose iterates are those of the fresh stencil
+    mesh = build_mesh(8)
+    M, S = assemble_mass(mesh), assemble_stiffness(mesh, lambda x, y: 1.0 + x * y)
+    pencil = LinearSolver(M, shift=S)
+    rng = np.random.default_rng(9)
+    cases = [(s, rng.standard_normal(M.n), rng.standard_normal(M.n)) for s in (0.0, 1e-4, 0.37)]
+    calls, built = [], []
+    real_cg, real_init = sparse.cg_solve, Stencil.__post_init__
+
+    def recording_cg(A, b, **kwargs):
+        calls.append((A, real_cg(A, b, **kwargs)))
+        return calls[-1][1]
+
+    def counting_init(self):
+        built.append(1)
+        real_init(self)
+
+    monkeypatch.setattr(sparse, "cg_solve", recording_cg)
+    monkeypatch.setattr(Stencil, "__post_init__", counting_init)
+    xs = [pencil.solve(b, x0=x0, s=s) for s, b, x0 in cases]
+    monkeypatch.undo()
+    assert not built and len(calls) == len(cases)
+    for (s, b, x0), x, (A, (x_seen, residuals)) in zip(cases, xs, calls):
+        fresh = Stencil(M.coef + s * S.coef)
+        assert np.array_equal(A._slots, fresh._slots) and np.array_equal(A.coef, fresh.coef)
+        x_ref, residuals_ref = cg_solve(fresh, b, x0=x0)
+        assert x is x_seen and np.array_equal(x, x_ref) and residuals == residuals_ref
 
 
 def test_cg_solve_on_ell_pair_matches_matrix():

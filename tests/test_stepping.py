@@ -204,16 +204,72 @@ def _direct_sum_run(mesh, tm, alpha, a, u0, f):
     return us
 
 
-def test_run_matches_direct_sum_oracle():
-    # N = 100 crosses three history blocks
-    assert stepping.HISTORY_BLOCK < 100 // 3
-    mesh, tm, a, f, u0 = _forced_variable_a_problem(8, 100)
+@pytest.mark.parametrize("N", [100, 400])
+def test_run_matches_direct_sum_oracle(N):
+    # N = 100 crosses three history blocks; N = 400 has 12, the sum of
+    # exponentials taking the history from the third block on
+    assert stepping.HISTORY_BLOCK < 100 // 3 and 2 * stepping.HISTORY_BLOCK < 400
+    mesh, tm, a, f, u0 = _forced_variable_a_problem(8, N)
     ref = _direct_sum_run(mesh, tm, 0.75, a, u0, f)
     us = [u0.values]
     run(mesh, tm, 0.75, a, u0, f=f, observer=lambda n, t, u: us.append(u.values))
     for n in range(1, tm.N + 1):
         scale = np.abs(ref[n]).max()
         assert np.abs(us[n] - ref[n]).max() <= 1e-12 * scale, f"step {n}"
+
+
+@pytest.mark.parametrize("N", [40, 400])
+def test_history_is_a_ring_of_the_latest_vectors(N):
+    mesh = build_mesh(4)
+    tm = build_time_mesh(N, 1.6, 0.5)
+    u0 = l2_project(mesh, DATA["example1"].evaluate)
+    us = [u0.values]
+    state = run(mesh, tm, 0.75, None, u0, observer=lambda n, t, u: us.append(u.values))
+    rows = min(N, 2 * stepping.HISTORY_BLOCK)
+    assert state.Z.shape == (rows, mesh.n_interior)
+    stiff = assemble_stiffness(mesh)
+    for j in range(N - rows + 1, N + 1):
+        ubar = us[1] if j == 1 else 0.5 * (us[j] + us[j - 1])
+        assert np.array_equal(state.Z[(j - 1) % rows], matvec(stiff, ubar)), f"Z_{j}"
+
+
+def test_run_memory_does_not_grow_with_N():
+    # the direct sum's history alone grew 4x from N = 400 to N = 1600; the
+    # sum of exponentials adds 12 nodes per doubling of T / (t_2B - t_B).
+    # Zero data keeps CG's allocations, which tracemalloc slows, out of it.
+    mesh = build_mesh(8)
+    u0 = FieldP1(mesh=mesh, values=np.zeros(mesh.n_interior))
+    run(mesh, build_time_mesh(100, 1.6, 0.5), 0.75, None, u0)  # caches and lazy imports
+    peaks = []
+    for N in (400, 1600):
+        tm = build_time_mesh(N, 1.6, 0.5)
+        tracemalloc.start()
+        try:
+            run(mesh, tm, 0.75, None, u0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.1 * peaks[0], peaks
+
+
+def test_sum_of_exponentials_is_built_when_block_2B_starts(monkeypatch):
+    B = stepping.HISTORY_BLOCK
+    real = stepping.soe_kernel
+    built_at = []  # the state's step count when the nodes are built
+
+    def recording(*args):
+        built_at.append(state_n[-1])
+        return real(*args)
+
+    monkeypatch.setattr(stepping, "soe_kernel", recording)
+    mesh = build_mesh(4)
+    u0 = l2_project(mesh, DATA["example1"].evaluate)
+    for N in (2 * B, 2 * B + 1, 5 * B):
+        state_n = [0]
+        built_at.clear()
+        run(mesh, build_time_mesh(N, 1.6, 0.5), 0.75, None, u0,
+            observer=lambda n, t, u: state_n.append(n))
+        assert built_at == ([] if N <= 2 * B else [2 * B]), N
 
 
 def _step_loads(monkeypatch, f, M=4, N=40):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from subdiff.mittag_leffler import gamma
-from subdiff.stepping import FracWeights, build_time_mesh, frac_weights
+from subdiff.stepping import (HISTORY_BLOCK, FracWeights, build_time_mesh, frac_weights,
+                              soe_kernel)
 
 from oracles import frac_integral_nodes
 
@@ -83,6 +84,40 @@ def test_increment_rows_telescope():
         c = w.increment_rows(n, n + 1)[0]
         ref = (tm.t[n] ** alpha - tm.t[n - 1] ** alpha) / g1a
         assert c.sum() == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.75, 1.0 - 1e-12])
+def test_increment_rows_window_is_a_slice(alpha):
+    # each entry takes the full row's elementwise formula, so the window's bits match
+    w = frac_weights(build_time_mesh(200, 1.6, 0.5), alpha)
+    for n0, n1, j0 in ((1, 33, 0), (2, 10, 1), (33, 65, 1), (65, 97, 32), (97, 113, 64),
+                       (190, 201, 189), (200, 201, 150)):
+        full = w.increment_rows(n0, n1)
+        window = w.increment_rows(n0, n1, j0)
+        assert window.shape == (n1 - n0, n1 - 1 - j0)
+        assert np.array_equal(window, full[:, j0:]), (n0, n1, j0)
+        assert np.array_equal(w.row(n1 - 1, j0), w.row(n1 - 1)[j0:])
+
+
+@pytest.mark.parametrize("alpha", [1e-3, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0 - 1e-12])
+def test_soe_far_weights_match_rows(alpha):
+    """The far weights of the sum of exponentials,
+    sum_q (w_q / s_q) exp(-s_q (t_n - t_j)) (1 - exp(-s_q tau_j)), are b_nj
+    to a few ulp for every column the stepper sums that way: t_(n-1) - t_j
+    is then at least delta = t_2B - t_B."""
+    B = HISTORY_BLOCK
+    for N, gamma_exp in ((65, 1.0), (400, 5.0), (1000, 1.6), (1300, 1.6), (1300, 2.5),
+                         (5200, 1.6)):
+        tm = build_time_mesh(N, gamma_exp, 0.5)
+        s, wq = soe_kernel(alpha, tm.T, tm.t[2 * B] - tm.t[B])
+        assert np.all(s > 0.0) and np.all(wq > 0.0)
+        rows = frac_weights(tm, alpha)
+        for n in (2 * B + 1, N):
+            j = np.arange(1, n - B)
+            far = ((wq / s)[:, None] * np.exp(-s[:, None] * (tm.t[n] - tm.t[j]))
+                   * -np.expm1(-s[:, None] * tm.tau[j - 1])).sum(axis=0)
+            b = rows.row(n)[j - 1]
+            assert np.max(np.abs(far - b) / b) <= 4e-15, (N, gamma_exp, n)
 
 
 def test_constant_history_integral():
