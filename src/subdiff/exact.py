@@ -163,10 +163,10 @@ class DecayReader:
 
 
 def series_on_grid(sol: SeriesSolution, E: np.ndarray, Sx: np.ndarray,
-                   Sy: np.ndarray) -> np.ndarray:
-    """Sx (2 C E) Sy^T for the decay E on the active block; Sx and Sy are
-    the sine_matrices of the grid's axes."""
-    return Sx @ (sol.C2 * E) @ Sy.T
+                   Sy: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Sx (2 C E) Sy^T for the decay E on the active block, written to out
+    when given; Sx and Sy are the sine_matrices of the grid's axes."""
+    return np.matmul(Sx @ (sol.C2 * E), Sy.T, out=out)
 
 
 def sine_matrices(sol: SeriesSolution, xs, ys) -> tuple[np.ndarray, np.ndarray]:

@@ -46,7 +46,9 @@ class LatticeInterpolator:
     LR = max(fx - fy, 0), UL = max(fy - fx, 0) and UR = min(fx, fy); these
     form the (4, q*q) weight table. A call forms one product of the table
     with the corner values of every cell. Coarse node values are reproduced
-    exactly (the weights are exactly 1/0 there).
+    exactly (the weights are exactly 1/0 there). The product and the
+    lattice go to buffers made once, so the next call overwrites the array
+    a call returns.
     """
 
     def __init__(self, mesh: StructuredMesh, lattice: FineLattice):
@@ -60,6 +62,8 @@ class LatticeInterpolator:
         # rows: corners LL, LR, UL, UR; columns: offset (a, b) with b fastest
         self._W = np.stack([1.0 - np.maximum(fx, fy), np.maximum(fx - fy, 0.0),
                             np.maximum(fy - fx, 0.0), np.minimum(fx, fy)])
+        self._cells = np.empty((mesh.M * mesh.M, q * q))
+        self._grid = np.empty((lattice.M_s, lattice.M_s))
 
     def __call__(self, field: FieldP1) -> np.ndarray:
         """Values on the lattice as an (M_s-1, M_s-1) array indexed [ix, iy]."""
@@ -70,9 +74,10 @@ class LatticeInterpolator:
         G = np.zeros((M + 1, M + 1))  # nodal values indexed [y, x]
         G[1:-1, 1:-1] = field.values.reshape(M - 1, M - 1)
         corners = np.stack([G[:-1, :-1], G[:-1, 1:], G[1:, :-1], G[1:, 1:]])
-        cells = corners.reshape(4, M * M).T @ self._W  # [(sy, sx), (a, b)]
-        out = cells.reshape(M, M, q, q).transpose(1, 2, 0, 3).reshape(M * q, M * q)
-        return out[:-1, :-1]
+        cells = np.matmul(corners.reshape(4, M * M).T, self._W, out=self._cells)
+        # cells [(sy, sx), (a, b)] to the lattice [(sx, a), (sy, b)]
+        np.copyto(self._grid.reshape(M, q, M, q), cells.reshape(M, M, q, q).transpose(1, 2, 0, 3))
+        return self._grid[:-1, :-1]
 
 
 def weighted_errors(t: np.ndarray, errors: np.ndarray, mus) -> list[float]:

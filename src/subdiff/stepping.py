@@ -127,11 +127,28 @@ def frac_weights(mesh: GradedTimeMesh, alpha: float) -> FracWeights:
 
 # steps per history block; once per block one GEMM sums the history before it
 HISTORY_BLOCK = 32
+# steps per forcing sample: f's temporaries hold FORCING_SLICE * (3 M^2 - 2 M)
+# values, and a whole block of them set a forced run's peak memory at M = 32
+FORCING_SLICE = 8
 # Gauss-Jacobi nodes on [0, 1/T] and Gauss-Legendre nodes per dyadic interval
 # of the kernel's sum of exponentials. Fewer cost accuracy that shows in the
 # outputs: at 8 + 8 the kernel is off by about 1e-12 relative.
 SOE_JACOBI_NODES = 12
 SOE_LEGENDRE_NODES = 12
+
+
+def _gauss_rule(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the Gauss rule whose Jacobi matrix has diagonal
+    diag and off-diagonal off, the weights for a measure of total mass 1
+    (Golub & Welsch, Math. Comp. 23, 1969)."""
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return x, v[0] ** 2
+
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n Gauss-Legendre nodes on [-1, 1] and half their weights."""
+    k = np.arange(1.0, n)
+    return _gauss_rule(np.zeros(n), k / np.sqrt(4.0 * k * k - 1.0))
 
 
 def soe_kernel(alpha: float, T: float, delta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -141,12 +158,12 @@ def soe_kernel(alpha: float, T: float, delta: float) -> tuple[np.ndarray, np.nda
 
     The kernel is c int_0^inf s^(-alpha) exp(-s t) ds with
     c = 1 / (Gamma(alpha) Gamma(1 - alpha)). [0, 1/T] takes Gauss-Jacobi
-    with weight s^(-alpha) (Golub-Welsch); each dyadic interval
-    [2^i / T, 2^(i+1) / T] up to past 45 / delta takes Gauss-Legendre, and
-    the rest of the integral is below exp(-45) of the kernel. c is not
-    formed as sin(pi alpha) / pi, which loses digits as alpha -> 1: the
-    Jacobi part's c / (1 - alpha) is 1 / (Gamma(alpha) Gamma(2 - alpha)),
-    and 1 - alpha is exact there.
+    with weight s^(-alpha); each dyadic interval [2^i / T, 2^(i+1) / T] up
+    to past 45 / delta takes Gauss-Legendre, and the rest of the integral is
+    below exp(-45) of the kernel. Both rules come from their Jacobi matrices
+    (_gauss_rule). c is not formed as sin(pi alpha) / pi, which loses digits
+    as alpha -> 1: the Jacobi part's c / (1 - alpha) is
+    1 / (Gamma(alpha) Gamma(2 - alpha)), and 1 - alpha is exact there.
     """
     inv_gamma = alpha / math.gamma(1.0 + alpha)  # 1 / Gamma(alpha), also for tiny alpha
     # Jacobi matrix of u^(-alpha) on [0, 1]: Jacobi (0, -alpha) on [-1, 1]
@@ -155,12 +172,12 @@ def soe_kernel(alpha: float, T: float, delta: float) -> tuple[np.ndarray, np.nda
     diag = np.concatenate(([(1.0 - alpha) / (2.0 - alpha)],
                            0.5 + 0.5 * alpha ** 2 / ((2 * k - alpha) * (2 * k + 2 - alpha))))
     off = k * (k - alpha) / ((2 * k - alpha) * np.sqrt((2 * k + 1 - alpha) * (2 * k - 1 - alpha)))
-    u, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    w_jacobi = v[0] ** 2 * (T ** (alpha - 1.0) * inv_gamma / math.gamma(2.0 - alpha))
-    x, w = np.polynomial.legendre.leggauss(SOE_LEGENDRE_NODES)
+    u, w = _gauss_rule(diag, off)
+    w_jacobi = w * (T ** (alpha - 1.0) * inv_gamma / math.gamma(2.0 - alpha))
+    x, w = _gauss_legendre(SOE_LEGENDRE_NODES)
     lo = 2.0 ** np.arange(math.ceil(math.log2(45.0 * T / delta)))[:, None] / T
     s = (lo * (1.5 + 0.5 * x)).ravel()
-    w_legendre = (lo * (0.5 * w)).ravel() * s ** -alpha * (inv_gamma / math.gamma(1.0 - alpha))
+    w_legendre = (lo * w).ravel() * s ** -alpha * (inv_gamma / math.gamma(1.0 - alpha))
     return np.concatenate((u / T, s)), np.concatenate((w_jacobi, w_legendre))
 
 
@@ -276,13 +293,13 @@ def run(mesh: StructuredMesh, time_mesh: GradedTimeMesh, alpha: float, a,
       memory. The nodes are built when block 2B starts.
     The state keeps min(N, 2B) history vectors, so memory is
     O((Q + 2B) dof) and a block costs O(B (Q + B) dof), whatever N is.
-    The forcing is sampled once per block too.
     f, when given, is a space-time function f(x, y, t) sampled at interval
     midpoints in time and assembled with the standard load quadrature. It
-    is sampled once per block: x and y are the edge midpoints, t is the
-    (B, 1) column of the block's interval midpoints, and f must broadcast
-    over it. An f that takes scalars only (math.*) still works, evaluated
-    point by point, but slowly.
+    is sampled once per slice of FORCING_SLICE steps: x and y are the edge
+    midpoints, t is the (FORCING_SLICE, 1) column of the slice's interval
+    midpoints, and f must broadcast over it. Each step's load equals the
+    load of its own midpoint alone, bit for bit. An f that takes scalars
+    only (math.*) still works, evaluated point by point, but slowly.
     observer(n, t_n, FieldP1) is called once per step in increasing n.
     """
     if u0_field.mesh != mesh:
@@ -304,14 +321,17 @@ def run(mesh: StructuredMesh, time_mesh: GradedTimeMesh, alpha: float, a,
                 far = _FarHistory(time_mesh, alpha, state.Z.shape[1])
             # the far part takes in the ring rows this block overwrites
             hist += far.next_block(_history(state.Z, j0 - B, j0), k + 1, stop + 1)
-        loads = None
-        if f is not None:
-            t_mid = (0.5 * (t[k:stop] + t[k + 1:stop + 1]))[:, None]
-            loads = load_vector(mesh, lambda x, y: _eval_on(f, x, y, t_mid))
         for i, n in enumerate(range(k + 1, stop + 1)):
+            load = None
+            if f is not None:
+                row = (n - 1) % FORCING_SLICE
+                if row == 0:
+                    e = min(n - 1 + FORCING_SLICE, N)
+                    t_mid = (0.5 * (t[n - 1:e] + t[n:e + 1]))[:, None]
+                    loads = load_vector(mesh, lambda x, y: _eval_on(f, x, y, t_mid))
+                load = tau[n - 1] * loads[row]
             memory = hist[i] + C[i, k - j0:n - 1 - j0] @ _history(state.Z, k, n - 1)
-            u_n = step(state, n, C[i, n - 1 - j0], memory, solver,
-                       load=None if loads is None else tau[n - 1] * loads[i])
+            u_n = step(state, n, C[i, n - 1 - j0], memory, solver, load=load)
             if observer is not None:
                 observer(n, t[n], FieldP1(mesh=mesh, values=u_n))
     return state

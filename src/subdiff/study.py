@@ -22,7 +22,9 @@ class ErrorTracker:
     holds one block of 32 steps. Building a tracker evaluates none of it:
     step n reads row n - 1, and the first read of a block evaluates its 32
     steps. Each step gathers its row onto the series' active block with the
-    series' index and costs two small matrix products.
+    series' index and costs two small matrix products. The exact field and
+    the error go to one lattice buffer made once, so the next step
+    overwrites the array exact_on_lattice returns.
     """
 
     def __init__(self, sol: SeriesSolution, lattice: FineLattice,
@@ -32,13 +34,15 @@ class ErrorTracker:
         self.Sx, self.Sy = sine_matrices(sol, lattice.xs, lattice.xs)
         self.decay = DecayReader(sol, time_mesh.t[1:])
         self.errors = np.zeros(time_mesh.N)
+        self._lattice = np.empty((lattice.M_s - 1, lattice.M_s - 1))
 
     def exact_on_lattice(self, n: int) -> np.ndarray:
-        return series_on_grid(self.sol, self.decay.row(n - 1)[self.sol.index], self.Sx, self.Sy)
+        return series_on_grid(self.sol, self.decay.row(n - 1)[self.sol.index], self.Sx, self.Sy,
+                              out=self._lattice)
 
     def __call__(self, n: int, t_n: float, u_n: FieldP1) -> None:
-        err = float(np.abs(self.interp(u_n) - self.exact_on_lattice(n)).max())
-        self.errors[n - 1] = err
+        diff = np.subtract(self.interp(u_n), self.exact_on_lattice(n), out=self._lattice)
+        self.errors[n - 1] = float(np.abs(diff, out=diff).max())
 
 
 @dataclass

@@ -71,8 +71,8 @@ def test_trace_hooks_resolve_and_count_one_run():
     layers = tracer.layer_metrics()
     assert layers["sparse.solver_builds"] == 1
     assert layers["sparse.cg_calls"] == 40
-    # the forcing is sampled once per history block of steps
-    assert layers["assembly.load_vector_calls"] == math.ceil(40 / stepping.HISTORY_BLOCK) == 2
+    # the forcing is sampled once per slice of steps
+    assert layers["assembly.load_vector_calls"] == math.ceil(40 / stepping.FORCING_SLICE) == 5
     # first recorded with CSR matrices; the ELL and stencil formats kept it
     assert layers["sparse.cg_iters"] == 360
     # one stepping.step span per step, each counting its (n-1) history rows of 9 dofs

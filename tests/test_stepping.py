@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -272,9 +275,26 @@ def test_sum_of_exponentials_is_built_when_block_2B_starts(monkeypatch):
         assert built_at == ([] if N <= 2 * B else [2 * B]), N
 
 
+def test_run_with_far_history_leaves_numpy_polynomial_unimported():
+    # soe_kernel's Gauss-Legendre rule comes from its Jacobi matrix
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from subdiff import FieldP1, build_mesh, build_time_mesh, run\n"
+            "mesh = build_mesh(2)\n"
+            "state = run(mesh, build_time_mesh(100, 1.6, 0.5), 0.75, None,\n"
+            "            FieldP1(mesh=mesh, values=np.ones(1)))\n"
+            "print(state.n, 'numpy.polynomial' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(stepping.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.split() == ["100", "False"]
+
+
 def _step_loads(monkeypatch, f, M=4, N=40):
     """The load tau_n f_n each step of a forced run receives, and the time mesh.
-    N = 40 ends in a partial history block."""
+    N = 40 ends in a partial history block, N = 45 in a partial forcing slice
+    too."""
     mesh = build_mesh(M)
     tm = build_time_mesh(N, 1.6, 0.5)
     loads = []
@@ -291,13 +311,15 @@ def _step_loads(monkeypatch, f, M=4, N=40):
     return mesh, tm, loads
 
 
-def test_block_loads_match_per_step_load_vector(monkeypatch):
+@pytest.mark.parametrize("N", [40, 45])
+def test_block_loads_match_per_step_load_vector(monkeypatch, N):
     # the time dependence adds t after the spatial factor, so sampling the
-    # block's (B, 1) column of times rounds exactly as one time at a time
-    assert 40 % stepping.HISTORY_BLOCK != 0
+    # slice's column of times rounds exactly as one time at a time
+    assert N % stepping.HISTORY_BLOCK != 0
+    assert (N % stepping.FORCING_SLICE != 0) == (N == 45)
     f = lambda x, y, t: np.sin(np.pi * x) * y + t
-    mesh, tm, loads = _step_loads(monkeypatch, f)
-    assert len(loads) == 40
+    mesh, tm, loads = _step_loads(monkeypatch, f, N=N)
+    assert len(loads) == N
     for n, load in enumerate(loads, start=1):
         t_mid = 0.5 * (tm.t[n - 1] + tm.t[n])
         expected = tm.tau[n - 1] * load_vector(mesh, lambda x, y: f(x, y, t_mid))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from subdiff.mittag_leffler import gamma
-from subdiff.stepping import (HISTORY_BLOCK, FracWeights, build_time_mesh, frac_weights,
-                              soe_kernel)
+from subdiff.stepping import (HISTORY_BLOCK, SOE_LEGENDRE_NODES, FracWeights, _gauss_legendre,
+                              build_time_mesh, frac_weights, soe_kernel)
 
 from oracles import frac_integral_nodes
 
@@ -118,6 +118,14 @@ def test_soe_far_weights_match_rows(alpha):
                    * -np.expm1(-s[:, None] * tm.tau[j - 1])).sum(axis=0)
             b = rows.row(n)[j - 1]
             assert np.max(np.abs(far - b) / b) <= 4e-15, (N, gamma_exp, n)
+
+
+def test_soe_legendre_rule_matches_numpy_leggauss():
+    # the Golub-Welsch rule that soe_kernel uses in place of numpy.polynomial
+    x, half_w = _gauss_legendre(SOE_LEGENDRE_NODES)
+    x_ref, w_ref = np.polynomial.legendre.leggauss(SOE_LEGENDRE_NODES)
+    assert np.max(np.abs(x - x_ref)) <= 1e-15
+    assert np.max(np.abs(2.0 * half_w - w_ref)) <= 1e-14
 
 
 def test_constant_history_integral():
