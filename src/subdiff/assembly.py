@@ -11,6 +11,7 @@ condition, and the resulting systems stay symmetric positive definite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -123,6 +124,19 @@ def assemble_stiffness(mesh: StructuredMesh, a=None) -> sparse.Stencil:
     return _assemble(M, a_c, _STIFFNESS)
 
 
+@lru_cache(maxsize=8)
+def _edge_midpoints(M: int) -> np.ndarray:
+    """The (x, y) rows of the H, V and D edge midpoints that can touch an
+    interior vertex, read-only, made once per M."""
+    x = np.arange(M + 1) / M
+    h = 0.5 * (x[:-1] + x[1:])
+    lattices = ((h, x[1:-1]), (x[1:-1], h), (h, h))  # (x, y) axes of H, V, D
+    xy = np.stack([np.concatenate([np.tile(px, py.size) for px, py in lattices]),
+                   np.concatenate([np.repeat(py, px.size) for px, py in lattices])])
+    xy.setflags(write=False)
+    return xy
+
+
 def load_vector(mesh: StructuredMesh, g) -> np.ndarray:
     """Interior load b_i = (g, phi_i) by the 3-point edge-midpoint rule.
 
@@ -137,11 +151,7 @@ def load_vector(mesh: StructuredMesh, g) -> np.ndarray:
     row's values alone, bit for bit.
     """
     M, m = mesh.M, mesh.M - 1
-    x = np.arange(M + 1) / M
-    h = 0.5 * (x[:-1] + x[1:])
-    lattices = ((h, x[1:-1]), (x[1:-1], h), (h, h))  # (x, y) axes of H, V, D
-    gv = _eval_on(g, np.concatenate([np.tile(px, py.size) for px, py in lattices]),
-                  np.concatenate([np.repeat(py, px.size) for px, py in lattices]))
+    gv = _eval_on(g, *_edge_midpoints(M))
     if not np.all(np.isfinite(gv)):
         raise EvaluationError("load function produced non-finite values")
     lead = gv.shape[:-1]

@@ -15,9 +15,10 @@ theta_1 = 1 and theta_n = 1/2 otherwise.
 run sums the last two blocks of history directly and the older history
 through a sum-of-exponentials form of the kernel (t - s)^(a-1) / Gamma(a),
 accurate to machine precision (Jiang, Zhang, Zhang & Zhang, Commun. Comput.
-Phys. 21, 2017; McLean, SIAM J. Sci. Comput. 34, 2012), so its state and
-the cost of a step grow with the number of steps N only through the
-number of exponentials, which is O(log N).
+Phys. 21, 2017), so its state and the cost of a step grow with the number
+of steps N only through the number of exponentials, which is O(log N):
+soe_kernel takes them from one trapezoid rule (McLean 2018; Trefethen &
+Weideman, SIAM Rev. 56, 2014), 65 at N = 5200.
 """
 
 from __future__ import annotations
@@ -130,25 +131,13 @@ HISTORY_BLOCK = 32
 # steps per forcing sample: f's temporaries hold FORCING_SLICE * (3 M^2 - 2 M)
 # values, and a whole block of them set a forced run's peak memory at M = 32
 FORCING_SLICE = 8
-# Gauss-Jacobi nodes on [0, 1/T] and Gauss-Legendre nodes per dyadic interval
-# of the kernel's sum of exponentials. Fewer cost accuracy that shows in the
-# outputs: at 8 + 8 the kernel is off by about 1e-12 relative.
-SOE_JACOBI_NODES = 12
-SOE_LEGENDRE_NODES = 12
-
-
-def _gauss_rule(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the Gauss rule whose Jacobi matrix has diagonal
-    diag and off-diagonal off, the weights for a measure of total mass 1
-    (Golub & Welsch, Math. Comp. 23, 1969)."""
-    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    return x, v[0] ** 2
-
-
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n Gauss-Legendre nodes on [-1, 1] and half their weights."""
-    k = np.arange(1.0, n)
-    return _gauss_rule(np.zeros(n), k / np.sqrt(4.0 * k * k - 1.0))
+# the kernel's sum of exponentials: the trapezoid rule's step in x (at 0.3
+# the kernel is off by 3e-13 relative and manufactured-long's err_T moves by
+# 7e-11), and the exponents of its two cuts, exp(-SOE_LOW_CUT) of the weight
+# at small s and exp(-SOE_HIGH_CUT) of exp(-s delta) at large s
+SOE_STEP = 0.25
+SOE_LOW_CUT = 40.0
+SOE_HIGH_CUT = 40.0
 
 
 def soe_kernel(alpha: float, T: float, delta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -157,28 +146,28 @@ def soe_kernel(alpha: float, T: float, delta: float) -> tuple[np.ndarray, np.nda
     for delta <= t <= T.
 
     The kernel is c int_0^inf s^(-alpha) exp(-s t) ds with
-    c = 1 / (Gamma(alpha) Gamma(1 - alpha)). [0, 1/T] takes Gauss-Jacobi
-    with weight s^(-alpha); each dyadic interval [2^i / T, 2^(i+1) / T] up
-    to past 45 / delta takes Gauss-Legendre, and the rest of the integral is
-    below exp(-45) of the kernel. Both rules come from their Jacobi matrices
-    (_gauss_rule). c is not formed as sin(pi alpha) / pi, which loses digits
-    as alpha -> 1: the Jacobi part's c / (1 - alpha) is
-    1 / (Gamma(alpha) Gamma(2 - alpha)), and 1 - alpha is exact there.
+    c = 1 / (Gamma(alpha) Gamma(1 - alpha)), not sin(pi alpha) / pi, which
+    loses digits as alpha -> 1. Over s = exp(x - exp(-x)) / T the integrand
+    decays double exponentially in x at both ends, so the trapezoid rule on
+    x_k = k SOE_STEP converges exponentially (McLean, "Exponential sum
+    approximations for t^(-beta)", Springer 2018; Trefethen & Weideman, SIAM
+    Rev. 56, 2014). It runs from -ln(SOE_LOW_CUT / (1 - alpha)) to
+    ln(SOE_HIGH_CUT T / delta) + 1, a unit of x of margin, so it holds down
+    to delta / e. The nodes with s T < 2^-60, whose exp(-s t) is 1, become
+    one node with their summed weight, so no s underflows to 0. Q is
+    O(log(T / delta)) whatever alpha: 65 at N = 5200, gamma = 1.6.
     """
-    inv_gamma = alpha / math.gamma(1.0 + alpha)  # 1 / Gamma(alpha), also for tiny alpha
-    # Jacobi matrix of u^(-alpha) on [0, 1]: Jacobi (0, -alpha) on [-1, 1]
-    # moved by u = (1 + x) / 2, in forms free of cancellation as alpha -> 1
-    k = np.arange(1.0, SOE_JACOBI_NODES)
-    diag = np.concatenate(([(1.0 - alpha) / (2.0 - alpha)],
-                           0.5 + 0.5 * alpha ** 2 / ((2 * k - alpha) * (2 * k + 2 - alpha))))
-    off = k * (k - alpha) / ((2 * k - alpha) * np.sqrt((2 * k + 1 - alpha) * (2 * k - 1 - alpha)))
-    u, w = _gauss_rule(diag, off)
-    w_jacobi = w * (T ** (alpha - 1.0) * inv_gamma / math.gamma(2.0 - alpha))
-    x, w = _gauss_legendre(SOE_LEGENDRE_NODES)
-    lo = 2.0 ** np.arange(math.ceil(math.log2(45.0 * T / delta)))[:, None] / T
-    s = (lo * (1.5 + 0.5 * x)).ravel()
-    w_legendre = (lo * w).ravel() * s ** -alpha * (inv_gamma / math.gamma(1.0 - alpha))
-    return np.concatenate((u / T, s)), np.concatenate((w_jacobi, w_legendre))
+    c = alpha / math.gamma(1.0 + alpha) / math.gamma(1.0 - alpha)
+    h = SOE_STEP
+    x = h * np.arange(math.floor(-math.log(SOE_LOW_CUT / (1.0 - alpha)) / h),
+                      math.ceil((math.log(SOE_HIGH_CUT * T / delta) + 1.0) / h) + 1)
+    e = np.exp(-x)
+    phi = x - e
+    s = np.exp(phi) / T
+    w = (c * h * T ** (alpha - 1.0)) * np.exp((1.0 - alpha) * phi) * (1.0 + e)
+    # s grows with x, so the nodes merged are the first i + 1
+    i = max(np.count_nonzero(s * T < 2.0 ** -60) - 1, 0)
+    return s[i:], np.concatenate(([w[:i + 1].sum()], w[i + 1:]))
 
 
 class _FarHistory:

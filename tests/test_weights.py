@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from subdiff.mittag_leffler import gamma
-from subdiff.stepping import (HISTORY_BLOCK, SOE_LEGENDRE_NODES, FracWeights, _gauss_legendre,
-                              build_time_mesh, frac_weights, soe_kernel)
+from subdiff.stepping import (HISTORY_BLOCK, FracWeights, build_time_mesh, frac_weights,
+                              soe_kernel)
 
 from oracles import frac_integral_nodes
 
@@ -120,12 +120,28 @@ def test_soe_far_weights_match_rows(alpha):
             assert np.max(np.abs(far - b) / b) <= 4e-15, (N, gamma_exp, n)
 
 
-def test_soe_legendre_rule_matches_numpy_leggauss():
-    # the Golub-Welsch rule that soe_kernel uses in place of numpy.polynomial
-    x, half_w = _gauss_legendre(SOE_LEGENDRE_NODES)
-    x_ref, w_ref = np.polynomial.legendre.leggauss(SOE_LEGENDRE_NODES)
-    assert np.max(np.abs(x - x_ref)) <= 1e-15
-    assert np.max(np.abs(2.0 * half_w - w_ref)) <= 1e-14
+@pytest.mark.parametrize("alpha", [1e-3, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0 - 1e-6,
+                                   1.0 - 1e-12])
+def test_soe_kernel_matches_kernel(alpha):
+    """sum_q w_q exp(-s_q t) is t^(alpha-1) / Gamma(alpha) to a few ulp on
+    [delta, T] for the stepper's delta = t_2B - t_B, with at most 80 positive
+    nodes and weights, and the nodes with s T < 2^-60 merged into one. The
+    rule's upper end keeps a unit of margin in x, so it holds down to
+    delta / e too."""
+    B = HISTORY_BLOCK
+    for N, gamma_exp in ((65, 1.0), (400, 5.0), (1000, 1.6), (1300, 1.6), (1300, 2.5),
+                         (5200, 1.6)):
+        for T in (1e-6, 0.5, 1e6):
+            tm = build_time_mesh(N, gamma_exp, T)
+            delta = tm.t[2 * B] - tm.t[B]
+            s, wq = soe_kernel(alpha, T, delta)
+            assert s.size <= 80 and np.all(s > 0.0) and np.all(wq > 0.0)
+            assert np.count_nonzero(s * T < 2.0 ** -60) <= 1
+            for lo, hi, size in ((delta, T, 2000), (delta / math.e, delta, 200)):
+                t = np.geomspace(lo, hi, size)
+                kernel = t ** (alpha - 1.0) / math.gamma(alpha)
+                got = np.exp(-s[:, None] * t).T @ wq
+                assert np.max(np.abs(got - kernel) / kernel) <= 2e-15, (N, gamma_exp, T, lo)
 
 
 def test_constant_history_integral():
