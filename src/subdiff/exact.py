@@ -11,6 +11,9 @@ it once per distinct eigenvalue and time, one block of 32 time steps at a
 time, and holds only that block. A run reads its steps through one, and
 eval_grid reads its one time through another. series_on_grid sums the
 expansion on a tensor grid from the block's gather of one decay row.
+Since sin(m pi (1 - x)) = (-1)^(m+1) sin(m pi x), a study's
+ErrorTracker sums it on the quarter x, y <= 1/2 of its lattice only,
+once per parity of m and of n present, and reflects that quarter.
 """
 
 from __future__ import annotations

@@ -46,9 +46,11 @@ class LatticeInterpolator:
     LR = max(fx - fy, 0), UL = max(fy - fx, 0) and UR = min(fx, fy); these
     form the (4, q*q) weight table. A call forms one product of the table
     with the corner values of every cell. Coarse node values are reproduced
-    exactly (the weights are exactly 1/0 there). The product and the
-    lattice go to buffers made once, so the next call overwrites the array
-    a call returns.
+    exactly (the weights are exactly 1/0 there). A call writes the field
+    into the interior of a zero-bordered nodal grid and copies the four
+    corners of every cell from one strided view of it. The grid, the
+    corners, the product and the lattice are buffers made once, so the
+    next call overwrites the array a call returns.
     """
 
     def __init__(self, mesh: StructuredMesh, lattice: FineLattice):
@@ -62,7 +64,15 @@ class LatticeInterpolator:
         # rows: corners LL, LR, UL, UR; columns: offset (a, b) with b fastest
         self._W = np.stack([1.0 - np.maximum(fx, fy), np.maximum(fx - fy, 0.0),
                             np.maximum(fy - fx, 0.0), np.minimum(fx, fy)])
-        self._cells = np.empty((mesh.M * mesh.M, q * q))
+        M = mesh.M
+        self._nodes = np.zeros((M + 1, M + 1))  # nodal values indexed [y, x], zero border
+        # corner (a, b) of cell (sy, sx) is node [sy + a, sx + b]: an ndarray on
+        # the nodes' buffer, not as_strided (see sparse._Product)
+        row, step = self._nodes.strides
+        self._corner_view = np.ndarray((2, 2, M, M), buffer=self._nodes,
+                                       strides=(row, step, row, step))
+        self._corners = np.empty((4, M, M))
+        self._cells = np.empty((M * M, q * q))
         self._grid = np.empty((lattice.M_s, lattice.M_s))
 
     def __call__(self, field: FieldP1) -> np.ndarray:
@@ -71,10 +81,9 @@ class LatticeInterpolator:
             raise ValueError("field is attached to a different mesh")
         M = self.mesh.M
         q = self.lattice.M_s // M
-        G = np.zeros((M + 1, M + 1))  # nodal values indexed [y, x]
-        G[1:-1, 1:-1] = field.values.reshape(M - 1, M - 1)
-        corners = np.stack([G[:-1, :-1], G[:-1, 1:], G[1:, :-1], G[1:, 1:]])
-        cells = np.matmul(corners.reshape(4, M * M).T, self._W, out=self._cells)
+        self._nodes[1:-1, 1:-1] = field.values.reshape(M - 1, M - 1)
+        np.copyto(self._corners.reshape(2, 2, M, M), self._corner_view)
+        cells = np.matmul(self._corners.reshape(4, M * M).T, self._W, out=self._cells)
         # cells [(sy, sx), (a, b)] to the lattice [(sx, a), (sy, b)]
         np.copyto(self._grid.reshape(M, q, M, q), cells.reshape(M, M, q, q).transpose(1, 2, 0, 3))
         return self._grid[:-1, :-1]

@@ -330,3 +330,9 @@ def _asymptotic_all_terms(alpha, x):
 TRIANGLE = InitialDatum(
     "triangle", lambda x, y: np.zeros_like(x * y),
     lambda m, n: np.where((m < n) & (n % 3 != 0), 1.0 / (m * n), 0.0))
+
+
+# coefficients on even m only: every mode in x changes sign under x -> 1 - x
+EVEN_M = InitialDatum(
+    "even_m", lambda x, y: np.zeros_like(x * y),
+    lambda m, n: np.where(m % 2 == 0, 1.0 / (m * n) ** 2, 0.0))

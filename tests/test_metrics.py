@@ -9,7 +9,7 @@ from subdiff.metrics import (FineLattice, LatticeInterpolator, convergence_rates
                              fine_lattice, weighted_errors)
 from subdiff.study import RunResult
 
-from oracles import TRIANGLE, decay_reference, interpolation_matrix
+from oracles import EVEN_M, TRIANGLE, decay_reference, interpolation_matrix
 from published import (TABLE1_ERRORS, TABLE1_RATES, TABLE2_ERRORS, TABLE2_RATES,
                        TABLE3_ERRORS, TABLE3_RATES)
 
@@ -143,6 +143,13 @@ def test_streaming_max_equals_posthoc():
     assert res.E_mu[0.5] == posthoc[1]
 
 
+def _assert_near_eval_grid(got, ref):
+    # the tracker sums the series on one quadrant and reflects it, so a
+    # mirrored point reuses its mirror's sines: ulps of max|u| apart
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= 4e-15 * np.abs(ref).max())
+
+
 @pytest.mark.parametrize("datum", ["example1", "example2", "example3", "triangle"])
 def test_error_tracker_decay_matches_public_evaluator(datum):
     # the tracker and eval_grid share one modal-decay path, also on a
@@ -156,9 +163,33 @@ def test_error_tracker_decay_matches_public_evaluator(datum):
     mesh = build_mesh(4)
     lat = fine_lattice(16)
     tracker = ErrorTracker(sol, lat, tm, mesh)
+    reference = decay_reference(sol, tm.t[1:])
     for n in (1, 17, 40):
+        assert np.array_equal(tracker.decay.row(n - 1), reference[n - 1])
         direct = eval_grid(sol, tm.t[n], lat.xs, lat.xs)
-        assert np.array_equal(tracker.exact_on_lattice(n), direct)
+        _assert_near_eval_grid(tracker.exact_on_lattice(n), direct)
+
+
+@pytest.mark.parametrize("M, fine_M", [(2, 2), (3, 3), (3, 15), (4, 16), (4, 128)])
+@pytest.mark.parametrize("datum", ["example1", "example2", "example3", "triangle", "even_m",
+                                   "zero"])
+def test_exact_on_lattice_matches_eval_grid(datum, M, fine_M):
+    # every parity of m and n, odd and even lattices, the one-point lattice
+    from subdiff.exact import eval_grid
+    from subdiff.stepping import build_time_mesh
+    from subdiff.study import ErrorTracker
+    data = {**DATA, "triangle": TRIANGLE, "even_m": EVEN_M}
+    sol = make_series(data[datum], 0.75, K=16)
+    tm = build_time_mesh(40, 1.6, 0.5)
+    lat = fine_lattice(fine_M)
+    tracker = ErrorTracker(sol, lat, tm, build_mesh(M))
+    for n in (1, 17, 40):
+        got = tracker.exact_on_lattice(n)
+        _assert_near_eval_grid(got, eval_grid(sol, tm.t[n], lat.xs, lat.xs))
+        if datum.startswith("example"):
+            # all modes odd: the field is symmetric under x -> 1 - x and
+            # y -> 1 - y, bit for bit
+            assert np.array_equal(got, got[::-1]) and np.array_equal(got, got[:, ::-1])
 
 
 def test_error_tracker_decay_bitwise_per_mode():
