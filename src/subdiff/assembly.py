@@ -53,15 +53,17 @@ class FieldP1:
 def _eval_on(g, *args: np.ndarray) -> np.ndarray:
     """g(*args) as floats over the arguments' broadcast shape, widened by any
     leading axes of g's result. A g that takes scalars only is evaluated
-    point by point through np.vectorize."""
+    point by point through np.vectorize; a result of any other shape is a
+    ValueError naming it."""
     shape = np.broadcast_shapes(*(np.shape(a) for a in args))
     try:
-        out = np.asarray(g(*args), dtype=float)
-        shape = out.shape[:max(out.ndim - len(shape), 0)] + shape
-        if out.shape != shape:
-            out = np.broadcast_to(out, shape).astype(float)
+        out = g(*args)
     except (TypeError, ValueError):
-        out = np.vectorize(g, otypes=[float])(*args)
+        return np.vectorize(g, otypes=[float])(*args)
+    out = np.asarray(out, dtype=float)
+    shape = out.shape[:max(out.ndim - len(shape), 0)] + shape
+    if out.shape != shape:
+        out = np.broadcast_to(out, shape).astype(float)
     return out
 
 
@@ -71,8 +73,8 @@ def _assemble(M: int, coef: np.ndarray, local: np.ndarray) -> sparse.Stencil:
 
     Each interior vertex's coupling sums the entries of its triangles (6 for
     the center, the 2 along the edge otherwise) in triangle order as
-    v0 + (v1 + v2 + ...), the order of the COO build. Couplings to boundary
-    vertices are 0.
+    v0 + (v1 + v2 + ...), the order of the COO build; the Stencil drops the
+    couplings to boundary vertices.
     """
     terms = {(0, 0): [], (1, 0): [], (0, 1): [], (1, 1): []}
     for (cx, cy), s in _AROUND:
@@ -81,9 +83,7 @@ def _assemble(M: int, coef: np.ndarray, local: np.ndarray) -> sparse.Stencil:
         for j, (px, py) in enumerate(_CORNERS[s]):
             if (cx + px, cy + py) in terms:
                 terms[cx + px, cy + py].append(c * local[s, i, j])
-    coef = np.stack([v[0] + sum(v[2:], v[1]) for v in terms.values()])
-    coef[[1, 3], :, -1] = coef[2:, -1] = 0.0  # E and NE at i = m - 1, N and NE at j = m - 1
-    return sparse.Stencil(coef)
+    return sparse.Stencil(np.stack([v[0] + sum(v[2:], v[1]) for v in terms.values()]))
 
 
 def assemble_mass(mesh: StructuredMesh) -> sparse.Stencil:
@@ -170,7 +170,7 @@ def load_vector(mesh: StructuredMesh, g) -> np.ndarray:
     return b.reshape(*lead, mesh.n_interior)
 
 
-def l2_project(mesh: StructuredMesh, g, rtol: float = 1e-12) -> FieldP1:
+def l2_project(mesh: StructuredMesh, g, rtol: float = sparse.RTOL) -> FieldP1:
     """L2 projection of g onto the interior P1 space (Jacobi CG on the mass matrix)."""
     mass = assemble_mass(mesh)
     b = load_vector(mesh, g)

@@ -8,6 +8,7 @@ from sys import float_info
 from dataclasses import asdict, dataclass, field, fields
 
 from .exact import DATA
+from .sparse import RTOL
 
 
 class ConfigError(ValueError):
@@ -34,7 +35,7 @@ class ExperimentConfig:
     mu: list = field(default_factory=lambda: [0.0])
     fine_M: int = 128
     out: str = "out"
-    tol: float = 1e-12
+    tol: float = RTOL
 
     def validate(self) -> None:
         for name in ("alpha", "gamma", "T", "tol"):
@@ -72,23 +73,25 @@ class ExperimentConfig:
         if not self.mu:
             raise ConfigError("mu must list at least one weight exponent")
         for mu in self.mu:
-            if mu < 0.0:
+            if math.copysign(1.0, mu) < 0.0:  # -0 too: it would name a column E_-0
                 raise ConfigError(f"mu values must be >= 0, got {mu}")
             # the largest weight T**mu must be a normal finite double (as logs:
             # a float power raises OverflowError)
             if not math.log(float_info.min) < mu * math.log(self.T) < math.log(float_info.max):
                 raise ConfigError(f"mu={mu} with T={self.T}: the final-time weight T**mu "
                                   f"is not a normal finite number; lower mu")
-        if len(set(self.mu)) != len(self.mu):
-            raise ConfigError(f"mu values must be distinct, got {self.mu}")
+        names = [f"E_{mu:g}" for mu in self.mu]
+        if len(set(names)) != len(names):
+            raise ConfigError(f"mu values must be distinct, got {self.mu} for columns {names}")
         if self.fine_M < 2:
             raise ConfigError(f"fine_M must be an integer >= 2, got {self.fine_M!r}")
         for m in self.M:
             if self.fine_M % m != 0:
                 raise ConfigError(f"fine_M must be a multiple of every M; "
                                   f"fine_M={self.fine_M} fails for M={m}")
-        if not (0.0 < self.tol <= 1e-6):
-            raise ConfigError(f"tol must lie in (0, 1e-6], got {self.tol}")
+        # CG cannot reach a relative residual below the machine epsilon
+        if not (float_info.epsilon <= self.tol <= 1e-6):
+            raise ConfigError(f"tol must lie in [{float_info.epsilon!r}, 1e-6], got {self.tol}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)

@@ -9,11 +9,8 @@ the coefficients hold a nonzero entry, with the block's distinct
 eigenvalues. DecayReader is the one evaluator of the decay: it evaluates
 it once per distinct eigenvalue and time, one block of 32 time steps at a
 time, and holds only that block. A run reads its steps through one, and
-eval_grid reads its one time through another. series_on_grid sums the
-expansion on a tensor grid from the block's gather of one decay row.
-Since sin(m pi (1 - x)) = (-1)^(m+1) sin(m pi x), a study's
-ErrorTracker sums it on the quarter x, y <= 1/2 of its lattice only,
-once per parity of m and of n present, and reflects that quarter.
+eval_grid reads its one time through another and sums the expansion on a
+tensor grid.
 """
 
 from __future__ import annotations
@@ -105,7 +102,7 @@ class SeriesSolution:
             a.setflags(write=False)
 
 
-def make_series(datum: InitialDatum, alpha: float, K: int = 60) -> SeriesSolution:
+def make_series(datum: InitialDatum, alpha: float, K: int) -> SeriesSolution:
     """Coefficients from the datum's closed form, K modes per axis, kept on
     their active block."""
     if not isinstance(K, (int, np.integer)) or isinstance(K, bool) or K < 1:
@@ -123,16 +120,6 @@ def make_series(datum: InitialDatum, alpha: float, K: int = 60) -> SeriesSolutio
 _BLOCK = 32  # decay rows evaluated together; a run's first step waits for one block
 
 
-def _evaluate_decay(mlf: MlfEvaluator, lam: np.ndarray, t_alpha: np.ndarray) -> np.ndarray:
-    """E_alpha(-lam t^alpha) at the times whose t^alpha is t_alpha, shape
-    (t_alpha.size, lam.size). A non-finite value raises EvaluationError."""
-    rows = mlf((lam[None, :] * t_alpha[:, None]).ravel()).reshape(t_alpha.size, lam.size)
-    if not np.all(np.isfinite(rows)):
-        raise EvaluationError(f"Mittag-Leffler decay E_alpha(-lambda t^alpha) is not finite "
-                              f"for alpha={mlf.alpha!r}")
-    return rows
-
-
 class DecayReader:
     """E_alpha(-lambda t^alpha) of a series at the times t, read row by row.
 
@@ -141,7 +128,8 @@ class DecayReader:
     held, so a run's first step waits for one block and its memory does
     not grow with the number of steps. Rows are handed out read-only;
     row(k)[sol.index] is the series' decay at t[k]. A time that is not
-    finite and >= 0 is a ValueError naming the first such time.
+    finite and >= 0 is a ValueError naming the first such time, and a
+    non-finite decay value an EvaluationError when its block is read.
     """
 
     def __init__(self, sol: SeriesSolution, t):
@@ -159,17 +147,15 @@ class DecayReader:
         k = range(self._t_alpha.size)[k]   # IndexError out of range, k < 0 from the end
         lo = k - k % _BLOCK
         if lo != self._lo:
-            block = _evaluate_decay(self._mlf, self._lam, self._t_alpha[lo:lo + _BLOCK])
+            t_alpha = self._t_alpha[lo:lo + _BLOCK]
+            block = self._mlf((self._lam[None, :] * t_alpha[:, None]).ravel())
+            if not np.all(np.isfinite(block)):
+                raise EvaluationError(f"Mittag-Leffler decay E_alpha(-lambda t^alpha) is not "
+                                      f"finite for alpha={self._mlf.alpha!r}")
+            block = block.reshape(t_alpha.size, self._lam.size)
             block.setflags(write=False)
             self._lo, self._block = lo, block
         return self._block[k - lo]
-
-
-def series_on_grid(sol: SeriesSolution, E: np.ndarray, Sx: np.ndarray,
-                   Sy: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Sx (2 C E) Sy^T for the decay E on the active block, written to out
-    when given; Sx and Sy are the sine_matrices of the grid's axes."""
-    return np.matmul(Sx @ (sol.C2 * E), Sy.T, out=out)
 
 
 def sine_matrices(sol: SeriesSolution, xs, ys) -> tuple[np.ndarray, np.ndarray]:
@@ -178,9 +164,11 @@ def sine_matrices(sol: SeriesSolution, xs, ys) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eval_grid(sol: SeriesSolution, t: float, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """u(x_i, y_j, t) on the tensor grid xs x ys."""
+    """u(x_i, y_j, t) on the tensor grid xs x ys: Sx (2 C E) Sy^T for the
+    decay E on the active block, Sx and Sy the sine_matrices of the axes."""
     E = DecayReader(sol, [t]).row(0)
-    out = series_on_grid(sol, E[sol.index], *sine_matrices(sol, xs, ys))
+    Sx, Sy = sine_matrices(sol, xs, ys)
+    out = Sx @ (sol.C2 * E[sol.index]) @ Sy.T
     if not np.all(np.isfinite(out)):
         raise EvaluationError(f"series evaluation produced non-finite values at t={t}")
     return out

@@ -33,7 +33,7 @@ class FineLattice:
         object.__setattr__(self, "xs", xs)
 
 
-def fine_lattice(M_s: int = 128) -> FineLattice:
+def fine_lattice(M_s: int) -> FineLattice:
     return FineLattice(M_s=M_s)
 
 

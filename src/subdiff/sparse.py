@@ -10,12 +10,13 @@ Every operator is a ``Stencil``. The P1 matrices couple interior dof (i, j)
 only to (i +- 1, j), (i, j +- 1), (i - 1, j - 1) and (i + 1, j + 1), so four
 (m, m) arrays, m = M - 1, indexed [j, i] like the dofs, hold one: the center,
 east, north and north-east couplings, the west, south and south-west ones
-being the neighbours'. So every operator is symmetric; couplings to boundary
-vertices are 0. ``matvec`` reads x through one strided view of a zero-padded
-copy, at the 9 offsets dj m + di, and sums each row's products SW, S, SE, W,
-C, E, NW, N, NE from left to right; the SE and NW couplings are 0, and so is
-a coupling to a boundary neighbour, whose slot reads the padding or the
-neighbouring row's end.
+being the neighbours'. So every operator is symmetric. The boundary is
+eliminated (homogeneous Dirichlet data): a Stencil zeroes its couplings to
+boundary vertices. ``matvec`` reads x through one strided view of a
+zero-padded copy, at the 9 offsets dj m + di, and sums each row's products
+SW, S, SE, W, C, E, NW, N, NE from left to right; the SE and NW couplings
+are 0, and so is a coupling to a boundary neighbour, whose slot reads the
+padding or the neighbouring row's end.
 """
 
 from __future__ import annotations
@@ -27,20 +28,26 @@ import numpy as np
 
 from .exceptions import SolverFailureError
 
+RTOL = 1e-12  # CG's relative residual tolerance, the default of every solve
+
 
 @dataclass(frozen=True)
 class Stencil:
     """Symmetric operator on the (m, m) interior dofs; coef[k, j, i] is dof
-    (i, j)'s center, east, north or north-east coupling for k = 0..3."""
+    (i, j)'s center, east, north or north-east coupling for k = 0..3, held
+    as a read-only copy with the couplings to boundary vertices zeroed."""
 
     coef: np.ndarray
     _taps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = self.coef.shape[-1]
-        if self.coef.shape != (4, m, m):
-            raise ValueError(f"coef must be a (4, m, m) array, got shape {self.coef.shape}")
-        self.coef.setflags(write=False)
+        coef = np.array(self.coef, dtype=float)  # a copy: the caller's array stays writable
+        m = coef.shape[-1]
+        if coef.shape != (4, m, m):
+            raise ValueError(f"coef must be a (4, m, m) array, got shape {coef.shape}")
+        coef[[1, 3], :, -1] = coef[2:, -1] = 0.0  # E and NE at i = m - 1, N and NE at j = m - 1
+        coef.setflags(write=False)
+        object.__setattr__(self, "coef", coef)
         # taps[dj + 1, di + 1, j, i]: the coupling of dof (i, j) to (i + di, j + dj)
         taps = np.zeros((3, 3, m, m))
         taps[0, 0, 1:, 1:] = self.coef[3, :-1, :-1]  # SW: the NE coupling of (i - 1, j - 1)
@@ -111,7 +118,7 @@ class LinearSolver:
 
     matrix: Stencil
     shift: Stencil
-    rtol: float = 1e-12
+    rtol: float = RTOL
 
     def __post_init__(self):
         for A in (self.matrix, self.shift):
@@ -142,7 +149,7 @@ class LinearSolver:
         return cg_solve(Stencil._of_taps(taps), rhs, x0=x0, rtol=self.rtol)[0]
 
 
-def cg_solve(A: Stencil, b: np.ndarray, x0=None, rtol: float = 1e-12,
+def cg_solve(A: Stencil, b: np.ndarray, x0=None, rtol: float = RTOL,
              max_iter: int | None = None) -> tuple[np.ndarray, list[float]]:
     """Jacobi-preconditioned CG. Returns (x, per-iteration residual norms).
 

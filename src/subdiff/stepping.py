@@ -31,7 +31,7 @@ import numpy as np
 
 from .assembly import FieldP1, _eval_on, assemble_mass, assemble_stiffness, load_vector
 from .mesh import StructuredMesh
-from .sparse import LinearSolver
+from .sparse import RTOL, LinearSolver
 
 
 @dataclass(frozen=True)
@@ -266,7 +266,7 @@ def _history(Z: np.ndarray, j0: int, j1: int) -> np.ndarray:
 
 
 def run(mesh: StructuredMesh, time_mesh: GradedTimeMesh, alpha: float, a,
-        u0_field: FieldP1, f=None, observer=None, rtol: float = 1e-12) -> SchemeState:
+        u0_field: FieldP1, f=None, observer=None, rtol: float = RTOL) -> SchemeState:
     """Run the scheme over the whole time mesh.
 
     Once per run: assembly, the weights and one solver for the pencil

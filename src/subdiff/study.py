@@ -164,7 +164,7 @@ class TableResult:
 def run_table(cfg: ExperimentConfig) -> TableResult:
     """Run every configured M and collect weighted errors plus rates."""
     mus = list(cfg.mu)
-    runs = [run_single(cfg, M, mus=mus) for M in cfg.M]
+    runs = [run_single(cfg, M) for M in cfg.M]
     E = {mu: [run.E_mu[mu] for run in runs] for mu in mus}
     CR = {mu: convergence_rates(E[mu]) if len(cfg.M) > 1 else [] for mu in mus}
     return TableResult(Ms=list(cfg.M), mus=mus, E=E, CR=CR, runs=runs)

@@ -92,7 +92,7 @@ def to_csr(A: Stencil) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A's entries between interior dofs as (rows, cols, values), lexsorted by
     (row, column): each center, east, north or north-east coupling of dof r
     to an interior neighbour q at (r, q) and, off the center, at (q, r).
-    Couplings to boundary vertices must be 0."""
+    Couplings to boundary vertices must be 0, as a Stencil makes them."""
     m = A.coef.shape[1]
     r = np.arange(m * m)
     j, i = np.divmod(r, m)

@@ -1,6 +1,8 @@
 import importlib
 import inspect
+import re
 from dataclasses import MISSING, fields
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +57,7 @@ REMOVED_MEMBERS = (
     "stepping.SchemeState.mesh", "stepping.SchemeState.time_mesh", "cli.cmd_figure",
     "exact.DecayTable", "exact._decay_table", "exact.shared_decay", "study.shared_decay",
     "metrics.ErrorReport", "exact.decay_table", "exact._checked_times",
+    "exact.series_on_grid", "exact._evaluate_decay",
 )
 
 
@@ -93,6 +96,20 @@ def test_dataclass_fields_removed():
         assert "include_boundary" not in inspect.signature(fn).parameters
 
 
+def test_each_default_is_declared_once():
+    # the CG tolerance is sparse.RTOL wherever a caller may leave it out; the
+    # mode cutoff and the lattice size are the configuration's alone
+    from subdiff.assembly import l2_project
+    from subdiff.sparse import RTOL, cg_solve
+    from subdiff.stepping import run
+    assert ExperimentConfig().tol is RTOL
+    assert next(f for f in fields(LinearSolver) if f.name == "rtol").default is RTOL
+    for fn in (cg_solve, run, l2_project):
+        assert inspect.signature(fn).parameters["rtol"].default is RTOL
+    assert inspect.signature(make_series).parameters["K"].default is inspect.Parameter.empty
+    assert inspect.signature(fine_lattice).parameters["M_s"].default is inspect.Parameter.empty
+
+
 def test_error_tracker_attributes_removed():
     sol = make_series(DATA["example1"], 0.75, K=4)
     tracker = ErrorTracker(sol, fine_lattice(8), build_time_mesh(5, 1.6, 0.5), build_mesh(4))
@@ -108,3 +125,11 @@ def test_data_keys_are_the_accepted_examples():
         with pytest.raises(ConfigError, match="example must be one of"):
             ExperimentConfig(example=tag).validate()
     assert set(DATA) == {"example1", "example2", "example3", "zero"}
+
+
+def test_readme_library_example_runs(capsys):
+    # the README's one python block, executed as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    assert re.fullmatch(r"max-norm error at T: \d\.\d{3}e-\d\d\n", capsys.readouterr().out)

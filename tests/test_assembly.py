@@ -89,6 +89,15 @@ def test_stiffness_rejects_a_leading_axis():
         assemble_stiffness(build_mesh(4), lambda x, y: np.stack([1 + x, 1 + y]))
 
 
+def test_a_result_of_the_wrong_shape_is_reported():
+    # an array result that does not broadcast to the points is an error, not
+    # retried point by point as a scalar-only function would be
+    five = lambda x, y: np.ones(5)
+    for build in (assemble_stiffness, load_vector):
+        with pytest.raises(ValueError, match=r"shape.*\(5,\)|\(5,\).*shape"):
+            build(build_mesh(4), five)
+
+
 def _triangle_midpoints(mesh):
     """(ntri, 3, 2) midpoints of each triangle's edges v0v1, v1v2, v2v0."""
     tri = triangulation(mesh.M)

@@ -56,8 +56,12 @@ def test_config_validation(overrides):
     ('"example": ["x"]', "example"),  # a list, not a tag
     ('"mu": [0, 0, 0.5]', "mu"),    # one table column per mu: no repeats
     ('"M": [4, 8]', "M"),           # solve runs one mesh size (the later "M" key wins)
+    ('"mu": [0.5, 0.5000000000000001]', "mu"),  # two columns named E_0.5
+    ('"mu": [-0.0]', "mu"),         # would name its column E_-0
+    ('"tol": 1e-300', "tol"),       # below the machine epsilon: CG would stall after its work
 ], ids=["alpha_string", "M_scalar", "mu_nan", "T_inf", "N_bool", "example_list",
-        "mu_repeated", "M_several_for_solve"])
+        "mu_repeated", "M_several_for_solve", "mu_same_column", "mu_negative_zero",
+        "tol_below_epsilon"])
 def test_config_file_bad_value_exit_code(bad, field, capsys, tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text('{"M": [4], "N": 5, "modes": 4, "fine_M": 16, '

@@ -323,7 +323,7 @@ def test_eval_grid_keeps_the_tracker_decay_block(monkeypatch):
     # its own row only, and the tracker keeps its block; both evaluate the
     # decay on the series' distinct eigenvalues: one oracle argument per
     # distinct eigenvalue, no np.unique
-    from subdiff.exact import eval_grid, series_on_grid, sine_matrices
+    from subdiff.exact import eval_grid, sine_matrices
     from subdiff.stepping import build_time_mesh
     from subdiff.study import ErrorTracker
     sol = make_series(DATA["example2"], 0.75, K=60)
@@ -344,7 +344,8 @@ def test_eval_grid_keeps_the_tracker_decay_block(monkeypatch):
     monkeypatch.undo()
     # the same values as a row of the whole table, bit for bit
     table = decay_reference(sol, [0.1])
-    ref = series_on_grid(sol, table[0][sol.index], *sine_matrices(sol, lat.xs, lat.xs))
+    Sx, Sy = sine_matrices(sol, lat.xs, lat.xs)
+    ref = Sx @ (sol.C2 * table[0][sol.index]) @ Sy.T
     assert np.array_equal(vals, ref)
 
 

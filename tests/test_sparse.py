@@ -128,6 +128,23 @@ def test_matvec_dimension_mismatch():
             Stencil(np.ones(shape))
 
 
+@pytest.mark.parametrize("k", [1, 2, 3], ids=["E", "N", "NE"])
+def test_stencil_drops_couplings_to_the_boundary(k):
+    # m = 3, center 4 and one coupling -1 everywhere, those at i = m - 1
+    # (E, NE) or j = m - 1 (N, NE) reaching boundary vertices
+    coef = np.zeros((4, 3, 3))
+    coef[0], coef[k] = 4.0, -1.0
+    A = Stencil(coef)
+    assert coef.flags.writeable and coef[k].all()  # the caller's array is untouched
+    D = np.column_stack([matvec(A, e) for e in np.eye(A.n)])
+    assert np.array_equal(D, D.T)
+    assert np.array_equal(D, to_dense(A))
+    inner = coef.copy()
+    inner[[1, 3], :, -1] = inner[2:, -1] = 0.0
+    assert np.array_equal(A.coef, inner)
+    assert np.array_equal(D, np.column_stack([matvec(Stencil(inner), e) for e in np.eye(A.n)]))
+
+
 def test_solver_diagonal():
     A = stencil([[2.0, 4.0], [8.0, 16.0]])
     x = spd_solve(A, np.array([1.0, 0.0, 0.0, 0.0]))
