@@ -9,6 +9,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 from .exact import DATA
 from .sparse import RTOL
+from .stepping import build_time_mesh
 
 
 class ConfigError(ValueError):
@@ -62,12 +63,10 @@ class ExperimentConfig:
         for m in self.M:
             if m < 2:
                 raise ConfigError(f"M entries must be integers >= 2, got {m!r}")
-        if self.N < 1:
-            raise ConfigError(f"N must be an integer >= 1, got {self.N!r}")
-        if self.gamma < 1.0:
-            raise ConfigError(f"gamma must be >= 1, got {self.gamma}")
-        if not (self.T > 0.0):
-            raise ConfigError(f"T must be > 0, got {self.T}")
+        try:  # the time mesh owns the rules on N, gamma and T; refused before any output
+            build_time_mesh(self.N, self.gamma, self.T)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.modes < 1:
             raise ConfigError(f"modes must be an integer >= 1, got {self.modes!r}")
         if not self.mu:

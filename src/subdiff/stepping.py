@@ -55,8 +55,9 @@ class GradedTimeMesh:
         t = (np.arange(self.N + 1) / self.N) ** self.gamma * self.T
         tau = np.diff(t)
         if not np.all(tau > 0.0):
-            raise ValueError(f"time mesh with N={self.N} and gamma={self.gamma!r} has "
-                             f"steps that are not positive; lower gamma or N")
+            raise ValueError(f"time mesh with N={self.N} and gamma={self.gamma!r} over "
+                             f"T={self.T!r} has steps that are not positive; lower gamma "
+                             f"or N, or raise T")
         t.setflags(write=False)
         tau.setflags(write=False)
         object.__setattr__(self, "t", t)

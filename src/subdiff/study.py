@@ -8,78 +8,57 @@ import numpy as np
 
 from .assembly import FieldP1, l2_project
 from .config import ExperimentConfig
-from .exact import DATA, DecayReader, SeriesSolution, make_series, sine_matrices
+from .exact import DATA, DecayReader, SeriesSolution, eval_grid, make_series, sine_matrices
 from .mesh import StructuredMesh, build_mesh
 from .metrics import (FineLattice, LatticeInterpolator, convergence_rates, fine_lattice,
                       weighted_errors)
 from .stepping import build_time_mesh, run
 
 
-def _parity_classes(modes: np.ndarray) -> list:
-    """(positions, sign) of the odd and of the even modes present, with the
-    sign (-1)^(m+1) that sin(m pi (1 - x)) = (-1)^(m+1) sin(m pi x) gives
-    them; no modes at all is one empty odd class."""
-    odd = modes % 2 == 1
-    return ([(np.flatnonzero(mask), sign) for mask, sign in ((odd, 1.0), (~odd, -1.0))
-             if mask.any()] or [(np.flatnonzero(odd), 1.0)])
-
-
-def _signed(src: np.ndarray, sign: float, out: np.ndarray, add: bool) -> None:
-    """out = sign * src, or out += sign * src when add; sign is +-1, so exact."""
-    if add:
-        (np.add if sign > 0 else np.subtract)(out, src, out=out)
-    elif sign > 0:
-        np.copyto(out, src)
-    else:
-        np.negative(src, out=out)
-
-
 class ErrorTracker:
     """Observer recording |||u_h^n - u(t_n)||| at every step.
 
-    The modal decay comes from the tracker's own exact.DecayReader, which
-    holds one block of 32 steps. Building a tracker evaluates none of it:
-    step n reads row n - 1, and the first read of a block evaluates its 32
-    steps. The exact field is summed on one quadrant of the lattice and
-    reflected: lattice index i mirrors to M_s - 2 - i (x -> 1 - x), and
-    sin(m pi (1 - x)) = (-1)^(m+1) sin(m pi x). The active block is split
-    by the parity of m and of n (examples 1-3 have one part, all odd); each
-    part gathers its step's decay with the series' index, forms its sum on
-    the first h = M_s // 2 points per axis (x <= 1/2) with two small matrix
-    products, and fills the other three quadrants with the sign of its
-    parities. The first part writes the lattice and the others add to it.
-    The exact field and the error go to one lattice buffer made once, so
-    the next step overwrites the array exact_on_lattice returns.
+    The exact field has one fast path, for a series whose active modes m
+    and n are all odd, as every datum in DATA has: the field is then
+    symmetric about x = 1/2 and y = 1/2, since sin(k pi (1 - x)) =
+    sin(k pi x) for odd k. It is summed on the first h = M_s // 2 lattice
+    points per axis (x <= 1/2) with two small matrix products, from the
+    decay of the tracker's own exact.DecayReader, and copied to the other
+    three quadrants: lattice index i mirrors to M_s - 2 - i. The reader
+    holds one block of 32 steps and evaluates none of it when the tracker
+    is built: step n reads row n - 1, and the first read of a block
+    evaluates its 32 steps. Any other series is summed on the whole lattice
+    by exact.eval_grid. The path is chosen once, from the series alone.
+    The error, and the fast path's exact field, go to one lattice buffer
+    made once, so the next step overwrites the array exact_on_lattice
+    returns.
     """
 
     def __init__(self, sol: SeriesSolution, lattice: FineLattice,
                  time_mesh, mesh: StructuredMesh):
-        self.sol = sol
         self.interp = LatticeInterpolator(mesh, lattice)
         self.decay = DecayReader(sol, time_mesh.t[1:])
         self.errors = np.zeros(time_mesh.N)
         self._lattice = np.empty((lattice.M_s - 1, lattice.M_s - 1))
-        h = lattice.M_s // 2
-        self._half = np.empty((h, lattice.M_s - 1))  # a later part's rows x <= 1/2
-        Sx, Sy = sine_matrices(sol, lattice.xs[:h], lattice.xs[:h])
-        # Sy^T contiguous: the product takes about 5 us at h = 64, against 8
-        self._parts = [(Sx[:, rows], Sy[:, cols].T.copy(), sol.C2[np.ix_(rows, cols)],
-                        sol.index[np.ix_(rows, cols)], sx, sy)
-                       for rows, sx in _parity_classes(sol.m)
-                       for cols, sy in _parity_classes(sol.n)]
+        if np.all(sol.m % 2 == 1) and np.all(sol.n % 2 == 1):
+            h = lattice.M_s // 2
+            Sx, Sy = sine_matrices(sol, lattice.xs[:h], lattice.xs[:h])
+            # Sy^T contiguous: the product takes about 5 us at h = 64, against 8
+            self._quadrant, self._grid = (Sx, Sy.T.copy(), sol.C2, sol.index), None
+        else:
+            self._quadrant, self._grid = None, (sol, time_mesh.t, lattice.xs)
 
     def exact_on_lattice(self, n: int) -> np.ndarray:
-        row = self.decay.row(n - 1)
+        if self._grid is not None:
+            sol, t, xs = self._grid
+            return eval_grid(sol, t[n], xs, xs)
+        Sx, SyT, C2, index = self._quadrant
         full = self._lattice
-        h = self._half.shape[0]
+        h = Sx.shape[0]
         r = full.shape[0] - h  # rows past the first h, mirrors of rows r-1..0
-        for k, (Sx, SyT, C2, index, sx, sy) in enumerate(self._parts):
-            half = full[:h] if k == 0 else self._half
-            np.matmul(Sx @ (C2 * row[index]), SyT, out=half[:, :h])
-            _signed(half[:, :r][:, ::-1], sy, half[:, h:], add=False)
-            if k > 0:
-                np.add(full[:h], half, out=full[:h])
-            _signed(half[:r][::-1], sx, full[h:], add=k > 0)
+        np.matmul(Sx @ (C2 * self.decay.row(n - 1)[index]), SyT, out=full[:h, :h])
+        np.copyto(full[:h, h:], full[:h, :r][:, ::-1])
+        np.copyto(full[h:], full[:r][::-1])
         return full
 
     def __call__(self, n: int, t_n: float, u_n: FieldP1) -> None:

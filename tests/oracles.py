@@ -332,6 +332,14 @@ TRIANGLE = InitialDatum(
     lambda m, n: np.where((m < n) & (n % 3 != 0), 1.0 / (m * n), 0.0))
 
 
+# TRIANGLE on odd m and n only: the tracker's quadrant path on an active
+# set that is not the tensor product of its rows and columns
+ODD_TRIANGLE = InitialDatum(
+    "odd_triangle", lambda x, y: np.zeros_like(x * y),
+    lambda m, n: np.where((m < n) & (m % 2 == 1) & (n % 2 == 1) & (n % 3 != 0),
+                          1.0 / (m * n), 0.0))
+
+
 # coefficients on even m only: every mode in x changes sign under x -> 1 - x
 EVEN_M = InitialDatum(
     "even_m", lambda x, y: np.zeros_like(x * y),

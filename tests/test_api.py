@@ -113,7 +113,7 @@ def test_each_default_is_declared_once():
 def test_error_tracker_attributes_removed():
     sol = make_series(DATA["example1"], 0.75, K=4)
     tracker = ErrorTracker(sol, fine_lattice(8), build_time_mesh(5, 1.6, 0.5), build_mesh(4))
-    for name in ("mask", "c2_act", "t", "lattice", "index"):
+    for name in ("mask", "c2_act", "t", "lattice", "index", "sol", "_half", "_parts"):
         assert not hasattr(tracker, name)
 
 

@@ -165,6 +165,17 @@ def test_degenerate_time_mesh_exit_code(tmp_path, capsys, recwarn):
     assert len(recwarn) == 0
 
 
+@pytest.mark.parametrize("flag, value, named", [("--gamma", "1e6", "gamma=1000000.0"),
+                                                ("--T", "5e-324", "T=5e-324")])
+def test_degenerate_time_mesh_makes_no_output(flag, value, named, tmp_path, capsys):
+    # the time mesh is checked with the configuration, before --out is made
+    out = tmp_path / "new"
+    assert main(["solve", "--M", "4", "--N", "10", flag, value, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "not positive" in err
+    assert not out.exists()
+
+
 def test_alpha_near_one_solves(tmp_path, capsys, recwarn):
     code = main(["solve", "--M", "4", "--N", "10", "--modes", "4", "--fine-M", "8",
                  "--alpha", "0.999999999", "--out", str(tmp_path)])

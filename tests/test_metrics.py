@@ -9,7 +9,7 @@ from subdiff.metrics import (FineLattice, LatticeInterpolator, convergence_rates
                              fine_lattice, weighted_errors)
 from subdiff.study import RunResult
 
-from oracles import EVEN_M, TRIANGLE, decay_reference, interpolation_matrix
+from oracles import EVEN_M, ODD_TRIANGLE, TRIANGLE, decay_reference, interpolation_matrix
 from published import (TABLE1_ERRORS, TABLE1_RATES, TABLE2_ERRORS, TABLE2_RATES,
                        TABLE3_ERRORS, TABLE3_RATES)
 
@@ -143,22 +143,32 @@ def test_streaming_max_equals_posthoc():
     assert res.E_mu[0.5] == posthoc[1]
 
 
-def _assert_near_eval_grid(got, ref):
-    # the tracker sums the series on one quadrant and reflects it, so a
-    # mirrored point reuses its mirror's sines: ulps of max|u| apart
+TEST_DATA = {**DATA, "triangle": TRIANGLE, "odd_triangle": ODD_TRIANGLE, "even_m": EVEN_M}
+
+
+def _assert_tracker_field(datum, got, ref):
+    """An all-odd series' field within ulps of eval_grid and symmetric under
+    x -> 1 - x and y -> 1 - y bit for bit; any other series' is eval_grid's."""
     assert got.shape == ref.shape
-    assert np.all(np.abs(got - ref) <= 4e-15 * np.abs(ref).max())
+    if datum in ("triangle", "even_m"):
+        assert np.array_equal(got, ref)
+    else:
+        # summed on one quadrant and reflected, a mirrored point reuses its
+        # mirror's sines: ulps of max|u| apart
+        assert np.all(np.abs(got - ref) <= 4e-15 * np.abs(ref).max())
+        assert np.array_equal(got, got[::-1]) and np.array_equal(got, got[:, ::-1])
 
 
-@pytest.mark.parametrize("datum", ["example1", "example2", "example3", "triangle"])
+@pytest.mark.parametrize("datum", ["example1", "example2", "example3", "triangle",
+                                   "odd_triangle"])
 def test_error_tracker_decay_matches_public_evaluator(datum):
     # the tracker and eval_grid share one modal-decay path, also on a
     # support that is not a full block
-    from subdiff.exact import DATA, make_series, eval_grid
+    from subdiff.exact import make_series, eval_grid
     from subdiff.stepping import build_time_mesh
     from subdiff.study import ErrorTracker
     from subdiff.mesh import build_mesh
-    sol = make_series(TRIANGLE if datum == "triangle" else DATA[datum], 0.75, K=16)
+    sol = make_series(TEST_DATA[datum], 0.75, K=16)
     tm = build_time_mesh(40, 1.6, 0.5)
     mesh = build_mesh(4)
     lat = fine_lattice(16)
@@ -167,29 +177,29 @@ def test_error_tracker_decay_matches_public_evaluator(datum):
     for n in (1, 17, 40):
         assert np.array_equal(tracker.decay.row(n - 1), reference[n - 1])
         direct = eval_grid(sol, tm.t[n], lat.xs, lat.xs)
-        _assert_near_eval_grid(tracker.exact_on_lattice(n), direct)
+        _assert_tracker_field(datum, tracker.exact_on_lattice(n), direct)
 
 
 @pytest.mark.parametrize("M, fine_M", [(2, 2), (3, 3), (3, 15), (4, 16), (4, 128)])
-@pytest.mark.parametrize("datum", ["example1", "example2", "example3", "triangle", "even_m",
-                                   "zero"])
-def test_exact_on_lattice_matches_eval_grid(datum, M, fine_M):
-    # every parity of m and n, odd and even lattices, the one-point lattice
+@pytest.mark.parametrize("datum", ["example1", "example2", "example3", "triangle",
+                                   "odd_triangle", "even_m", "zero"])
+def test_exact_on_lattice_matches_eval_grid(datum, M, fine_M, monkeypatch):
+    # both parities of m and n, odd and even lattices, the one-point lattice;
+    # a series with odd modes only never reaches the tracker's eval_grid
+    import subdiff.study as study
     from subdiff.exact import eval_grid
     from subdiff.stepping import build_time_mesh
     from subdiff.study import ErrorTracker
-    data = {**DATA, "triangle": TRIANGLE, "even_m": EVEN_M}
-    sol = make_series(data[datum], 0.75, K=16)
+    sol = make_series(TEST_DATA[datum], 0.75, K=16)
+    if datum not in ("triangle", "even_m"):
+        assert np.all(sol.m % 2 == 1) and np.all(sol.n % 2 == 1)
+        monkeypatch.setattr(study, "eval_grid", None, raising=False)
     tm = build_time_mesh(40, 1.6, 0.5)
     lat = fine_lattice(fine_M)
     tracker = ErrorTracker(sol, lat, tm, build_mesh(M))
     for n in (1, 17, 40):
-        got = tracker.exact_on_lattice(n)
-        _assert_near_eval_grid(got, eval_grid(sol, tm.t[n], lat.xs, lat.xs))
-        if datum.startswith("example"):
-            # all modes odd: the field is symmetric under x -> 1 - x and
-            # y -> 1 - y, bit for bit
-            assert np.array_equal(got, got[::-1]) and np.array_equal(got, got[:, ::-1])
+        _assert_tracker_field(datum, tracker.exact_on_lattice(n),
+                              eval_grid(sol, tm.t[n], lat.xs, lat.xs))
 
 
 def test_error_tracker_decay_bitwise_per_mode():

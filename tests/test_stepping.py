@@ -160,6 +160,9 @@ def test_time_mesh_rejects_steps_that_underflow():
     # (n/N)^gamma underflows to 0 for every n < N: tau_1 = ... = tau_(N-1) = 0
     with pytest.raises(ValueError, match=r"N=10 and gamma=1000000.0 .*not positive"):
         build_time_mesh(10, 1e6, 0.5)
+    # with T = 5e-324 every node rounds to 0 or T, so most steps are 0: the message names T
+    with pytest.raises(ValueError, match=r"gamma=1.6 over T=5e-324 .*not positive.*raise T"):
+        build_time_mesh(10, 1.6, 5e-324)
     tm = build_time_mesh(10, 200.0, 0.5)  # steps tiny but positive
     assert np.all(tm.tau > 0.0)
 
