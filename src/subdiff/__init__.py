@@ -11,8 +11,7 @@ from .config import ConfigError, ExperimentConfig
 from .exact import DATA, InitialDatum, SeriesSolution, eval_grid, make_series
 from .exceptions import CoefficientRangeError, EvaluationError, SolverFailureError
 from .mesh import StructuredMesh, build_mesh
-from .metrics import (FineLattice, LatticeInterpolator, convergence_rates, fine_lattice,
-                      weighted_errors)
+from .metrics import LatticeInterpolator, convergence_rates, fine_lattice, weighted_errors
 from .mittag_leffler import MlfEvaluator, gamma
 from .sparse import LinearSolver, Stencil, cg_solve, matvec
 from .stepping import (FracWeights, GradedTimeMesh, SchemeState, build_time_mesh,
@@ -23,7 +22,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CoefficientRangeError", "ConfigError", "DATA", "ErrorTracker",
-    "EvaluationError", "ExperimentConfig", "FieldP1", "FineLattice",
+    "EvaluationError", "ExperimentConfig", "FieldP1",
     "FracWeights", "GradedTimeMesh", "InitialDatum", "LatticeInterpolator",
     "LinearSolver", "MlfEvaluator", "RunResult", "SchemeState", "SeriesSolution", "SolverFailureError",
     "Stencil", "StructuredMesh", "TableResult",

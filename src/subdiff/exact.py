@@ -165,10 +165,12 @@ def sine_matrices(sol: SeriesSolution, xs, ys) -> tuple[np.ndarray, np.ndarray]:
 
 def eval_grid(sol: SeriesSolution, t: float, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """u(x_i, y_j, t) on the tensor grid xs x ys: Sx (2 C E) Sy^T for the
-    decay E on the active block, Sx and Sy the sine_matrices of the axes."""
+    decay E on the active block, Sx and Sy the sine_matrices of the axes.
+    Sy^T is made contiguous, as study.ErrorTracker holds it, so the two
+    give the same bits on the same grid."""
     E = DecayReader(sol, [t]).row(0)
     Sx, Sy = sine_matrices(sol, xs, ys)
-    out = Sx @ (sol.C2 * E[sol.index]) @ Sy.T
+    out = Sx @ (sol.C2 * E[sol.index]) @ Sy.T.copy()
     if not np.all(np.isfinite(out)):
         raise EvaluationError(f"series evaluation produced non-finite values at t={t}")
     return out

@@ -34,6 +34,11 @@ class StructuredMesh:
     def triangle_area(self) -> float:
         return 1.0 / (2.0 * self.M * self.M)
 
+    @property
+    def xs(self) -> np.ndarray:
+        """The interior vertex coordinates along either axis, k / M for k = 1..M-1."""
+        return np.arange(1, self.M) / self.M
+
 
 def build_mesh(M: int) -> StructuredMesh:
     """Build the structured triangulation with M subdivisions per axis."""

@@ -1,14 +1,13 @@
 """Discrete maximum-norm errors on a fine evaluation lattice.
 
-The error at each accepted step is the max over the interior nodes of a
-fixed fine lattice of |P1-interpolated discrete solution - exact solution|;
-weighted variants multiply by t^mu before taking the max over steps. A
-run's per-step errors, and their CSV, are held by study.RunResult.
+The error at each accepted step is the max over the interior vertices of
+a fixed fine mesh, the lattice, that nests the FE mesh of
+|P1-interpolated discrete solution - exact solution|; weighted variants
+multiply by t^mu before taking the max over steps. A run's per-step
+errors, and their CSV, are held by study.RunResult.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,32 +15,18 @@ from .assembly import FieldP1
 from .mesh import StructuredMesh
 
 
-@dataclass(frozen=True)
-class FineLattice:
-    """Interior nodes of the M_s x M_s lattice, as a tensor grid."""
-
-    M_s: int
-    xs: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        M_s = self.M_s
-        if not isinstance(M_s, (int, np.integer)) or isinstance(M_s, bool) or M_s < 2:
-            raise ValueError(f"M_s must be an integer >= 2, got {M_s!r}")
-        object.__setattr__(self, "M_s", int(M_s))
-        xs = np.arange(1, self.M_s) / self.M_s
-        xs.setflags(write=False)
-        object.__setattr__(self, "xs", xs)
-
-
-def fine_lattice(M_s: int) -> FineLattice:
-    return FineLattice(M_s=M_s)
+def fine_lattice(M_s: int) -> StructuredMesh:
+    """The evaluation lattice of M_s subdivisions per axis: the vertex
+    lattice of StructuredMesh(M_s), whose xs are its interior coordinates."""
+    return StructuredMesh(M_s)
 
 
 class LatticeInterpolator:
-    """P1 interpolation from a coarse mesh onto a fine lattice that refines it.
+    """P1 interpolation from a coarse mesh onto the interior vertices of a
+    finer mesh, the lattice, that nests it.
 
-    With q = M_s / M, every coarse cell holds the same q x q lattice offsets
-    (fx, fy) = (a / q, b / q), a, b = 1..q. On a cell split along its LL-UR
+    With q = lattice.M / mesh.M, every coarse cell holds the same q x q
+    lattice offsets (fx, fy) = (a / q, b / q), a, b = 1..q. On a cell split along its LL-UR
     diagonal, the hat functions of its corners there are LL = 1 - max(fx, fy),
     LR = max(fx - fy, 0), UL = max(fy - fx, 0) and UR = min(fx, fy); these
     form the (4, q*q) weight table. A call forms one product of the table
@@ -53,10 +38,10 @@ class LatticeInterpolator:
     next call overwrites the array a call returns.
     """
 
-    def __init__(self, mesh: StructuredMesh, lattice: FineLattice):
-        q, r = divmod(lattice.M_s, mesh.M)
+    def __init__(self, mesh: StructuredMesh, lattice: StructuredMesh):
+        q, r = divmod(lattice.M, mesh.M)
         if r != 0:
-            raise ValueError(f"lattice M_s={lattice.M_s} is not a multiple of mesh M={mesh.M}")
+            raise ValueError(f"lattice M={lattice.M} is not a multiple of mesh M={mesh.M}")
         self.mesh = mesh
         self.lattice = lattice
         f = np.arange(1, q + 1) / q
@@ -73,14 +58,15 @@ class LatticeInterpolator:
                                        strides=(row, step, row, step))
         self._corners = np.empty((4, M, M))
         self._cells = np.empty((M * M, q * q))
-        self._grid = np.empty((lattice.M_s, lattice.M_s))
+        self._grid = np.empty((lattice.M, lattice.M))
 
     def __call__(self, field: FieldP1) -> np.ndarray:
-        """Values on the lattice as an (M_s-1, M_s-1) array indexed [ix, iy]."""
+        """Values on the lattice as a (lattice.M - 1, lattice.M - 1) array
+        indexed [ix, iy]."""
         if field.mesh != self.mesh:
             raise ValueError("field is attached to a different mesh")
         M = self.mesh.M
-        q = self.lattice.M_s // M
+        q = self.lattice.M // M
         self._nodes[1:-1, 1:-1] = field.values.reshape(M - 1, M - 1)
         np.copyto(self._corners.reshape(2, 2, M, M), self._corner_view)
         cells = np.matmul(self._corners.reshape(4, M * M).T, self._W, out=self._cells)

@@ -8,51 +8,45 @@ import numpy as np
 
 from .assembly import FieldP1, l2_project
 from .config import ExperimentConfig
-from .exact import DATA, DecayReader, SeriesSolution, eval_grid, make_series, sine_matrices
+from .exact import DATA, DecayReader, SeriesSolution, make_series, sine_matrices
 from .mesh import StructuredMesh, build_mesh
-from .metrics import (FineLattice, LatticeInterpolator, convergence_rates, fine_lattice,
-                      weighted_errors)
+from .metrics import LatticeInterpolator, convergence_rates, fine_lattice, weighted_errors
 from .stepping import build_time_mesh, run
 
 
 class ErrorTracker:
     """Observer recording |||u_h^n - u(t_n)||| at every step.
 
-    The exact field has one fast path, for a series whose active modes m
-    and n are all odd, as every datum in DATA has: the field is then
-    symmetric about x = 1/2 and y = 1/2, since sin(k pi (1 - x)) =
-    sin(k pi x) for odd k. It is summed on the first h = M_s // 2 lattice
-    points per axis (x <= 1/2) with two small matrix products, from the
-    decay of the tracker's own exact.DecayReader, and copied to the other
-    three quadrants: lattice index i mirrors to M_s - 2 - i. The reader
-    holds one block of 32 steps and evaluates none of it when the tracker
-    is built: step n reads row n - 1, and the first read of a block
-    evaluates its 32 steps. Any other series is summed on the whole lattice
-    by exact.eval_grid. The path is chosen once, from the series alone.
-    The error, and the fast path's exact field, go to one lattice buffer
-    made once, so the next step overwrites the array exact_on_lattice
-    returns.
+    The exact field is summed on the first h lattice points per axis with
+    two small matrix products, from the decay of the tracker's own
+    exact.DecayReader, and reflected onto the rest of the lattice: lattice
+    index i mirrors to M - 2 - i for the lattice's M. When every active
+    mode m and n is odd, as for every datum in DATA, the field is symmetric
+    about x = 1/2 and y = 1/2, since sin(k pi (1 - x)) = sin(k pi x) for
+    odd k, so h = M // 2 (x <= 1/2) and the reflections fill the other
+    three quadrants. Any other series takes h = M - 1, the whole axis, and
+    the reflections copy nothing. h is set once, from the series alone. The
+    reader holds one block of 32 steps and evaluates none of it when the
+    tracker is built: step n reads row n - 1, and the first read of a block
+    evaluates its 32 steps. The error and the exact field go to one lattice
+    buffer made once, so the next step overwrites the array
+    exact_on_lattice returns.
     """
 
-    def __init__(self, sol: SeriesSolution, lattice: FineLattice,
+    def __init__(self, sol: SeriesSolution, lattice: StructuredMesh,
                  time_mesh, mesh: StructuredMesh):
         self.interp = LatticeInterpolator(mesh, lattice)
         self.decay = DecayReader(sol, time_mesh.t[1:])
         self.errors = np.zeros(time_mesh.N)
-        self._lattice = np.empty((lattice.M_s - 1, lattice.M_s - 1))
-        if np.all(sol.m % 2 == 1) and np.all(sol.n % 2 == 1):
-            h = lattice.M_s // 2
-            Sx, Sy = sine_matrices(sol, lattice.xs[:h], lattice.xs[:h])
-            # Sy^T contiguous: the product takes about 5 us at h = 64, against 8
-            self._quadrant, self._grid = (Sx, Sy.T.copy(), sol.C2, sol.index), None
-        else:
-            self._quadrant, self._grid = None, (sol, time_mesh.t, lattice.xs)
+        self._lattice = np.empty((lattice.M - 1, lattice.M - 1))
+        odd = np.all(sol.m % 2 == 1) and np.all(sol.n % 2 == 1)
+        h = lattice.M // 2 if odd else lattice.M - 1
+        Sx, Sy = sine_matrices(sol, lattice.xs[:h], lattice.xs[:h])
+        # Sy^T contiguous: the product takes about 5 us at h = 64, against 8
+        self._sum = (Sx, Sy.T.copy(), sol.C2, sol.index)
 
     def exact_on_lattice(self, n: int) -> np.ndarray:
-        if self._grid is not None:
-            sol, t, xs = self._grid
-            return eval_grid(sol, t[n], xs, xs)
-        Sx, SyT, C2, index = self._quadrant
+        Sx, SyT, C2, index = self._sum
         full = self._lattice
         h = Sx.shape[0]
         r = full.shape[0] - h  # rows past the first h, mirrors of rows r-1..0

@@ -7,7 +7,7 @@ import numpy as np
 
 from subdiff.exact import InitialDatum
 from subdiff.mittag_leffler import _NODES, _WEIGHTS, MlfEvaluator
-from subdiff.sparse import Stencil
+from subdiff.sparse import RTOL, Stencil
 from subdiff.stepping import FracWeights
 
 # Frozen values of E_alpha(-x) from the extended-precision series oracle
@@ -236,6 +236,25 @@ class DiagonalPencil(NamedTuple):
 
     def solve(self, rhs, x0=None, s=0.0):
         return rhs / (1.0 + s * self.lam)
+
+
+class DensePencil:
+    """A converged stand-in for sparse.LinearSolver, with its constructor
+    signature: the pencil (matrix, shift) as dense arrays, each solve of
+    (matrix + s * shift) x = rhs by np.linalg.solve. rtol and x0 are taken
+    and ignored."""
+
+    def __init__(self, matrix: Stencil, shift: Stencil, rtol: float = RTOL):
+        self._A, self._B = to_dense(matrix), to_dense(shift)
+
+    def mass(self, u):
+        return self._A @ u
+
+    def stiffness(self, u):
+        return self._B @ u
+
+    def solve(self, rhs, x0=None, s=0.0):
+        return np.linalg.solve(self._A + s * self._B, rhs)
 
 
 def decay_reference(sol, t) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 report as it happens. The table criteria (1-3) run full convergence studies
-and take a few minutes; everything else is quick.
+and take about 25 s together; everything else is quick.
 """
 
 import math

@@ -21,7 +21,8 @@ REMOVED = ("eval_points", "mlf", "write_debug_csv", "write_matrix_market",
            "initial_field", "step_error", "locate_point", "add_scaled",
            "example1", "example2", "example3", "custom", "ritz_project",
            "frac_integral_nodes", "locate_points", "OutOfDomainError", "csr_from_coo",
-           "NumericalBlowupError", "reciprocal_gamma", "SparseMatrix", "ErrorReport")
+           "NumericalBlowupError", "reciprocal_gamma", "SparseMatrix", "ErrorReport",
+           "FineLattice")
 
 # module.attribute or module.Class.attribute paths below subdiff
 REMOVED_MEMBERS = (
@@ -57,7 +58,7 @@ REMOVED_MEMBERS = (
     "stepping.SchemeState.mesh", "stepping.SchemeState.time_mesh", "cli.cmd_figure",
     "exact.DecayTable", "exact._decay_table", "exact.shared_decay", "study.shared_decay",
     "metrics.ErrorReport", "exact.decay_table", "exact._checked_times",
-    "exact.series_on_grid", "exact._evaluate_decay",
+    "exact.series_on_grid", "exact._evaluate_decay", "metrics.FineLattice",
 )
 
 

@@ -5,8 +5,7 @@ from subdiff.assembly import FieldP1, l2_project
 from subdiff.exact import DATA, make_series
 from subdiff.mesh import build_mesh
 from subdiff.mittag_leffler import MlfEvaluator
-from subdiff.metrics import (FineLattice, LatticeInterpolator, convergence_rates,
-                             fine_lattice, weighted_errors)
+from subdiff.metrics import LatticeInterpolator, convergence_rates, fine_lattice, weighted_errors
 from subdiff.study import RunResult
 
 from oracles import EVEN_M, ODD_TRIANGLE, TRIANGLE, decay_reference, interpolation_matrix
@@ -26,12 +25,15 @@ def test_fine_lattice_minimal():
 
 
 def test_fine_lattice_validation():
+    # the lattice is the mesh of its size: one check, one message, one type
     for bad in (1, 8.5, 8.0, True):
-        for build in (fine_lattice, FineLattice):
-            with pytest.raises(ValueError, match="M_s must be an integer"):
+        for build in (fine_lattice, build_mesh):
+            with pytest.raises(ValueError, match="M must be an integer >= 2"):
                 build(bad)
     lat = fine_lattice(np.int64(8))
-    assert type(lat.M_s) is int and lat.M_s == 8
+    assert type(lat.M) is int and lat.M == 8
+    assert lat == build_mesh(8) and hash(lat) == hash(build_mesh(8))
+    assert np.array_equal(lat.xs, np.arange(1, 8) / 8)
 
 
 def test_interpolator_reproduces_coarse_nodes():
@@ -185,18 +187,20 @@ def test_error_tracker_decay_matches_public_evaluator(datum):
                                    "odd_triangle", "even_m", "zero"])
 def test_exact_on_lattice_matches_eval_grid(datum, M, fine_M, monkeypatch):
     # both parities of m and n, odd and even lattices, the one-point lattice;
-    # a series with odd modes only never reaches the tracker's eval_grid
+    # a step of any series reads only what the tracker formed when built:
+    # no sines, no new decay reader, no eval_grid
     import subdiff.study as study
     from subdiff.exact import eval_grid
     from subdiff.stepping import build_time_mesh
     from subdiff.study import ErrorTracker
     sol = make_series(TEST_DATA[datum], 0.75, K=16)
-    if datum not in ("triangle", "even_m"):
-        assert np.all(sol.m % 2 == 1) and np.all(sol.n % 2 == 1)
-        monkeypatch.setattr(study, "eval_grid", None, raising=False)
+    odd = np.all(sol.m % 2 == 1) and np.all(sol.n % 2 == 1)
+    assert odd == (datum not in ("triangle", "even_m"))
     tm = build_time_mesh(40, 1.6, 0.5)
     lat = fine_lattice(fine_M)
     tracker = ErrorTracker(sol, lat, tm, build_mesh(M))
+    for name in ("sine_matrices", "DecayReader", "eval_grid"):
+        monkeypatch.setattr(study, name, None, raising=False)
     for n in (1, 17, 40):
         _assert_tracker_field(datum, tracker.exact_on_lattice(n),
                               eval_grid(sol, tm.t[n], lat.xs, lat.xs))
@@ -497,5 +501,5 @@ def test_interpolator_matches_loop_construction(M, M_s):
 
 
 def test_interpolator_rejects_non_nested_lattice():
-    with pytest.raises(ValueError, match="M_s=128 .* M=3"):
+    with pytest.raises(ValueError, match="lattice M=128 is not a multiple of mesh M=3"):
         LatticeInterpolator(build_mesh(3), fine_lattice(128))

@@ -17,7 +17,8 @@ from subdiff.mittag_leffler import MlfEvaluator, gamma
 from subdiff.sparse import LinearSolver, cg_solve, matvec
 from subdiff.stepping import SchemeState, build_time_mesh, frac_weights, run, step
 
-from oracles import DiagonalPencil, add_scaled, heat_crank_nicolson_reference, to_dense
+from oracles import (DensePencil, DiagonalPencil, add_scaled, heat_crank_nicolson_reference,
+                     to_dense)
 
 
 def test_zero_data_stays_zero():
@@ -380,3 +381,29 @@ def test_frac_weights_memory_is_linear_in_N():
         tracemalloc.stop()
     # a few length-N work vectors; the O(N^2) table would need 160 GB
     assert peak < 16 * N * 8
+
+
+def test_solver_budget_table2(monkeypatch):
+    # table2 at M = 4, 8, 16 three ways: CG at the default tol, CG at 1e-15,
+    # and every pencil solve dense with the projection's CG at 1e-15. The
+    # two converged runs differ by rounding only; the default tol's offset
+    # is how far where Jacobi CG stops moves the printed E_mu
+    from subdiff.benchmarks import PRESETS
+    from subdiff.config import ExperimentConfig
+    from subdiff.study import run_table
+    cfg = ExperimentConfig().replace(**{**PRESETS["table2"], "M": [4, 8, 16]})
+
+    def E_mu(tol):
+        table = run_table(cfg.replace(tol=tol))
+        return np.array([table.E[mu] for mu in table.mus])
+
+    default = E_mu(cfg.tol)
+    converged = E_mu(1e-15)
+    monkeypatch.setattr(stepping, "LinearSolver", DensePencil)
+    dense = E_mu(1e-15)
+    off_converged = float(np.max(np.abs(converged - dense) / dense))
+    off_default = float(np.max(np.abs(default - dense) / dense))
+    print(f"[solver budget] E_mu relative to the dense run: CG tol 1e-15 "
+          f"{off_converged:.2e}, CG tol {cfg.tol:g} {off_default:.2e}")
+    assert off_converged <= 1e-12
+    assert off_default <= 5e-10
