@@ -10,12 +10,11 @@ from .assembly import FieldP1, assemble_mass, assemble_stiffness, l2_project, lo
 from .config import ConfigError, ExperimentConfig
 from .exact import DATA, InitialDatum, SeriesSolution, eval_grid, make_series
 from .exceptions import CoefficientRangeError, EvaluationError, SolverFailureError
-from .mesh import StructuredMesh, build_mesh
-from .metrics import LatticeInterpolator, convergence_rates, fine_lattice, weighted_errors
-from .mittag_leffler import MlfEvaluator, gamma
+from .mesh import StructuredMesh
+from .metrics import LatticeInterpolator, convergence_rates, weighted_errors
+from .mittag_leffler import MlfEvaluator
 from .sparse import LinearSolver, Stencil, cg_solve, matvec
-from .stepping import (FracWeights, GradedTimeMesh, SchemeState, build_time_mesh,
-                       frac_weights, run, step)
+from .stepping import FracWeights, GradedTimeMesh, SchemeState, run, step
 from .study import ErrorTracker, RunResult, TableResult, run_single, run_table
 
 __version__ = "0.1.0"
@@ -26,9 +25,8 @@ __all__ = [
     "FracWeights", "GradedTimeMesh", "InitialDatum", "LatticeInterpolator",
     "LinearSolver", "MlfEvaluator", "RunResult", "SchemeState", "SeriesSolution", "SolverFailureError",
     "Stencil", "StructuredMesh", "TableResult",
-    "assemble_mass", "assemble_stiffness", "build_mesh", "build_time_mesh",
+    "assemble_mass", "assemble_stiffness",
     "cg_solve", "convergence_rates", "eval_grid",
-    "fine_lattice", "frac_weights", "gamma",
     "l2_project", "load_vector", "make_series", "matvec",
     "run", "run_single",
     "run_table", "step", "weighted_errors",

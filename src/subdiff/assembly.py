@@ -35,7 +35,7 @@ _STIFFNESS = 0.5 * np.array([[[1, -1, 0], [-1, 2, -1], [0, -1, 1]],
                              [[1, 0, -1], [0, 1, -1], [-1, -1, 2]]], dtype=float)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldP1:
     """Piecewise-linear function with zero boundary trace, stored by dof."""
 

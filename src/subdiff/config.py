@@ -8,8 +8,9 @@ from sys import float_info
 from dataclasses import asdict, dataclass, field, fields
 
 from .exact import DATA
+from .mesh import StructuredMesh
 from .sparse import RTOL
-from .stepping import build_time_mesh
+from .stepping import FracWeights, GradedTimeMesh
 
 
 class ConfigError(ValueError):
@@ -21,7 +22,10 @@ def _is_int(x) -> bool:
 
 
 def _is_real(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    try:
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:  # an integer past float range
+        return False
 
 
 @dataclass
@@ -49,8 +53,6 @@ class ExperimentConfig:
             vals = getattr(self, name)
             if not isinstance(vals, (list, tuple)) or not all(ok(v) for v in vals):
                 raise ConfigError(f"{name} must be a list of {what}, got {vals!r}")
-        if not (0.0 < self.alpha < 1.0):
-            raise ConfigError(f"alpha must lie strictly in (0, 1), got {self.alpha}")
         for name in ("example", "out"):
             if not isinstance(getattr(self, name), str):
                 raise ConfigError(f"{name} must be a string, got {getattr(self, name)!r}")
@@ -60,11 +62,15 @@ class ExperimentConfig:
             raise ConfigError("M must list at least one mesh size")
         if len(set(self.M)) != len(self.M):
             raise ConfigError(f"M values must be distinct, got {self.M}")
-        for m in self.M:
-            if m < 2:
-                raise ConfigError(f"M entries must be integers >= 2, got {m!r}")
-        try:  # the time mesh owns the rules on N, gamma and T; refused before any output
-            build_time_mesh(self.N, self.gamma, self.T)
+        # the classes own the range rules on their inputs; refused before any output
+        for name, sizes in (("M", self.M), ("fine_M", [self.fine_M])):
+            for m in sizes:
+                try:
+                    StructuredMesh(m)
+                except ValueError as exc:
+                    raise ConfigError(f"{name}: {exc}") from exc
+        try:  # the messages name N, gamma, T or alpha
+            FracWeights(GradedTimeMesh(self.N, self.gamma, self.T), self.alpha)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.modes < 1:
@@ -82,8 +88,6 @@ class ExperimentConfig:
         names = [f"E_{mu:g}" for mu in self.mu]
         if len(set(names)) != len(names):
             raise ConfigError(f"mu values must be distinct, got {self.mu} for columns {names}")
-        if self.fine_M < 2:
-            raise ConfigError(f"fine_M must be an integer >= 2, got {self.fine_M!r}")
         for m in self.M:
             if self.fine_M % m != 0:
                 raise ConfigError(f"fine_M must be a multiple of every M; "

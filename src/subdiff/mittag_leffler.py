@@ -42,16 +42,7 @@ _NODES = _MU * (1.0 + 1j * _U) ** 2
 _WEIGHTS = (_MU * _H / math.pi) * np.where(_U > 0.0, 2.0, 1.0) * (1.0 + 1j * _U) * np.exp(_NODES)
 _CHUNK = 8192  # arguments per block of work vectors
 
-
-# No package module calls this; it stays while perfbench/workloads.py imports it.
-def gamma(x: float) -> float:
-    """Gamma(x) for real x (math.gamma); ValueError when not finite or at a pole."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"gamma argument must be finite, got {x!r}")
-    if x <= 0.0 and x == round(x):
-        raise ValueError(f"gamma pole at nonpositive integer {x!r}")
-    return math.gamma(x)
+gamma = math.gamma  # no package module calls it; perfbench/workloads.py imports it
 
 
 @dataclass(frozen=True)

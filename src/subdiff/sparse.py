@@ -31,14 +31,14 @@ from .exceptions import SolverFailureError
 RTOL = 1e-12  # CG's relative residual tolerance, the default of every solve
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Stencil:
     """Symmetric operator on the (m, m) interior dofs; coef[k, j, i] is dof
     (i, j)'s center, east, north or north-east coupling for k = 0..3, held
     as a read-only copy with the couplings to boundary vertices zeroed."""
 
     coef: np.ndarray
-    _taps: np.ndarray = field(init=False, repr=False, compare=False)
+    _taps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         coef = np.array(self.coef, dtype=float)  # a copy: the caller's array stays writable

@@ -14,10 +14,10 @@ from subdiff.assembly import FieldP1, l2_project
 from subdiff.benchmarks import M_VALUES, PRESETS
 from subdiff.config import ExperimentConfig
 from subdiff.exact import DATA
-from subdiff.mesh import build_mesh
-from subdiff.metrics import LatticeInterpolator, convergence_rates, fine_lattice
-from subdiff.mittag_leffler import MlfEvaluator, gamma
-from subdiff.stepping import build_time_mesh, frac_weights, run
+from subdiff.mesh import StructuredMesh
+from subdiff.metrics import LatticeInterpolator, convergence_rates
+from subdiff.mittag_leffler import MlfEvaluator
+from subdiff.stepping import FracWeights, GradedTimeMesh, run
 from subdiff.study import run_table
 
 from oracles import (MLF_SERIES_REFERENCE, _asymptotic_all_terms, frac_integral_nodes,
@@ -118,8 +118,8 @@ def test_criterion_4_rate_convention_arithmetic():
 
 def test_criterion_5_alpha_to_one_degeneration():
     M, N, T = 8, 50, 0.5
-    mesh = build_mesh(M)
-    tm = build_time_mesh(N, 1.0, T)
+    mesh = StructuredMesh(M)
+    tm = GradedTimeMesh(N, 1.0, T)
     u0 = l2_project(mesh, DATA["example1"].evaluate)
     recorded = np.empty((N, mesh.n_interior))
 
@@ -139,9 +139,9 @@ def test_criterion_6_fractional_quadrature_suite():
     # row sums match t^alpha / Gamma(1 + alpha)
     worst = 0.0
     for gamma_exp, alpha in ((1.0, 0.5), (1.6, 0.75), (2.0, 0.3)):
-        tm = build_time_mesh(200, gamma_exp, 0.5)
-        w = frac_weights(tm, alpha)
-        g1a = gamma(1.0 + alpha)
+        tm = GradedTimeMesh(200, gamma_exp, 0.5)
+        w = FracWeights(tm, alpha)
+        g1a = math.gamma(1.0 + alpha)
         for n in (1, 3, 77, 200):
             ref = tm.t[n] ** alpha / g1a
             worst = max(worst, abs(w.row(n).sum() - ref) / ref)
@@ -151,18 +151,18 @@ def test_criterion_6_fractional_quadrature_suite():
     alpha, mu = 0.75, 1.3
     errs = []
     for N in (250, 500, 1000):
-        tm = build_time_mesh(N, 2.0, 1.0)
+        tm = GradedTimeMesh(N, 2.0, 1.0)
         mid = 0.5 * (tm.t[:-1] + tm.t[1:])
-        approx = frac_integral_nodes(frac_weights(tm, alpha), mid ** (mu - 1.0))
-        exact = gamma(mu) / gamma(mu + alpha) * tm.t[1:] ** (mu - 1.0 + alpha)
+        approx = frac_integral_nodes(FracWeights(tm, alpha), mid ** (mu - 1.0))
+        exact = math.gamma(mu) / math.gamma(mu + alpha) * tm.t[1:] ** (mu - 1.0 + alpha)
         errs.append(np.abs(approx - exact).max())
     order = min(math.log2(a / b) for a, b in zip(errs, errs[1:]))
     if order < 1.0:
         failures.append(f"power rule order {order:.2f} < 1")
     # positivity of the quadratic form for 100 random histories
     rng = np.random.default_rng(2718)
-    tm = build_time_mesh(150, 1.6, 0.5)
-    w = frac_weights(tm, 0.75)
+    tm = GradedTimeMesh(150, 1.6, 0.5)
+    w = FracWeights(tm, 0.75)
     worst_form = 0.0
     for _ in range(100):
         v = rng.standard_normal(150)
@@ -255,16 +255,16 @@ def test_criterion_9_variable_diffusivity_manufactured():
                + (ay(x0, y0 + h) - ay(x0, y0 - h)) / (2 * h))
         assert abs(-div - Lw(x0, y0)) < 1e-5
 
-    g1a = gamma(1.0 + alpha)
+    g1a = math.gamma(1.0 + alpha)
     f = lambda x, y, t: w(x, y) + Lw(x, y) * t ** alpha / g1a
 
-    lat = fine_lattice(64)
+    lat = StructuredMesh(64)
     X, Y = np.meshgrid(lat.xs, lat.xs, indexing="ij")
     exact_T = T * w(X, Y)
     errs = []
     for M in (8, 16, 32):
-        mesh = build_mesh(M)
-        tm = build_time_mesh(N, 1.6, T)
+        mesh = StructuredMesh(M)
+        tm = GradedTimeMesh(N, 1.6, T)
         u0 = FieldP1(mesh=mesh, values=np.zeros(mesh.n_interior))
         state = run(mesh, tm, alpha, a, u0, f=f)
         interp = LatticeInterpolator(mesh, lat)

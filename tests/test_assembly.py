@@ -6,7 +6,7 @@ import pytest
 
 from subdiff.assembly import FieldP1, assemble_mass, assemble_stiffness, l2_project, load_vector
 from subdiff.exceptions import CoefficientRangeError
-from subdiff.mesh import build_mesh
+from subdiff.mesh import StructuredMesh
 from subdiff.sparse import cg_solve, matvec
 
 from oracles import (_locate_scalar, stencil_mass_dense, stencil_stiffness_dense, to_dense,
@@ -15,19 +15,19 @@ from oracles import (_locate_scalar, stencil_mass_dense, stencil_stiffness_dense
 
 def test_mass_single_interior_entry():
     # six incident triangles, each contributing area/6 on the diagonal
-    M = assemble_mass(build_mesh(2))
+    M = assemble_mass(StructuredMesh(2))
     assert np.allclose(to_dense(M), [[1.0 / 8.0]], rtol=1e-15, atol=0.0)
 
 
 def test_mass_matches_stencil():
     # every interior entry: area on the diagonal, area/6 to the six neighbours
     for M in (2, 4, 8):
-        Md = to_dense(assemble_mass(build_mesh(M)))
+        Md = to_dense(assemble_mass(StructuredMesh(M)))
         assert np.allclose(Md, stencil_mass_dense(M), rtol=1e-15, atol=0.0), M
 
 
 def test_mass_times_one_approximates_hat_integrals():
-    mesh = build_mesh(6)
+    mesh = StructuredMesh(6)
     Mi = assemble_mass(mesh)
     ones = np.ones(mesh.n_interior)
     hat_integrals = 6 * mesh.triangle_area / 3.0 * ones
@@ -36,19 +36,19 @@ def test_mass_times_one_approximates_hat_integrals():
 
 @pytest.mark.parametrize("M", [2, 3, 4, 5, 7, 8, 12])
 def test_stiffness_stencil_exact(M):
-    S = assemble_stiffness(build_mesh(M))
+    S = assemble_stiffness(StructuredMesh(M))
     assert np.array_equal(to_dense(S), stencil_stiffness_dense(M))
 
 
 def test_stiffness_constant_coefficient_scales():
-    mesh = build_mesh(6)
+    mesh = StructuredMesh(6)
     S1 = to_dense(assemble_stiffness(mesh))
     Sc = to_dense(assemble_stiffness(mesh, lambda x, y: 2.5))
     assert np.max(np.abs(Sc - 2.5 * S1)) <= 1e-14 * np.abs(Sc).max()
 
 
 def test_stiffness_linearity_in_coefficient():
-    mesh = build_mesh(8)
+    mesh = StructuredMesh(8)
     a1 = lambda x, y: 1.0 + x * y
     a2 = lambda x, y: 2.0 + np.sin(np.pi * x)
     S12 = to_dense(assemble_stiffness(mesh, lambda x, y: a1(x, y) + a2(x, y)))
@@ -57,7 +57,7 @@ def test_stiffness_linearity_in_coefficient():
 
 
 def test_matrices_symmetric_and_positive_definite():
-    mesh = build_mesh(8)
+    mesh = StructuredMesh(8)
     Mi = assemble_mass(mesh)
     S = assemble_stiffness(mesh, lambda x, y: 1.0 + 0.5 * x)
     for A in (Mi, S, assemble_stiffness(mesh)):
@@ -71,7 +71,7 @@ def test_matrices_symmetric_and_positive_definite():
 
 
 def test_stiffness_rejects_bad_coefficient():
-    mesh = build_mesh(4)
+    mesh = StructuredMesh(4)
     tri = triangulation(4)
     x0, y0 = map(float, tri.nodes[tri.triangles[0]].mean(axis=0))  # the first bad triangle
     msg = f"got {x0 - 0.5!r} at centroid ({x0!r}, {y0!r})"
@@ -86,7 +86,7 @@ def test_stiffness_rejects_a_leading_axis():
     # a load may carry a batch axis; a diffusivity gives one value per centroid
     msg = "diffusivity must give one value per centroid, shape (32,); got shape (2, 32)"
     with pytest.raises(ValueError, match=re.escape(msg)):
-        assemble_stiffness(build_mesh(4), lambda x, y: np.stack([1 + x, 1 + y]))
+        assemble_stiffness(StructuredMesh(4), lambda x, y: np.stack([1 + x, 1 + y]))
 
 
 def test_a_result_of_the_wrong_shape_is_reported():
@@ -95,7 +95,7 @@ def test_a_result_of_the_wrong_shape_is_reported():
     five = lambda x, y: np.ones(5)
     for build in (assemble_stiffness, load_vector):
         with pytest.raises(ValueError, match=r"shape.*\(5,\)|\(5,\).*shape"):
-            build(build_mesh(4), five)
+            build(StructuredMesh(4), five)
 
 
 def _triangle_midpoints(mesh):
@@ -129,7 +129,7 @@ def test_load_vector_bitwise_matches_add_at_reference():
     f = lambda x, y, t: np.cos(np.pi * t) * np.sin(np.pi * x) * y + t * x
     t = np.linspace(0.0, 0.5, 7)[:, None]
     for M in (2, 3, 5, 16, 32, 64):
-        mesh = build_mesh(M)
+        mesh = StructuredMesh(M)
         mids = _triangle_midpoints(mesh)
         x, y = mids[..., 0], mids[..., 1]
         for fn, gv in ((g, g(x, y)), (g_scalar, np.vectorize(g_scalar)(x, y)),
@@ -143,7 +143,7 @@ def test_load_vector_bitwise_matches_add_at_reference():
 
 def test_load_vector_degree2_exact():
     """Edge-midpoint rule integrates g * phi_i exactly for linear g."""
-    mesh = build_mesh(4)
+    mesh = StructuredMesh(4)
     b = load_vector(mesh, lambda x, y: 1.0 + 2.0 * x - y)
     # oracle: 6-point degree-4 rule per triangle
     a1, b1 = 0.816847572980459, 0.091576213509771
@@ -165,7 +165,7 @@ def test_load_vector_degree2_exact():
 
 
 def test_field_stores_a_read_only_float_copy():
-    mesh = build_mesh(4)
+    mesh = StructuredMesh(4)
     v = np.zeros(9)
     field = FieldP1(mesh, v)
     v[0] = 1.0  # the caller's array stays writable and does not alias the field
@@ -179,7 +179,7 @@ def test_field_stores_a_read_only_float_copy():
 
 
 def test_l2_project_reproduces_hat():
-    mesh = build_mesh(5)
+    mesh = StructuredMesh(5)
     coeffs = np.zeros(mesh.n_interior)
     coeffs[7] = 1.0
     hat = FieldP1(mesh=mesh, values=coeffs)
@@ -203,7 +203,7 @@ def test_l2_project_reproduces_hat():
 
 
 def test_l2_project_close_to_interpolant():
-    mesh = build_mesh(16)
+    mesh = StructuredMesh(16)
     g = lambda x, y: x * y * (1 - x) * (1 - y)
     proj = l2_project(mesh, g)
     tri = triangulation(16)
@@ -215,7 +215,7 @@ def test_l2_project_close_to_interpolant():
 
 def test_l2_project_constant_center_value():
     # projecting 1: boundary-layer oscillations decay toward the center
-    mesh = build_mesh(8)
+    mesh = StructuredMesh(8)
     proj = l2_project(mesh, lambda x, y: np.ones_like(x))
     # node (ix, iy) of the 9 x 9 lattice is dof (iy - 1) * 7 + ix - 1
     center = proj.values[3 * 7 + 3]
@@ -227,7 +227,7 @@ def test_l2_project_constant_center_value():
 def test_ritz_projection_is_identity_on_members():
     """Galerkin reproduction: with the member's own energy load, the
     projection returns the member coefficients."""
-    mesh = build_mesh(5)
+    mesh = StructuredMesh(5)
     S = assemble_stiffness(mesh)
     coeffs = np.linspace(0.1, 1.0, mesh.n_interior)
     b = matvec(S, coeffs)  # A(g, phi_i) for g in the P1 space

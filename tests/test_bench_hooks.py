@@ -21,7 +21,7 @@ import subdiff.study as study
 from subdiff.assembly import FieldP1
 from subdiff.config import ExperimentConfig
 from subdiff.exact import DATA, make_series
-from subdiff.mesh import build_mesh
+from subdiff.mesh import StructuredMesh
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -57,8 +57,8 @@ def test_trace_hooks_resolve_and_count_one_run():
         # Tracer.install reads methods from the class body, not inherited ones
         found = attr in owner.__dict__ if isinstance(owner, type) else hasattr(owner, attr)
         assert found, f"{owner.__name__}.{attr} is gone"
-    mesh = build_mesh(4)
-    tm = stepping.build_time_mesh(40, 1.6, 0.5)
+    mesh = StructuredMesh(4)
+    tm = stepping.GradedTimeMesh(40, 1.6, 0.5)
     u0 = FieldP1(mesh=mesh, values=np.zeros(mesh.n_interior))
     tracer = spans.Tracer("test")
     tracer.install()

@@ -59,9 +59,16 @@ def test_config_validation(overrides):
     ('"mu": [0.5, 0.5000000000000001]', "mu"),  # two columns named E_0.5
     ('"mu": [-0.0]', "mu"),         # would name its column E_-0
     ('"tol": 1e-300', "tol"),       # below the machine epsilon: CG would stall after its work
+    ('"T": 1' + "0" * 400, "T"),    # an integer past float range
+    ('"mu": [1' + "0" * 400 + "]", "mu"),
+    # range rules of the mesh and the weights, named by the configuration's field
+    ('"fine_M": 1', "fine_M"),
+    ('"M": [1]', "M"),
+    ('"alpha": 1', "alpha"),
 ], ids=["alpha_string", "M_scalar", "mu_nan", "T_inf", "N_bool", "example_list",
         "mu_repeated", "M_several_for_solve", "mu_same_column", "mu_negative_zero",
-        "tol_below_epsilon"])
+        "tol_below_epsilon", "T_huge_integer", "mu_huge_integer", "fine_M_one", "M_one",
+        "alpha_one"])
 def test_config_file_bad_value_exit_code(bad, field, capsys, tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text('{"M": [4], "N": 5, "modes": 4, "fine_M": 16, '

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from subdiff.exact import DATA, DecayReader, InitialDatum, eval_grid, make_series
-from subdiff.metrics import fine_lattice
+from subdiff.mesh import StructuredMesh
 
 from oracles import TRIANGLE, decay_reference
 
@@ -92,7 +92,7 @@ def test_custom_datum_quadrature_matches_closed_form():
 
 def test_example1_initial_values_on_lattice():
     sol = make_series(DATA["example1"], 0.75, K=60)
-    lat = fine_lattice(128)
+    lat = StructuredMesh(128)
     vals = eval_grid(sol, 0.0, lat.xs, lat.xs)
     X, Y = np.meshgrid(lat.xs, lat.xs, indexing="ij")
     # measured truncation tail of the 60x60 expansion (odd-mode zeta sums)
@@ -103,7 +103,7 @@ def test_example2_initial_values_in_lattice_mean_square():
     # pointwise (sup) agreement at t=0 is not required for the kinked datum;
     # the truncated series converges in the mean
     sol = make_series(DATA["example2"], 0.75, K=60)
-    lat = fine_lattice(128)
+    lat = StructuredMesh(128)
     vals = eval_grid(sol, 0.0, lat.xs, lat.xs)
     X, Y = np.meshgrid(lat.xs, lat.xs, indexing="ij")
     diff = vals - DATA["example2"].evaluate(X, Y)
@@ -173,7 +173,7 @@ def test_first_mode_amplitude_decreases_in_time():
 def test_truncation_tail_small_for_example1():
     s60 = make_series(DATA["example1"], 0.75, K=60)
     s120 = make_series(DATA["example1"], 0.75, K=120)
-    lat = fine_lattice(64)
+    lat = StructuredMesh(64)
     for t in (0.0, 0.01):
         v60 = eval_grid(s60, t, lat.xs, lat.xs)
         v120 = eval_grid(s120, t, lat.xs, lat.xs)
@@ -240,7 +240,7 @@ def test_active_block_product_matches_full_product(datum):
     if datum == "triangle":
         assert rows.size < K and cols.size < K and not np.array_equal(rows, cols)
         assert not sol.C2.all()
-    lat = fine_lattice(128)
+    lat = StructuredMesh(128)
     S = np.sin(np.pi * np.outer(lat.xs, np.arange(1, K + 1)))
     for t in (0.0, 1e-4, 0.5):
         E = _full_decay(sol, K, t)
@@ -254,7 +254,7 @@ def test_active_block_product_matches_full_product(datum):
 def test_zero_datum_grid_is_zero():
     sol = make_series(DATA["zero"], 0.75, K=8)
     assert all(part.size == 0 for part in (sol.m, sol.n, sol.C2, sol.lam, sol.index))
-    lat = fine_lattice(16)
+    lat = StructuredMesh(16)
     vals = eval_grid(sol, 0.3, lat.xs, lat.xs)
     assert vals.shape == (15, 15)
     assert np.array_equal(vals, np.zeros((15, 15)))

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from subdiff.mesh import StructuredMesh, build_mesh
+from subdiff.mesh import StructuredMesh
 
 from oracles import triangulation
 
@@ -12,7 +12,7 @@ def test_counts_M2():
     tri = triangulation(2)
     assert tri.triangles.shape[0] == 8
     assert tri.nodes.shape[0] == 9
-    assert build_mesh(2).n_interior == 1
+    assert StructuredMesh(2).n_interior == 1
     (interior,) = tri.nodes[tri.interior_index >= 0]
     assert tuple(interior) == (0.5, 0.5)
 
@@ -21,14 +21,14 @@ def test_counts_M8():
     tri = triangulation(8)
     assert tri.triangles.shape[0] == 128
     assert tri.nodes.shape[0] == 81
-    assert build_mesh(8).n_interior == 49
+    assert StructuredMesh(8).n_interior == 49
 
 
 @pytest.mark.parametrize("M", [2, 3, 8, 64])
 def test_triangle_areas_exact(M):
     """Signed areas, in exact rational arithmetic, are all 1/(2 M^2)."""
     target = Fraction(1, 2 * M * M)
-    assert build_mesh(M).triangle_area == float(target)
+    assert StructuredMesh(M).triangle_area == float(target)
     total = Fraction(0)
     for tri in triangulation(M).triangles:
         pts = []
@@ -55,12 +55,12 @@ def test_boundary_classification(M):
 def test_interior_index_bijection():
     tri = triangulation(7)
     idx = tri.interior_index[tri.interior_index >= 0]
-    assert sorted(idx) == list(range(build_mesh(7).n_interior))
+    assert sorted(idx) == list(range(StructuredMesh(7).n_interior))
 
 
 def test_build_mesh_rejects_small_M():
     with pytest.raises(ValueError):
-        build_mesh(1)
+        StructuredMesh(1)
 
 
 @pytest.mark.parametrize("M", [1, 0, True, 2.0, "3"])
@@ -72,4 +72,4 @@ def test_mesh_validates_its_own_M(M):
 def test_mesh_stores_int_and_compares_by_value():
     mesh = StructuredMesh(np.int64(5))
     assert type(mesh.M) is int and mesh.M == 5
-    assert build_mesh(8) == build_mesh(8) and build_mesh(8) != build_mesh(4)
+    assert StructuredMesh(8) == StructuredMesh(8) and StructuredMesh(8) != StructuredMesh(4)

@@ -3,9 +3,10 @@ import pytest
 
 from subdiff.assembly import FieldP1, l2_project
 from subdiff.exact import DATA, make_series
-from subdiff.mesh import build_mesh
+from subdiff.mesh import StructuredMesh
 from subdiff.mittag_leffler import MlfEvaluator
-from subdiff.metrics import LatticeInterpolator, convergence_rates, fine_lattice, weighted_errors
+from subdiff.metrics import LatticeInterpolator, convergence_rates, weighted_errors
+from subdiff.stepping import GradedTimeMesh
 from subdiff.study import RunResult
 
 from oracles import EVEN_M, ODD_TRIANGLE, TRIANGLE, decay_reference, interpolation_matrix
@@ -14,34 +15,33 @@ from published import (TABLE1_ERRORS, TABLE1_RATES, TABLE2_ERRORS, TABLE2_RATES,
 
 
 def test_fine_lattice_counts():
-    lat = fine_lattice(128)
+    lat = StructuredMesh(128)
     assert lat.xs.shape == (127,)
     assert np.all((lat.xs > 0.0) & (lat.xs < 1.0))
 
 
 def test_fine_lattice_minimal():
-    lat = fine_lattice(2)
+    lat = StructuredMesh(2)
     assert tuple(lat.xs) == (0.5,)
 
 
 def test_fine_lattice_validation():
     # the lattice is the mesh of its size: one check, one message, one type
     for bad in (1, 8.5, 8.0, True):
-        for build in (fine_lattice, build_mesh):
-            with pytest.raises(ValueError, match="M must be an integer >= 2"):
-                build(bad)
-    lat = fine_lattice(np.int64(8))
+        with pytest.raises(ValueError, match="M must be an integer >= 2"):
+            StructuredMesh(bad)
+    lat = StructuredMesh(np.int64(8))
     assert type(lat.M) is int and lat.M == 8
-    assert lat == build_mesh(8) and hash(lat) == hash(build_mesh(8))
+    assert lat == StructuredMesh(8) and hash(lat) == hash(StructuredMesh(8))
     assert np.array_equal(lat.xs, np.arange(1, 8) / 8)
 
 
 def test_interpolator_reproduces_coarse_nodes():
-    mesh = build_mesh(4)
+    mesh = StructuredMesh(4)
     rng = np.random.default_rng(9)
     field = FieldP1(mesh=mesh, values=rng.standard_normal(mesh.n_interior))
     for q in (4, 3):  # fine_M need only be a multiple of M
-        grid = LatticeInterpolator(mesh, fine_lattice(4 * q))(field)
+        grid = LatticeInterpolator(mesh, StructuredMesh(4 * q))(field)
         # lattice indices qk-1 in 0-based grid coords hit the coarse nodes,
         # and coarse node (ci, cj) is dof (cj - 1) * 3 + ci - 1
         for ci in range(1, 4):
@@ -52,16 +52,16 @@ def test_interpolator_reproduces_coarse_nodes():
 
 
 def test_interpolator_compares_the_field_mesh_by_value():
-    interp = LatticeInterpolator(build_mesh(4), fine_lattice(16))
+    interp = LatticeInterpolator(StructuredMesh(4), StructuredMesh(16))
     with pytest.raises(ValueError, match="field is attached to a different mesh"):
-        interp(FieldP1(mesh=build_mesh(8), values=np.zeros(49)))
-    field = FieldP1(mesh=build_mesh(4), values=np.arange(9.0))  # an equal mesh built separately
+        interp(FieldP1(mesh=StructuredMesh(8), values=np.zeros(49)))
+    field = FieldP1(mesh=StructuredMesh(4), values=np.arange(9.0))  # an equal mesh built separately
     assert interp(field)[3, 3] == 0.0 and interp(field)[7, 3] == 1.0
 
 
 def test_step_error_symmetric_fields():
-    mesh = build_mesh(8)
-    lat = fine_lattice(32)
+    mesh = StructuredMesh(8)
+    lat = StructuredMesh(32)
     interp = LatticeInterpolator(mesh, lat)
     g = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
     proj = l2_project(mesh, g)
@@ -167,13 +167,11 @@ def test_error_tracker_decay_matches_public_evaluator(datum):
     # the tracker and eval_grid share one modal-decay path, also on a
     # support that is not a full block
     from subdiff.exact import make_series, eval_grid
-    from subdiff.stepping import build_time_mesh
     from subdiff.study import ErrorTracker
-    from subdiff.mesh import build_mesh
     sol = make_series(TEST_DATA[datum], 0.75, K=16)
-    tm = build_time_mesh(40, 1.6, 0.5)
-    mesh = build_mesh(4)
-    lat = fine_lattice(16)
+    tm = GradedTimeMesh(40, 1.6, 0.5)
+    mesh = StructuredMesh(4)
+    lat = StructuredMesh(16)
     tracker = ErrorTracker(sol, lat, tm, mesh)
     reference = decay_reference(sol, tm.t[1:])
     for n in (1, 17, 40):
@@ -191,14 +189,13 @@ def test_exact_on_lattice_matches_eval_grid(datum, M, fine_M, monkeypatch):
     # no sines, no new decay reader, no eval_grid
     import subdiff.study as study
     from subdiff.exact import eval_grid
-    from subdiff.stepping import build_time_mesh
     from subdiff.study import ErrorTracker
     sol = make_series(TEST_DATA[datum], 0.75, K=16)
     odd = np.all(sol.m % 2 == 1) and np.all(sol.n % 2 == 1)
     assert odd == (datum not in ("triangle", "even_m"))
-    tm = build_time_mesh(40, 1.6, 0.5)
-    lat = fine_lattice(fine_M)
-    tracker = ErrorTracker(sol, lat, tm, build_mesh(M))
+    tm = GradedTimeMesh(40, 1.6, 0.5)
+    lat = StructuredMesh(fine_M)
+    tracker = ErrorTracker(sol, lat, tm, StructuredMesh(M))
     for name in ("sine_matrices", "DecayReader", "eval_grid"):
         monkeypatch.setattr(study, name, None, raising=False)
     for n in (1, 17, 40):
@@ -209,11 +206,10 @@ def test_exact_on_lattice_matches_eval_grid(datum, M, fine_M, monkeypatch):
 def test_error_tracker_decay_bitwise_per_mode():
     # one evaluation per distinct eigenvalue must reproduce the per-mode
     # batch exactly: the evaluator's per-point results ignore the batch
-    from subdiff.stepping import build_time_mesh
     from subdiff.study import ErrorTracker
     sol = make_series(DATA["example1"], 0.75, K=30)
-    tm = build_time_mesh(50, 1.6, 0.5)
-    tracker = ErrorTracker(sol, fine_lattice(16), tm, build_mesh(4))
+    tm = GradedTimeMesh(50, 1.6, 0.5)
+    tracker = ErrorTracker(sol, StructuredMesh(16), tm, StructuredMesh(4))
     lam_act = _block_eigenvalues(sol)
     assert np.unique(lam_act).size < lam_act.size
     assert np.array_equal(_read_all(tracker.decay, tm.N)[:, sol.index], _fresh_decay(sol, tm))
@@ -252,14 +248,13 @@ def _read_all(reader, n):
 def test_error_tracker_evaluates_its_decay_by_block(monkeypatch):
     # every tracker evaluates its own run's decay, once per step: a block of
     # 32 steps on its first read, and nothing when the tracker is built
-    from subdiff.stepping import build_time_mesh
     from subdiff.study import ErrorTracker
     sol = make_series(DATA["example1"], 0.75, K=12)
-    tm = build_time_mesh(70, 1.6, 0.5)
-    lat = fine_lattice(16)
+    tm = GradedTimeMesh(70, 1.6, 0.5)
+    lat = StructuredMesh(16)
     fresh = _fresh_decay(sol, tm)
     calls = _count_mlf_calls(monkeypatch)
-    trackers = [ErrorTracker(sol, lat, tm, build_mesh(M)) for M in (2, 4, 8)]
+    trackers = [ErrorTracker(sol, lat, tm, StructuredMesh(M)) for M in (2, 4, 8)]
     assert calls == []
     for tracker in trackers:
         for n in range(1, tm.N + 1):
@@ -272,10 +267,9 @@ def test_error_tracker_evaluates_its_decay_by_block(monkeypatch):
 def test_error_tracker_builds_one_evaluator_per_run(monkeypatch):
     # the three decay blocks of a 70-step run share one evaluator, so its
     # contour rule is formed once per run
-    from subdiff.stepping import build_time_mesh
     from subdiff.study import ErrorTracker
     sol = make_series(DATA["example1"], 0.75, K=12)
-    tm = build_time_mesh(70, 1.6, 0.5)
+    tm = GradedTimeMesh(70, 1.6, 0.5)
     built = []
     real = MlfEvaluator.__post_init__
 
@@ -284,7 +278,7 @@ def test_error_tracker_builds_one_evaluator_per_run(monkeypatch):
         real(self)
 
     monkeypatch.setattr(MlfEvaluator, "__post_init__", counted)
-    tracker = ErrorTracker(sol, fine_lattice(16), tm, build_mesh(4))
+    tracker = ErrorTracker(sol, StructuredMesh(16), tm, StructuredMesh(4))
     for n in range(1, tm.N + 1):
         tracker.exact_on_lattice(n)
     assert built == [0.75]
@@ -293,12 +287,11 @@ def test_error_tracker_builds_one_evaluator_per_run(monkeypatch):
 def test_error_trackers_hold_one_decay_block_each():
     # trackers on the same series and time mesh read separate decays, and
     # each holds the block of 32 rows it read last, not its N rows
-    from subdiff.stepping import build_time_mesh
     from subdiff.study import ErrorTracker
     sol = make_series(DATA["example2"], 0.75, K=12)
-    tm = build_time_mesh(70, 1.6, 0.5)
-    lat = fine_lattice(16)
-    a, b = (ErrorTracker(sol, lat, tm, build_mesh(M)) for M in (2, 4))
+    tm = GradedTimeMesh(70, 1.6, 0.5)
+    lat = StructuredMesh(16)
+    a, b = (ErrorTracker(sol, lat, tm, StructuredMesh(M)) for M in (2, 4))
     assert a.decay is not b.decay
     a.exact_on_lattice(40)
     b.exact_on_lattice(70)
@@ -311,15 +304,14 @@ def test_error_tracker_memory_does_not_grow_with_steps():
     # steps exceeds that through 200 steps by less than one decay block;
     # a table of every step's decay would add (2000 - 200) rows
     import tracemalloc
-    from subdiff.stepping import build_time_mesh
     from subdiff.study import ErrorTracker
     sol = make_series(DATA["example2"], 0.75, K=60)
     assert sol.lam.size == 352
-    lat, mesh = fine_lattice(16), build_mesh(4)
+    lat, mesh = StructuredMesh(16), StructuredMesh(4)
     u = FieldP1(mesh=mesh, values=np.zeros(mesh.n_interior))
 
     def peak(N):
-        tm = build_time_mesh(N, 1.6, 0.5)
+        tm = GradedTimeMesh(N, 1.6, 0.5)
         tracemalloc.start()
         try:
             tracker = ErrorTracker(sol, lat, tm, mesh)
@@ -338,19 +330,18 @@ def test_eval_grid_keeps_the_tracker_decay_block(monkeypatch):
     # decay on the series' distinct eigenvalues: one oracle argument per
     # distinct eigenvalue, no np.unique
     from subdiff.exact import eval_grid, sine_matrices
-    from subdiff.stepping import build_time_mesh
     from subdiff.study import ErrorTracker
     sol = make_series(DATA["example2"], 0.75, K=60)
     assert (sol.lam.size, sol.index.size) == (352, 900)
-    tm = build_time_mesh(30, 1.6, 0.5)
-    lat = fine_lattice(16)
+    tm = GradedTimeMesh(30, 1.6, 0.5)
+    lat = StructuredMesh(16)
 
     def no_unique(*args, **kwargs):
         raise AssertionError("np.unique called after make_series")
 
     monkeypatch.setattr(np, "unique", no_unique)
     calls = _count_mlf_calls(monkeypatch)
-    a = ErrorTracker(sol, lat, tm, build_mesh(2))
+    a = ErrorTracker(sol, lat, tm, StructuredMesh(2))
     a.exact_on_lattice(1)
     vals = eval_grid(sol, 0.1, lat.xs, lat.xs)
     a.exact_on_lattice(tm.N)
@@ -367,20 +358,19 @@ def test_eval_grid_keeps_the_tracker_decay_block(monkeypatch):
 def test_error_tracker_decay_table_keyed_by_value(change, monkeypatch):
     # a tracker reads the decay of its own alpha, modes and time mesh, also
     # after a tracker on other values has read its own
-    from subdiff.stepping import build_time_mesh
     from subdiff.study import ErrorTracker
-    lat, mesh = fine_lattice(16), build_mesh(4)
+    lat, mesh = StructuredMesh(16), StructuredMesh(4)
     sol = make_series(DATA["example1"], 0.75, K=12)
-    tm = build_time_mesh(30, 1.6, 0.5)
+    tm = GradedTimeMesh(30, 1.6, 0.5)
     ErrorTracker(sol, lat, tm, mesh).exact_on_lattice(1)
     if change == "alpha":
         sol = make_series(DATA["example1"], 0.6, K=12)
     elif change == "K":
         sol = make_series(DATA["example1"], 0.75, K=14)
     elif change == "N":
-        tm = build_time_mesh(31, 1.6, 0.5)
+        tm = GradedTimeMesh(31, 1.6, 0.5)
     else:
-        tm = build_time_mesh(30, 1.6, 0.25)
+        tm = GradedTimeMesh(30, 1.6, 0.25)
     calls = _count_mlf_calls(monkeypatch)
     tracker = ErrorTracker(sol, lat, tm, mesh)
     tracker.exact_on_lattice(1)
@@ -392,9 +382,8 @@ def test_error_tracker_decay_table_keyed_by_value(change, monkeypatch):
 def test_decay_table_is_read_only():
     # the rows a reader hands out are views of its block and cannot be written
     from subdiff.exact import DecayReader
-    from subdiff.stepping import build_time_mesh
     sol = make_series(DATA["example1"], 0.75, K=8)
-    reader = DecayReader(sol, build_time_mesh(20, 1.6, 0.5).t[1:])
+    reader = DecayReader(sol, GradedTimeMesh(20, 1.6, 0.5).t[1:])
     for k in (3, 4):
         row = reader.row(k)
         assert row.shape == (sol.lam.size,)
@@ -428,9 +417,8 @@ def test_decay_table_read_row_by_row_matches_full_table():
     # rows read one at a time, in any order, are the rows of the whole
     # table of the same times, bit for bit; the last block is partial
     from subdiff.exact import DecayReader
-    from subdiff.stepping import build_time_mesh
     sol = make_series(DATA["example3"], 0.4, K=20)
-    t = build_time_mesh(75, 1.6, 0.5).t[1:]
+    t = GradedTimeMesh(75, 1.6, 0.5).t[1:]
     reader = DecayReader(sol, t)
     order = np.random.default_rng(7).permutation(t.size)
     rows = np.empty((t.size, sol.lam.size))
@@ -443,9 +431,8 @@ def test_decay_table_row_index_is_checked():
     # a row past either end is an IndexError, never a row of another
     # block; a negative index counts from the end, as for the whole table
     from subdiff.exact import DecayReader
-    from subdiff.stepping import build_time_mesh
     sol = make_series(DATA["example1"], 0.75, K=8)
-    t = build_time_mesh(40, 1.6, 0.5).t[1:]
+    t = GradedTimeMesh(40, 1.6, 0.5).t[1:]
     reader = DecayReader(sol, t)
     assert np.array_equal(reader.row(-1), decay_reference(sol, t)[-1])
     for k in (40, -41):
@@ -458,9 +445,8 @@ def test_non_finite_decay_block_raises(monkeypatch):
     # and the block held before it stays readable
     from subdiff.exact import DecayReader
     from subdiff.exceptions import EvaluationError
-    from subdiff.stepping import build_time_mesh
     sol = make_series(DATA["example1"], 0.6, K=8)
-    reader = DecayReader(sol, build_time_mesh(80, 1.6, 0.5).t[1:])
+    reader = DecayReader(sol, GradedTimeMesh(80, 1.6, 0.5).t[1:])
     real = MlfEvaluator.__call__
     calls = []
 
@@ -487,8 +473,8 @@ def test_interpolator_matches_loop_construction(M, M_s):
     """Interpolated random fields match the point-by-point COO oracle within
     2 ulps of the field's scale (the cell-local product sums in another
     order); nested lattices put points on gridlines, vertices and diagonals."""
-    mesh = build_mesh(M)
-    lat = fine_lattice(M_s)
+    mesh = StructuredMesh(M)
+    lat = StructuredMesh(M_s)
     rows, cols, vals = interpolation_matrix(mesh, M_s)
     interp = LatticeInterpolator(mesh, lat)
     rng = np.random.default_rng(M * M_s)
@@ -502,4 +488,4 @@ def test_interpolator_matches_loop_construction(M, M_s):
 
 def test_interpolator_rejects_non_nested_lattice():
     with pytest.raises(ValueError, match="lattice M=128 is not a multiple of mesh M=3"):
-        LatticeInterpolator(build_mesh(3), fine_lattice(128))
+        LatticeInterpolator(StructuredMesh(3), StructuredMesh(128))

@@ -6,7 +6,7 @@ import pytest
 import subdiff.sparse as sparse
 from subdiff.assembly import _STIFFNESS, assemble_mass, assemble_stiffness
 from subdiff.exceptions import SolverFailureError
-from subdiff.mesh import build_mesh
+from subdiff.mesh import StructuredMesh
 from subdiff.sparse import LinearSolver, Stencil, cg_solve, matvec
 
 from oracles import add_scaled, coo_reference, to_csr, to_dense, triangulation
@@ -37,7 +37,7 @@ def self_pencil(A):
 
 def fe_pencil(M, s, a=None):
     """mass + s * stiffness on the mesh with M subdivisions, and its dense form."""
-    mesh = build_mesh(M)
+    mesh = StructuredMesh(M)
     A = add_scaled(assemble_mass(mesh), assemble_stiffness(mesh, a), 1.0, s)
     return A, to_dense(A)
 
@@ -84,7 +84,7 @@ def test_matvec_bitwise_matches_row_loop_on_fe_matrices():
     rng = np.random.default_rng(11)
     a = lambda x, y: 1.0 + 0.5 * np.sin(np.pi * x) * np.sin(np.pi * y)
     for M in range(2, 65):
-        mesh = build_mesh(M)
+        mesh = StructuredMesh(M)
         mass = assemble_mass(mesh)
         stiff = assemble_stiffness(mesh, a)
         pencil = add_scaled(mass, stiff, 1.0, 0.0123)
@@ -97,7 +97,7 @@ def test_matvec_bitwise_matches_row_loop_on_fe_matrices():
 
 @pytest.mark.parametrize("M", [*range(2, 65), 128])
 def test_assembly_bitwise_matches_coo_csr_reference(M):
-    mesh = build_mesh(M)
+    mesh = StructuredMesh(M)
     area = mesh.triangle_area
     tri = triangulation(M)
     ntri = tri.triangles.shape[0]
@@ -153,7 +153,7 @@ def test_solver_diagonal():
 
 def test_solver_single_dof_stiffness():
     # M=2 has one interior node; unit-coefficient stiffness entry is 4
-    S = assemble_stiffness(build_mesh(2))
+    S = assemble_stiffness(StructuredMesh(2))
     assert np.allclose(to_dense(S), [[4.0]])
     x = spd_solve(S, np.array([1.0]))
     assert x == pytest.approx([0.25])
@@ -183,7 +183,7 @@ def test_solver_rejects_nonfinite_rhs():
 
 @pytest.mark.parametrize("shape", [(8,), (), (10,)])
 def test_solver_rejects_x0_of_wrong_shape(shape):
-    solver = self_pencil(assemble_mass(build_mesh(4)))
+    solver = self_pencil(assemble_mass(StructuredMesh(4)))
     with pytest.raises(ValueError, match="x0 length does not match matrix dimension"):
         solver.solve(np.ones(9), x0=np.zeros(shape))
 
@@ -199,7 +199,7 @@ def test_solver_failure_carries_residual():
 @pytest.mark.parametrize("value", [1e160, 1e-170])
 def test_solver_rejects_unrepresentable_rhs_norm(value):
     # ||b||^2 overflows to inf or underflows to 0 for a finite, nonzero b
-    solver = self_pencil(assemble_mass(build_mesh(4)))
+    solver = self_pencil(assemble_mass(StructuredMesh(4)))
     with pytest.raises(SolverFailureError, match="norm of b is not finite"):
         solver.solve(np.full(9, value))
     assert np.array_equal(solver.solve(np.zeros(9)), np.zeros(9))
@@ -207,7 +207,7 @@ def test_solver_rejects_unrepresentable_rhs_norm(value):
 
 def test_cg_raises_at_first_nonfinite_residual():
     # the max_iter failure would come 10 n + 1000 iterations later, with another message
-    A = assemble_mass(build_mesh(4))
+    A = assemble_mass(StructuredMesh(4))
     with pytest.raises(SolverFailureError,
                        match="residual norm is not finite at iteration 0") as info:
         cg_solve(Stencil(np.full_like(A.coef, np.nan)), np.ones(A.n))
@@ -215,7 +215,7 @@ def test_cg_raises_at_first_nonfinite_residual():
 
 
 def test_cg_residual_monotone_on_fe_system():
-    mesh = build_mesh(16)
+    mesh = StructuredMesh(16)
     A = add_scaled(assemble_mass(mesh), assemble_stiffness(mesh), 1.0, 0.003)
     rng = np.random.default_rng(4)
     for _ in range(5):
@@ -225,7 +225,7 @@ def test_cg_residual_monotone_on_fe_system():
 
 
 def test_shifted_solver_matches_add_scaled_bitwise():
-    mesh = build_mesh(8)
+    mesh = StructuredMesh(8)
     M, S = assemble_mass(mesh), assemble_stiffness(mesh, lambda x, y: 1.0 + x * y)
     pencil = LinearSolver(M, shift=S)
     rng = np.random.default_rng(7)
@@ -238,7 +238,7 @@ def test_shifted_solver_matches_add_scaled_bitwise():
 
 def test_pencil_solve_forms_no_fresh_stencil(monkeypatch):
     # one cg_solve on the summed slots, whose iterates are those of the fresh stencil
-    mesh = build_mesh(8)
+    mesh = StructuredMesh(8)
     M, S = assemble_mass(mesh), assemble_stiffness(mesh, lambda x, y: 1.0 + x * y)
     pencil = LinearSolver(M, shift=S)
     rng = np.random.default_rng(9)
@@ -267,7 +267,7 @@ def test_pencil_solve_forms_no_fresh_stencil(monkeypatch):
 
 
 def test_cg_solve_on_ell_pair_matches_matrix():
-    mesh = build_mesh(8)
+    mesh = StructuredMesh(8)
     A = add_scaled(assemble_mass(mesh), assemble_stiffness(mesh), 1.0, 0.01)
     b = np.random.default_rng(8).standard_normal(A.n)
     x, res = cg_solve(A, b)
@@ -291,7 +291,7 @@ def test_solver_is_the_pencil_only():
 
 
 def test_cg_matches_dense_solve():
-    mesh = build_mesh(6)
+    mesh = StructuredMesh(6)
     A = assemble_stiffness(mesh)
     rng = np.random.default_rng(5)
     b = rng.standard_normal(A.n)
@@ -301,7 +301,7 @@ def test_cg_matches_dense_solve():
 
 
 def test_warm_start_converges_fast():
-    mesh = build_mesh(16)
+    mesh = StructuredMesh(16)
     A = add_scaled(assemble_mass(mesh), assemble_stiffness(mesh), 1.0, 0.003)
     rng = np.random.default_rng(6)
     b = rng.standard_normal(A.n)

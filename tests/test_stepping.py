@@ -12,18 +12,18 @@ from subdiff.assembly import (FieldP1, assemble_mass, assemble_stiffness, l2_pro
                               load_vector)
 from subdiff.exact import DATA
 from subdiff.exceptions import EvaluationError
-from subdiff.mesh import build_mesh
-from subdiff.mittag_leffler import MlfEvaluator, gamma
+from subdiff.mesh import StructuredMesh
+from subdiff.mittag_leffler import MlfEvaluator
 from subdiff.sparse import LinearSolver, cg_solve, matvec
-from subdiff.stepping import SchemeState, build_time_mesh, frac_weights, run, step
+from subdiff.stepping import FracWeights, GradedTimeMesh, SchemeState, run, step
 
 from oracles import (DensePencil, DiagonalPencil, add_scaled, heat_crank_nicolson_reference,
                      to_dense)
 
 
 def test_zero_data_stays_zero():
-    mesh = build_mesh(4)
-    tm = build_time_mesh(20, 1.6, 0.5)
+    mesh = StructuredMesh(4)
+    tm = GradedTimeMesh(20, 1.6, 0.5)
     u0 = FieldP1(mesh=mesh, values=np.zeros(mesh.n_interior))
     us = [u0.values]
     run(mesh, tm, 0.75, None, u0, observer=lambda n, t, u: us.append(u.values))
@@ -31,24 +31,24 @@ def test_zero_data_stays_zero():
 
 
 def test_run_compares_the_field_mesh_by_value():
-    tm = build_time_mesh(3, 1.6, 0.5)
-    u0 = FieldP1(mesh=build_mesh(4), values=np.zeros(9))
+    tm = GradedTimeMesh(3, 1.6, 0.5)
+    u0 = FieldP1(mesh=StructuredMesh(4), values=np.zeros(9))
     with pytest.raises(ValueError, match="attached to a different mesh"):
-        run(build_mesh(8), tm, 0.75, None, u0)
-    run(build_mesh(4), tm, 0.75, None, u0)  # an equal mesh built separately
+        run(StructuredMesh(8), tm, 0.75, None, u0)
+    run(StructuredMesh(4), tm, 0.75, None, u0)  # an equal mesh built separately
 
 
 def test_single_dof_first_step_closed_form():
     # M=2: mass = 1/8, stiffness = 4; step 1 solves (m + c11 s) u1 = m u0
-    mesh = build_mesh(2)
-    tm = build_time_mesh(1, 1.0, 0.5)
+    mesh = StructuredMesh(2)
+    tm = GradedTimeMesh(1, 1.0, 0.5)
     alpha = 0.6
     mass = assemble_mass(mesh)
     stiff = assemble_stiffness(mesh)
-    w = frac_weights(tm, alpha)
+    w = FracWeights(tm, alpha)
     state = SchemeState.start(np.array([0.3]), tm.N)
     u1 = step(state, 1, w.row(1)[0], np.zeros(1), LinearSolver(mass, shift=stiff))
-    c11 = 0.5 ** alpha / gamma(1.0 + alpha)
+    c11 = 0.5 ** alpha / math.gamma(1.0 + alpha)
     expected = 0.3 * (1.0 / 8.0) / (1.0 / 8.0 + c11 * 4.0)
     assert u1[0] == pytest.approx(expected, rel=1e-12)
 
@@ -56,13 +56,13 @@ def test_single_dof_first_step_closed_form():
 def test_step_on_diagonal_pencil_matches_fe_run():
     """step needs only mass, stiffness and solve: on the M = 2 mesh (one dof,
     mass 1/8, stiffness 4) the FE run is the scalar recurrence with lam = 32."""
-    mesh = build_mesh(2)
+    mesh = StructuredMesh(2)
     N, alpha = 200, 0.75
-    tm = build_time_mesh(N, 1.6, 0.5)
+    tm = GradedTimeMesh(N, 1.6, 0.5)
     fe = []
     run(mesh, tm, alpha, None, FieldP1(mesh=mesh, values=np.array([0.3])),
         observer=lambda n, t, u: fe.append(u.values[0]))
-    w = frac_weights(tm, alpha)
+    w = FracWeights(tm, alpha)
     pencil = DiagonalPencil(np.array([32.0]))
     state = SchemeState.start(np.array([0.3]), N)
     for n in range(1, N + 1):
@@ -75,8 +75,8 @@ def test_alpha_to_one_matches_crank_nicolson():
     """Uniform mesh, alpha -> 1: per-step agreement with an independent
     dense heat-equation stepper (implicit first step, midpoint after)."""
     M, N, T = 8, 50, 0.5
-    mesh = build_mesh(M)
-    tm = build_time_mesh(N, 1.0, T)
+    mesh = StructuredMesh(M)
+    tm = GradedTimeMesh(N, 1.0, T)
     u0 = l2_project(mesh, DATA["example1"].evaluate)
     recorded = np.empty((N, mesh.n_interior))
 
@@ -93,7 +93,7 @@ def test_stepper_matches_exact_semidiscrete_solution():
     sum_k c_k E_alpha(-lambda_h_k t^alpha) v_k over generalized eigenpairs,
     with no time discretization at all."""
     M, alpha, T, N = 8, 0.75, 0.5, 600
-    mesh = build_mesh(M)
+    mesh = StructuredMesh(M)
     Md = to_dense(assemble_mass(mesh))
     Sd = to_dense(assemble_stiffness(mesh))
     u0 = l2_project(mesh, DATA["example3"].evaluate)
@@ -104,14 +104,14 @@ def test_stepper_matches_exact_semidiscrete_solution():
     decay = MlfEvaluator(alpha)(lam_h * T ** alpha)
     u_exact_T = Linv.T @ (Q @ (c0 * decay))
 
-    tm = build_time_mesh(N, 1.6, T)
+    tm = GradedTimeMesh(N, 1.6, T)
     state = run(mesh, tm, alpha, None, u0)
     assert np.abs(state.us[-1] - u_exact_T).max() <= 5e-7
 
 
 def test_observer_order_and_history_audit():
-    mesh = build_mesh(4)
-    tm = build_time_mesh(15, 1.3, 0.4)
+    mesh = StructuredMesh(4)
+    tm = GradedTimeMesh(15, 1.3, 0.4)
     u0 = l2_project(mesh, DATA["example1"].evaluate)
     seen = []
     us = [u0.values]
@@ -133,9 +133,9 @@ def test_observer_order_and_history_audit():
 
 
 def test_step_index_enforced():
-    mesh = build_mesh(2)
-    tm = build_time_mesh(3, 1.0, 1.0)
-    w = frac_weights(tm, 0.5)
+    mesh = StructuredMesh(2)
+    tm = GradedTimeMesh(3, 1.0, 1.0)
+    w = FracWeights(tm, 0.5)
     state = SchemeState.start(np.zeros(1), tm.N)
     with pytest.raises(ValueError):
         mass, stiff = assemble_mass(mesh), assemble_stiffness(mesh)
@@ -146,9 +146,9 @@ def test_step_index_enforced():
 @pytest.mark.parametrize("alpha", [0.5, 0.75])
 @pytest.mark.parametrize("example", ["example1", "example3"])
 def test_mass_norm_decays(example, alpha):
-    mesh = build_mesh(8)
+    mesh = StructuredMesh(8)
     Mm = assemble_mass(mesh)
-    tm = build_time_mesh(80, 1.6, 0.5)
+    tm = GradedTimeMesh(80, 1.6, 0.5)
     u0 = l2_project(mesh, DATA[example].evaluate)
     norms = [float(u0.values @ matvec(Mm, u0.values))]
     run(mesh, tm, alpha, None, u0,
@@ -160,18 +160,18 @@ def test_mass_norm_decays(example, alpha):
 def test_time_mesh_rejects_steps_that_underflow():
     # (n/N)^gamma underflows to 0 for every n < N: tau_1 = ... = tau_(N-1) = 0
     with pytest.raises(ValueError, match=r"N=10 and gamma=1000000.0 .*not positive"):
-        build_time_mesh(10, 1e6, 0.5)
+        GradedTimeMesh(10, 1e6, 0.5)
     # with T = 5e-324 every node rounds to 0 or T, so most steps are 0: the message names T
     with pytest.raises(ValueError, match=r"gamma=1.6 over T=5e-324 .*not positive.*raise T"):
-        build_time_mesh(10, 1.6, 5e-324)
-    tm = build_time_mesh(10, 200.0, 0.5)  # steps tiny but positive
+        GradedTimeMesh(10, 1.6, 5e-324)
+    tm = GradedTimeMesh(10, 200.0, 0.5)  # steps tiny but positive
     assert np.all(tm.tau > 0.0)
 
 
 def test_run_with_load_reaches_steady_profile():
     # constant-in-time forcing drives the solution away from zero
-    mesh = build_mesh(4)
-    tm = build_time_mesh(30, 1.6, 0.5)
+    mesh = StructuredMesh(4)
+    tm = GradedTimeMesh(30, 1.6, 0.5)
     u0 = FieldP1(mesh=mesh, values=np.zeros(mesh.n_interior))
     f = lambda x, y, t: np.ones_like(x)
     state = run(mesh, tm, 0.75, None, u0, f=f)
@@ -180,8 +180,8 @@ def test_run_with_load_reaches_steady_profile():
 
 
 def _forced_variable_a_problem(M, N):
-    mesh = build_mesh(M)
-    tm = build_time_mesh(N, 1.6, 0.5)
+    mesh = StructuredMesh(M)
+    tm = GradedTimeMesh(N, 1.6, 0.5)
     a = lambda x, y: 1.0 + 0.5 * np.sin(np.pi * x) * np.sin(np.pi * y)
     f = lambda x, y, t: np.cos(3.0 * t) * x * (1.0 - y) + t ** 0.25
     u0 = l2_project(mesh, DATA["example1"].evaluate)
@@ -193,7 +193,7 @@ def _direct_sum_run(mesh, tm, alpha, a, u0, f):
     every step and the whole history sum c_n[:n-1] @ Z[:n-1]."""
     mass = assemble_mass(mesh)
     stiff = assemble_stiffness(mesh, a)
-    w = frac_weights(tm, alpha)
+    w = FracWeights(tm, alpha)
     us = [u0.values]
     Z = np.zeros((tm.N, mesh.n_interior))
     for n in range(1, tm.N + 1):
@@ -227,8 +227,8 @@ def test_run_matches_direct_sum_oracle(N):
 
 @pytest.mark.parametrize("N", [40, 400])
 def test_history_is_a_ring_of_the_latest_vectors(N):
-    mesh = build_mesh(4)
-    tm = build_time_mesh(N, 1.6, 0.5)
+    mesh = StructuredMesh(4)
+    tm = GradedTimeMesh(N, 1.6, 0.5)
     u0 = l2_project(mesh, DATA["example1"].evaluate)
     us = [u0.values]
     state = run(mesh, tm, 0.75, None, u0, observer=lambda n, t, u: us.append(u.values))
@@ -244,12 +244,12 @@ def test_run_memory_does_not_grow_with_N():
     # the direct sum's history alone grew 4x from N = 400 to N = 1600; the
     # sum of exponentials adds 12 nodes per doubling of T / (t_2B - t_B).
     # Zero data keeps CG's allocations, which tracemalloc slows, out of it.
-    mesh = build_mesh(8)
+    mesh = StructuredMesh(8)
     u0 = FieldP1(mesh=mesh, values=np.zeros(mesh.n_interior))
-    run(mesh, build_time_mesh(100, 1.6, 0.5), 0.75, None, u0)  # caches and lazy imports
+    run(mesh, GradedTimeMesh(100, 1.6, 0.5), 0.75, None, u0)  # caches and lazy imports
     peaks = []
     for N in (400, 1600):
-        tm = build_time_mesh(N, 1.6, 0.5)
+        tm = GradedTimeMesh(N, 1.6, 0.5)
         tracemalloc.start()
         try:
             run(mesh, tm, 0.75, None, u0)
@@ -269,12 +269,12 @@ def test_sum_of_exponentials_is_built_when_block_2B_starts(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(stepping, "soe_kernel", recording)
-    mesh = build_mesh(4)
+    mesh = StructuredMesh(4)
     u0 = l2_project(mesh, DATA["example1"].evaluate)
     for N in (2 * B, 2 * B + 1, 5 * B):
         state_n = [0]
         built_at.clear()
-        run(mesh, build_time_mesh(N, 1.6, 0.5), 0.75, None, u0,
+        run(mesh, GradedTimeMesh(N, 1.6, 0.5), 0.75, None, u0,
             observer=lambda n, t, u: state_n.append(n))
         assert built_at == ([] if N <= 2 * B else [2 * B]), N
 
@@ -286,9 +286,9 @@ def test_run_with_far_history_leaves_numpy_polynomial_unimported():
             "def eigh(*args, **kwargs):\n"
             "    raise AssertionError('numpy.linalg.eigh called')\n"
             "np.linalg.eigh = eigh\n"
-            "from subdiff import FieldP1, build_mesh, build_time_mesh, run\n"
-            "mesh = build_mesh(2)\n"
-            "state = run(mesh, build_time_mesh(100, 1.6, 0.5), 0.75, None,\n"
+            "from subdiff import FieldP1, GradedTimeMesh, StructuredMesh, run\n"
+            "mesh = StructuredMesh(2)\n"
+            "state = run(mesh, GradedTimeMesh(100, 1.6, 0.5), 0.75, None,\n"
             "            FieldP1(mesh=mesh, values=np.ones(1)))\n"
             "print(state.n, 'numpy.polynomial' in sys.modules)\n")
     src = os.path.dirname(os.path.dirname(stepping.__file__))
@@ -302,8 +302,8 @@ def _step_loads(monkeypatch, f, M=4, N=40):
     """The load tau_n f_n each step of a forced run receives, and the time mesh.
     N = 40 ends in a partial history block, N = 45 in a partial forcing slice
     too."""
-    mesh = build_mesh(M)
-    tm = build_time_mesh(N, 1.6, 0.5)
+    mesh = StructuredMesh(M)
+    tm = GradedTimeMesh(N, 1.6, 0.5)
     loads = []
     real = stepping.step
 
@@ -346,8 +346,8 @@ def test_scalar_only_forcing_matches_vectorised_twin(monkeypatch):
 
 def test_non_finite_forcing_raises():
     # finite in the first block, nan at the last steps of the partial second one
-    mesh = build_mesh(4)
-    tm = build_time_mesh(40, 1.6, 0.5)
+    mesh = StructuredMesh(4)
+    tm = GradedTimeMesh(40, 1.6, 0.5)
     u0 = FieldP1(mesh=mesh, values=np.zeros(mesh.n_interior))
     f = lambda x, y, t: np.where(t > tm.t[37], np.nan, 1.0) * x
     with pytest.raises(EvaluationError, match="non-finite"):
@@ -370,10 +370,10 @@ def test_run_builds_one_solver(monkeypatch):
 
 def test_frac_weights_memory_is_linear_in_N():
     N = 200_000
-    tm = build_time_mesh(N, 1.6, 0.5)
+    tm = GradedTimeMesh(N, 1.6, 0.5)
     tracemalloc.start()
     try:
-        w = frac_weights(tm, 0.75)
+        w = FracWeights(tm, 0.75)
         assert w.row(N).shape == (N,)
         assert w.increment_rows(N, N + 1)[0].shape == (N,)
         _, peak = tracemalloc.get_traced_memory()

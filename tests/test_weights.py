@@ -3,24 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from subdiff.mittag_leffler import gamma
-from subdiff.stepping import (HISTORY_BLOCK, FracWeights, build_time_mesh, frac_weights,
-                              soe_kernel)
+from subdiff.stepping import HISTORY_BLOCK, FracWeights, GradedTimeMesh, soe_kernel
 
 from oracles import frac_integral_nodes
 
 
 def test_uniform_mesh_nodes():
-    tm = build_time_mesh(np.int64(4), 1.0, 1.0)
+    tm = GradedTimeMesh(np.int64(4), 1.0, 1.0)
     assert type(tm.N) is int and tm.N == 4
     assert np.allclose(tm.t, [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-15)
     assert np.max(np.abs(tm.tau - 0.25)) <= 1e-15
 
 
 def test_graded_mesh_nodes():
-    tm = build_time_mesh(2, 2.0, 1.0)
+    tm = GradedTimeMesh(2, 2.0, 1.0)
     assert np.allclose(tm.t, [0.0, 0.25, 1.0], atol=1e-16)
-    tm = build_time_mesh(1000, 1.6, 0.5)
+    tm = GradedTimeMesh(1000, 1.6, 0.5)
     assert tm.t[0] == 0.0 and tm.t[-1] == 0.5
     assert tm.t[1] == pytest.approx(0.5 * 1000.0 ** -1.6, rel=1e-14)
     assert tm.t[1] == pytest.approx(7.924e-06, rel=1e-3)
@@ -38,7 +36,7 @@ def test_graded_mesh_nodes():
                                  dict(N=10, gamma_exp=1.6, T=math.inf)])
 def test_time_mesh_validation(bad):
     with pytest.raises(ValueError) as info:
-        build_time_mesh(bad["N"], bad["gamma_exp"], bad["T"])
+        GradedTimeMesh(bad["N"], bad["gamma_exp"], bad["T"])
     # a non-finite gamma or T is named, not blamed on the step sizes
     for value in (bad["gamma_exp"], bad["T"]):
         if not math.isfinite(value):
@@ -46,17 +44,16 @@ def test_time_mesh_validation(bad):
 
 
 def test_weights_alpha_validation():
-    tm = build_time_mesh(4, 1.0, 1.0)
-    for build in (frac_weights, FracWeights):
-        for alpha in (0.0, 1.0, -0.2, 1.5):
-            with pytest.raises(ValueError):
-                build(tm, alpha)
+    tm = GradedTimeMesh(4, 1.0, 1.0)
+    for alpha in (0.0, 1.0, -0.2, 1.5):
+        with pytest.raises(ValueError):
+            FracWeights(tm, alpha)
 
 
 def test_weights_limit_alpha_to_one():
     # as alpha -> 1 every weight approaches the step length
-    tm = build_time_mesh(16, 1.0, 1.0)
-    w = frac_weights(tm, 1.0 - 1e-12)
+    tm = GradedTimeMesh(16, 1.0, 1.0)
+    w = FracWeights(tm, 1.0 - 1e-12)
     for n in (1, 7, 16):
         assert np.max(np.abs(w.row(n) - tm.tau[:n])) <= 1e-10
 
@@ -64,9 +61,9 @@ def test_weights_limit_alpha_to_one():
 @pytest.mark.parametrize("gamma_exp", [1.0, 1.6, 2.0])
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.75, 0.95])
 def test_weight_rows_positive_and_telescoping(gamma_exp, alpha):
-    tm = build_time_mesh(300, gamma_exp, 0.5)
-    w = frac_weights(tm, alpha)
-    g1a = gamma(1.0 + alpha)
+    tm = GradedTimeMesh(300, gamma_exp, 0.5)
+    w = FracWeights(tm, alpha)
+    g1a = math.gamma(1.0 + alpha)
     for n in (1, 2, 13, 150, 300):
         row = w.row(n)
         assert np.all(row > 0.0)
@@ -76,10 +73,10 @@ def test_weight_rows_positive_and_telescoping(gamma_exp, alpha):
 
 
 def test_increment_rows_telescope():
-    tm = build_time_mesh(200, 1.6, 0.5)
+    tm = GradedTimeMesh(200, 1.6, 0.5)
     alpha = 0.75
-    w = frac_weights(tm, alpha)
-    g1a = gamma(1.0 + alpha)
+    w = FracWeights(tm, alpha)
+    g1a = math.gamma(1.0 + alpha)
     for n in (1, 2, 57, 200):
         c = w.increment_rows(n, n + 1)[0]
         ref = (tm.t[n] ** alpha - tm.t[n - 1] ** alpha) / g1a
@@ -89,7 +86,7 @@ def test_increment_rows_telescope():
 @pytest.mark.parametrize("alpha", [0.3, 0.75, 1.0 - 1e-12])
 def test_increment_rows_window_is_a_slice(alpha):
     # each entry takes the full row's elementwise formula, so the window's bits match
-    w = frac_weights(build_time_mesh(200, 1.6, 0.5), alpha)
+    w = FracWeights(GradedTimeMesh(200, 1.6, 0.5), alpha)
     for n0, n1, j0 in ((1, 33, 0), (2, 10, 1), (33, 65, 1), (65, 97, 32), (97, 113, 64),
                        (190, 201, 189), (200, 201, 150)):
         full = w.increment_rows(n0, n1)
@@ -108,10 +105,10 @@ def test_soe_far_weights_match_rows(alpha):
     B = HISTORY_BLOCK
     for N, gamma_exp in ((65, 1.0), (400, 5.0), (1000, 1.6), (1300, 1.6), (1300, 2.5),
                          (5200, 1.6)):
-        tm = build_time_mesh(N, gamma_exp, 0.5)
+        tm = GradedTimeMesh(N, gamma_exp, 0.5)
         s, wq = soe_kernel(alpha, tm.T, tm.t[2 * B] - tm.t[B])
         assert np.all(s > 0.0) and np.all(wq > 0.0)
-        rows = frac_weights(tm, alpha)
+        rows = FracWeights(tm, alpha)
         for n in (2 * B + 1, N):
             j = np.arange(1, n - B)
             far = ((wq / s)[:, None] * np.exp(-s[:, None] * (tm.t[n] - tm.t[j]))
@@ -132,7 +129,7 @@ def test_soe_kernel_matches_kernel(alpha):
     for N, gamma_exp in ((65, 1.0), (400, 5.0), (1000, 1.6), (1300, 1.6), (1300, 2.5),
                          (5200, 1.6)):
         for T in (1e-6, 0.5, 1e6):
-            tm = build_time_mesh(N, gamma_exp, T)
+            tm = GradedTimeMesh(N, gamma_exp, T)
             delta = tm.t[2 * B] - tm.t[B]
             s, wq = soe_kernel(alpha, T, delta)
             assert s.size <= 80 and np.all(s > 0.0) and np.all(wq > 0.0)
@@ -147,8 +144,8 @@ def test_soe_kernel_matches_kernel(alpha):
 def test_constant_history_integral():
     # I^alpha of 1 is t^alpha / Gamma(1 + alpha); at t = 1, alpha = 1/2
     # that is 2/sqrt(pi)
-    tm = build_time_mesh(64, 1.0, 1.0)
-    w = frac_weights(tm, 0.5)
+    tm = GradedTimeMesh(64, 1.0, 1.0)
+    w = FracWeights(tm, 0.5)
     vals = frac_integral_nodes(w, np.ones(64))
     assert vals[-1] == pytest.approx(2.0 / math.sqrt(math.pi), rel=1e-13)
     assert vals[-1] == pytest.approx(1.1283791671, rel=1e-9)
@@ -160,10 +157,10 @@ def test_power_rule_convergence(alpha):
     mu = 1.3
     errs = []
     for N in (250, 500, 1000, 2000):
-        tm = build_time_mesh(N, 2.0, 1.0)
+        tm = GradedTimeMesh(N, 2.0, 1.0)
         mid = 0.5 * (tm.t[:-1] + tm.t[1:])
-        approx = frac_integral_nodes(frac_weights(tm, alpha), mid ** (mu - 1.0))
-        exact = gamma(mu) / gamma(mu + alpha) * tm.t[1:] ** (mu - 1.0 + alpha)
+        approx = frac_integral_nodes(FracWeights(tm, alpha), mid ** (mu - 1.0))
+        exact = math.gamma(mu) / math.gamma(mu + alpha) * tm.t[1:] ** (mu - 1.0 + alpha)
         errs.append(np.abs(approx - exact).max())
     rates = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
     assert min(rates) >= 1.0
@@ -173,8 +170,8 @@ def test_quadrature_positivity_random_histories():
     """Discrete analogue of the positivity of I^alpha as a quadratic form."""
     rng = np.random.default_rng(123)
     for gamma_exp, alpha in ((1.0, 0.5), (1.6, 0.75)):
-        tm = build_time_mesh(150, gamma_exp, 0.5)
-        w = frac_weights(tm, alpha)
+        tm = GradedTimeMesh(150, gamma_exp, 0.5)
+        w = FracWeights(tm, alpha)
         for _ in range(100):
             v = rng.standard_normal(150)
             v /= np.linalg.norm(v)
@@ -185,7 +182,7 @@ def test_quadrature_positivity_random_histories():
 def _discrete_frac_integral(tm, alpha, node_vals):
     """I^alpha at all nodes from midpoint-averaged node samples."""
     bar = 0.5 * (node_vals[:-1] + node_vals[1:])
-    return frac_integral_nodes(frac_weights(tm, alpha), bar)
+    return frac_integral_nodes(FracWeights(tm, alpha), bar)
 
 
 def _leibniz_residuals(theta, alpha, N):
@@ -194,7 +191,7 @@ def _leibniz_residuals(theta, alpha, N):
     (a)  t d_t^(1-a) f = d_t^(1-a)(t f) - (1 - a) I^a f
     (b)  t I^a f = I^a (t f) + a I^(1+a) f
     """
-    tm = build_time_mesh(N, 1.0, 1.0)
+    tm = GradedTimeMesh(N, 1.0, 1.0)
     t = tm.t
     f = theta(t)
     tf = t * theta(t)
@@ -229,8 +226,8 @@ def test_leibniz_identities_converge(theta, alpha):
 def test_weight_rows_are_cancellation_stable():
     # late-row early weights shrink smoothly; a naive power difference would
     # return exact zeros here
-    tm = build_time_mesh(4000, 1.6, 0.5)
-    w = frac_weights(tm, 0.75)
+    tm = GradedTimeMesh(4000, 1.6, 0.5)
+    w = FracWeights(tm, 0.75)
     row = w.row(4000)
     assert np.all(row[:10] > 0.0)
     ratio = row[1:20] / row[:19]
